@@ -46,7 +46,7 @@ Sample Measure(double into_fraction, const DimsatOptions& options,
   run_options.max_frozen = 1 << 14;
   WallTimer timer;
   DimsatResult r =
-      Dimsat(ds, ds.hierarchy().FindCategory("Base"), run_options);
+      RunDimsat(ds, ds.hierarchy().FindCategory("Base"), run_options);
   OLAPDC_CHECK(r.status.ok());
   return Sample{timer.ElapsedMs(), r.stats.expand_calls,
                 r.stats.check_calls};

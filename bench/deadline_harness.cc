@@ -61,7 +61,7 @@ int Run() {
       options.budget = &budget;
       options.budget_check_stride = stride;
       WallTimer timer;
-      DimsatResult r = Dimsat(ds, root, options);
+      DimsatResult r = RunDimsat(ds, root, options);
       const double elapsed = timer.ElapsedMs();
       const bool deadline_hit =
           r.status.code() == StatusCode::kDeadlineExceeded;

@@ -1,33 +1,27 @@
 // Per-technique ablation for the DIMSAT speed work: component
-// decomposition (DimsatOptions::decompose), most-constrained-first
-// branching (DimsatOptions::branch_heuristic), and the widened bitset
-// kernels (common/bitset.h wide-kernel toggle). Each technique runs
+// decomposition (DimsatOptions::decompose) and most-constrained-first
+// branching (DimsatOptions::branch_heuristic). Each technique runs
 // alone and combined over the location suite (where decomposition
 // falls back to the monolithic search) and a family of generated
 // multi-component schemas (where it bites), with every run's frozen
 // set checked equal to the baseline's.
 //
-// The committed BENCH_dimsat_ablation.json carries three derived
-// fields that CI holds floors on (tools/bench_gate --floor):
+// The committed BENCH_dimsat_ablation.json carries two derived fields
+// that CI holds floors on (tools/bench_gate --floor):
 //   decomp_expand_reduction_pct    — EXPAND calls saved by
 //                                    decomposition alone, aggregated
 //                                    over the multi-component suite;
 //   branching_further_reduction_pct — EXPAND calls the branching order
-//                                    saves *on top of* decomposition;
-//   simd_speedup                   — wide-vs-scalar kernel throughput
-//                                    on 320/512-bit sets.
-// The reductions are deterministic node counts (host-independent); the
-// SIMD rows are wall-clock and self-exempt on hosts without AVX2.
+//                                    saves *on top of* decomposition.
+// Both are deterministic node counts (host-independent).
 
 #include <cstdio>
 #include <algorithm>
-#include <cmath>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/bitset.h"
 #include "core/dimsat.h"
 #include "core/location_example.h"
 #include "workload/schema_generator.h"
@@ -54,16 +48,13 @@ struct Config {
   const char* name;
   bool decompose;
   bool branch_heuristic;
-  bool wide_kernels;
 };
 
 constexpr Config kConfigs[] = {
-    {"baseline", false, false, false},
-    {"decomp", true, false, false},
-    {"branching", false, true, false},
-    {"decomp_branch", true, true, false},
-    {"simd", false, false, true},
-    {"all", true, true, true},
+    {"baseline", false, false},
+    {"decomp", true, false},
+    {"branching", false, true},
+    {"decomp_branch", true, true},
 };
 
 struct Workload {
@@ -111,7 +102,7 @@ struct RunRecord {
 };
 
 void RunSuite(BenchReporter& reporter) {
-  PrintHeader("DIMSAT ablation: decomposition / branching / SIMD kernels");
+  PrintHeader("DIMSAT ablation: decomposition / branching");
   std::printf("%10s %14s %12s %10s %10s %10s\n", "workload", "config", "ms",
               "frozen", "expands", "checks");
   PrintRule();
@@ -125,15 +116,13 @@ void RunSuite(BenchReporter& reporter) {
     std::vector<std::string> golden;
     for (size_t ci = 0; ci < std::size(kConfigs); ++ci) {
       const Config& config = kConfigs[ci];
-      bitset_kernels::SetWideKernelsEnabled(config.wide_kernels);
       DimsatOptions options;
       options.enumerate_all = true;
       options.decompose = config.decompose;
       options.branch_heuristic = config.branch_heuristic;
       WallTimer timer;
-      DimsatResult result = Dimsat(workload.ds, workload.root, options);
+      DimsatResult result = RunDimsat(workload.ds, workload.root, options);
       const double ms = timer.ElapsedMs();
-      bitset_kernels::SetWideKernelsEnabled(true);
       OLAPDC_CHECK(result.status.ok()) << result.status.ToString();
       const std::vector<std::string> canonical =
           Canonical(result.frozen, workload.ds.hierarchy());
@@ -199,141 +188,9 @@ void RunSuite(BenchReporter& reporter) {
       .Set("branching_further_reduction_pct", branching_further_pct);
 }
 
-/// Wide-vs-scalar kernel throughput on the set sizes the DIMSAT hot
-/// loops actually touch (reach closures, into-prune masks). Measures
-/// the fused and-not-any probe, the or-accumulate, equality, and
-/// popcount; the gated simd_speedup is the geometric mean over the
-/// first three (the kernels with an actual AVX2 path — popcount is
-/// 4-way unrolled scalar in both modes and reported informationally).
-void RunSimdMicro(BenchReporter& reporter) {
-  PrintHeader("SIMD micro: wide vs scalar bitset kernels");
-  std::printf("%8s %14s %14s %10s\n", "bits", "scalar_ns/op", "wide_ns/op",
-              "speedup");
-  PrintRule();
-
-  const bool has_avx2 = bitset_kernels::CpuHasAvx2();
-  // Gated sizes: >= 512 bits, the SBO/heap boundary the wide kernels
-  // target (>= 2 full AVX2 blocks). At 4-6 words the runtime-dispatch
-  // branch offsets the single-block win, so 320 is reported but not
-  // part of the floor-checked aggregate.
-  constexpr int kGateBitsFloor = 512;
-  std::vector<double> gated_speedups;
-  for (int bits : {320, 512, 1024}) {
-    // Subset pairs (b superset of a): AndNotAny must scan the full
-    // width, as in the non-pruning common case of the into-probe.
-    // Equal pairs force Equal to scan fully too. Early-exit inputs
-    // would measure the branch predictor, not the kernels.
-    std::vector<DynamicBitset> a, b, e;
-    for (int i = 0; i < 64; ++i) {
-      DynamicBitset x(bits), y(bits);
-      for (int j = i % 7; j < bits; j += 7) x.set(j);
-      y = x;
-      for (int j = i % 5; j < bits; j += 5) y.set(j);
-      a.push_back(std::move(x));
-      e.push_back(y);
-      b.push_back(std::move(y));
-    }
-
-    // One measured pass = kIters sweeps over the 64-set working set.
-    // Scalar and wide passes interleave within each round so both
-    // modes sample the same ambient load (this matters on shared or
-    // cgroup-throttled CI hosts, where the two halves of a sequential
-    // A-then-B measurement can see very different steal time); each
-    // mode keeps its best round.
-    constexpr int kIters = 20000;
-    constexpr int kRounds = 9;
-    uint64_t sink = 0;
-    struct Pair {
-      double scalar = 1e100;
-      double wide = 1e100;
-    };
-    const auto measure = [&](auto&& sweep) {
-      Pair best;
-      for (int round = 0; round < kRounds; ++round) {
-        for (bool use_wide : {false, true}) {
-          bitset_kernels::SetWideKernelsEnabled(use_wide);
-          sweep();  // warm the path before timing it
-          WallTimer timer;
-          for (int it = 0; it < kIters; ++it) sweep();
-          const double ns =
-              timer.ElapsedUs() * 1000.0 /
-              (static_cast<double>(kIters) * a.size());
-          (use_wide ? best.wide : best.scalar) =
-              std::min(use_wide ? best.wide : best.scalar, ns);
-        }
-      }
-      bitset_kernels::SetWideKernelsEnabled(true);
-      return best;
-    };
-    DynamicBitset acc(bits);
-    const Pair andnotany = measure([&] {
-      for (size_t i = 0; i < a.size(); ++i) sink += a[i].AndNotAny(b[i]);
-    });
-    const Pair orfold = measure([&] {
-      for (size_t i = 0; i < a.size(); ++i) acc |= a[i];
-      sink += static_cast<uint64_t>(acc.test(0));
-    });
-    const Pair equal = measure([&] {
-      for (size_t i = 0; i < b.size(); ++i)
-        sink += static_cast<uint64_t>(b[i] == e[i]);
-    });
-    const Pair count = measure([&] {
-      for (size_t i = 0; i < a.size(); ++i)
-        sink += static_cast<uint64_t>(a[i].count());
-    });
-
-    // The gated metric covers the kernels with a real vector path
-    // (and-not-any probe, or-accumulate, equality); popcount has no
-    // AVX2 instruction, so its ~1x ratio is reported but not gated.
-    const double speedup_geo =
-        std::cbrt((andnotany.scalar / andnotany.wide) *
-                  (orfold.scalar / orfold.wide) * (equal.scalar / equal.wide));
-    if (bits >= kGateBitsFloor) gated_speedups.push_back(speedup_geo);
-    std::printf(
-        "%8d  andnotany %.2f->%.2f  or %.2f->%.2f  eq %.2f->%.2f  "
-        "count %.2f->%.2f  => %.2fx%s\n",
-        bits, andnotany.scalar, andnotany.wide, orfold.scalar, orfold.wide,
-        equal.scalar, equal.wide, count.scalar, count.wide, speedup_geo,
-        has_avx2 ? "" : " (no AVX2: informational)");
-
-    reporter.AddRow()
-        .Set("case", "simd_micro")
-        .Set("bits", bits)
-        .Set("scalar_andnotany_ns", andnotany.scalar)
-        .Set("wide_andnotany_ns", andnotany.wide)
-        .Set("scalar_or_ns", orfold.scalar)
-        .Set("wide_or_ns", orfold.wide)
-        .Set("scalar_equal_ns", equal.scalar)
-        .Set("wide_equal_ns", equal.wide)
-        .Set("scalar_count_ns", count.scalar)
-        .Set("wide_count_ns", count.wide)
-        .Set("speedup_geo", speedup_geo);
-    if (sink == 0xdeadbeef) std::printf("(unreachable sink)\n");
-  }
-
-  // The gated metric aggregates across the >=512-bit sizes: geomean of
-  // the per-size speedups, carried on a single summary row so the
-  // floor reads one number for the whole claim.
-  double agg = 1.0;
-  for (double s : gated_speedups) agg *= s;
-  agg = std::pow(agg, 1.0 / static_cast<double>(gated_speedups.size()));
-  std::printf(
-      "aggregate wide-kernel speedup (geomean over >=%d-bit sizes): %.2fx\n",
-      kGateBitsFloor, agg);
-  BenchReporter::Row& summary = reporter.AddRow()
-                                    .Set("case", "simd_summary")
-                                    .Set("simd_speedup", agg);
-  if (!has_avx2) {
-    // Without AVX2 both toggles take the same scalar path; the 1.3x
-    // floor is unmeasurable, not failed.
-    summary.Set("floor_exempt", true);
-  }
-}
-
 void Run() {
   BenchReporter reporter("dimsat_ablation");
   RunSuite(reporter);
-  RunSimdMicro(reporter);
   reporter.WriteJson();
 }
 

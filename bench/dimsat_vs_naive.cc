@@ -46,7 +46,7 @@ void Run() {
       DimsatOptions dimsat_options;
       dimsat_options.enumerate_all = true;
       WallTimer dimsat_timer;
-      DimsatResult dimsat = Dimsat(ds, base, dimsat_options);
+      DimsatResult dimsat = RunDimsat(ds, base, dimsat_options);
       double dimsat_ms = dimsat_timer.ElapsedMs();
       OLAPDC_CHECK(dimsat.status.ok());
 

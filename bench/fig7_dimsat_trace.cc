@@ -22,7 +22,7 @@ void Run() {
   PrintHeader("Figure 7: DIMSAT(locationSch, Store) execution trace");
   DimsatOptions options;
   options.collect_trace = true;
-  DimsatResult r = Dimsat(ds, store, options);
+  DimsatResult r = RunDimsat(ds, store, options);
   OLAPDC_CHECK(r.status.ok());
 
   int step = 0;

@@ -48,7 +48,7 @@ Sample Measure(double edge_prob, int choice_constraints, uint64_t seed) {
   options.max_frozen = 1 << 14;
   WallTimer timer;
   DimsatResult r =
-      Dimsat(ds, ds.hierarchy().FindCategory("Base"), options);
+      RunDimsat(ds, ds.hierarchy().FindCategory("Base"), options);
   OLAPDC_CHECK(r.status.ok());
   std::set<std::string> structures;
   for (const FrozenDimension& f : r.frozen) {

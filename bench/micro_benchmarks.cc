@@ -112,7 +112,7 @@ void BM_DimsatLocation(benchmark::State& state) {
   DimsatOptions options;
   options.enumerate_all = state.range(0) != 0;
   for (auto _ : state) {
-    DimsatResult r = Dimsat(ds, store, options);
+    DimsatResult r = RunDimsat(ds, store, options);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -130,7 +130,7 @@ void BM_DimsatLocationMetricsOn(benchmark::State& state) {
   options.enumerate_all = state.range(0) != 0;
   obs::MetricsRegistry::Global().Enable();
   for (auto _ : state) {
-    DimsatResult r = Dimsat(ds, store, options);
+    DimsatResult r = RunDimsat(ds, store, options);
     benchmark::DoNotOptimize(r);
   }
   obs::MetricsRegistry::Global().Disable();

@@ -1,13 +1,11 @@
-// E16 (supplementary): parallel DIMSAT. Compares three drivers on two
+// E16 (supplementary): parallel DIMSAT. Runs RunDimsat on two
 // workloads:
-//   sequential — the single-threaded reference search;
-//   static     — one thread per first-level seed subtree, no rebalance;
-//   worksteal  — the src/exec pool, EXPAND nodes below the split depth
-//                become stealable tasks.
-// The uniform workload has evenly sized seed subtrees, so both
-// parallel drivers should track each other. The skewed workload puts
-// nearly all the search under one seed: the static partition degrades
-// towards sequential while work stealing keeps every worker busy.
+//   sequential — num_threads 1, the single-threaded reference search;
+//   worksteal  — num_threads 2/4/8 on the src/exec pool, where EXPAND
+//                nodes near the root become stealable tasks.
+// The uniform workload has evenly sized first-level subtrees. The
+// skewed workload puts nearly all the search under one of them, which
+// work stealing rebalances across the workers.
 // Every run's frozen-dimension set is checked equal (as a canonical
 // sorted serialization) to the sequential baseline.
 
@@ -59,18 +57,18 @@ DimensionSchema UniformWorkload() {
   return Unwrap(GenerateConstrainedSchema(hierarchy, constraint_options));
 }
 
-// Adversarial for a static partition: Base has two parents, a light
-// one going straight to All and a heavy one opening into a dense
-// layered subgraph. The three first-level seeds ({L}, {H}, {L,H}) are
-// wildly uneven — almost all EXPAND work sits under the seeds that
-// include H — so a seed-per-thread split leaves most threads idle.
+// Skewed: Base has two parents, a light one going straight to All and
+// a heavy one opening into a dense layered subgraph. The three
+// first-level subtrees ({L}, {H}, {L,H}) are wildly uneven — almost
+// all EXPAND work sits under the ones that include H — so a
+// subtree-per-thread split would leave most threads idle.
 DimensionSchema SkewedWorkload() {
   HierarchySchemaBuilder builder;
   builder.AddEdge("Base", "Light");
   builder.AddEdge("Light", "All");
   builder.AddEdge("Base", "Heavy");
   // Sized so the full enumeration finishes well under max_frozen: the
-  // set-equality check needs every driver to see the complete set.
+  // set-equality check needs every run to see the complete set.
   constexpr int kLevels = 3;
   constexpr int kWidth = 3;
   for (int w = 0; w < kWidth; ++w) {
@@ -107,7 +105,7 @@ void RunWorkload(BenchReporter& reporter, const WorkloadCase& workload,
 
   WallTimer seq_timer;
   DimsatResult sequential =
-      Dimsat(workload.ds, workload.base, base_options);
+      RunDimsat(workload.ds, workload.base, base_options);
   const double seq_ms = seq_timer.ElapsedMs();
   OLAPDC_CHECK(sequential.status.ok()) << sequential.status.ToString();
   const std::vector<std::string> golden =
@@ -131,51 +129,43 @@ void RunWorkload(BenchReporter& reporter, const WorkloadCase& workload,
       .Set("steals", uint64_t{0})
       .Set("speedup", 1.0);
 
-  for (const char* mode : {"static", "worksteal"}) {
-    for (int threads : {2, 4, 8}) {
-      WallTimer timer;
-      DimsatResult parallel;
-      if (std::string(mode) == "static") {
-        parallel = DimsatParallelStatic(workload.ds, workload.base,
-                                        base_options, threads);
-      } else {
-        exec::WorkStealingPool pool(threads);
-        DimsatOptions options = base_options;
-        options.pool = &pool;
-        parallel =
-            DimsatParallel(workload.ds, workload.base, options, threads);
-      }
-      const double ms = timer.ElapsedMs();
-      OLAPDC_CHECK(parallel.status.ok()) << parallel.status.ToString();
-      OLAPDC_CHECK(Canonical(parallel.frozen, workload.ds.hierarchy()) ==
-                   golden)
-          << mode << "@" << threads
-          << ": parallel enumeration must match the sequential set";
-      const double speedup = seq_ms / (ms > 0 ? ms : 1e-3);
-      std::printf("%10s %8d %12.2f %10zu %10llu %8llu %7.2fx\n", mode,
-                  threads, ms, parallel.frozen.size(),
-                  static_cast<unsigned long long>(
-                      parallel.stats.expand_calls),
-                  static_cast<unsigned long long>(
-                      parallel.stats.parallel_steals),
-                  speedup);
-      BenchReporter::Row& row =
-          reporter.AddRow()
-              .Set("workload", workload.name)
-              .Set("mode", mode)
-              .Set("threads", threads)
-              .Set("ms", ms)
-              .Set("frozen", static_cast<uint64_t>(parallel.frozen.size()))
-              .Set("expand_calls", parallel.stats.expand_calls)
-              .Set("tasks", parallel.stats.parallel_tasks)
-              .Set("steals", parallel.stats.parallel_steals)
-              .Set("speedup", speedup);
-      // On a single hardware thread no parallel driver can beat the
-      // sequential run; mark the row so bench_gate's speedup floors
-      // exempt it instead of failing on an impossible claim.
-      if (std::thread::hardware_concurrency() <= 1) {
-        row.Set("single_core_host", true);
-      }
+  for (int threads : {2, 4, 8}) {
+    // The pool's start-up is part of the measured run.
+    WallTimer timer;
+    exec::WorkStealingPool pool(threads);
+    DimsatOptions options = base_options;
+    options.pool = &pool;
+    options.num_threads = threads;
+    DimsatResult parallel = RunDimsat(workload.ds, workload.base, options);
+    const double ms = timer.ElapsedMs();
+    OLAPDC_CHECK(parallel.status.ok()) << parallel.status.ToString();
+    OLAPDC_CHECK(Canonical(parallel.frozen, workload.ds.hierarchy()) ==
+                 golden)
+        << "worksteal@" << threads
+        << ": parallel enumeration must match the sequential set";
+    const double speedup = seq_ms / (ms > 0 ? ms : 1e-3);
+    std::printf("%10s %8d %12.2f %10zu %10llu %8llu %7.2fx\n", "worksteal",
+                threads, ms, parallel.frozen.size(),
+                static_cast<unsigned long long>(parallel.stats.expand_calls),
+                static_cast<unsigned long long>(
+                    parallel.stats.parallel_steals),
+                speedup);
+    BenchReporter::Row& row =
+        reporter.AddRow()
+            .Set("workload", workload.name)
+            .Set("mode", "worksteal")
+            .Set("threads", threads)
+            .Set("ms", ms)
+            .Set("frozen", static_cast<uint64_t>(parallel.frozen.size()))
+            .Set("expand_calls", parallel.stats.expand_calls)
+            .Set("tasks", parallel.stats.parallel_tasks)
+            .Set("steals", parallel.stats.parallel_steals)
+            .Set("speedup", speedup);
+    // On a single hardware thread no parallel run can beat the
+    // sequential one; mark the row so bench_gate's speedup floors
+    // exempt it instead of failing on an impossible claim.
+    if (std::thread::hardware_concurrency() <= 1) {
+      row.Set("single_core_host", true);
     }
   }
 }
@@ -195,11 +185,10 @@ void Run() {
   RunWorkload(reporter, skewed, options);
 
   std::printf(
-      "\nExpected shape: on multi-core hosts the work-stealing driver "
-      "tracks the static partition on the uniform workload and beats it "
-      "decisively on the skewed one (the static split pins the heavy "
-      "seed to one thread). This host reports %u hardware threads — on "
-      "a single core only the correctness claim and the scheduling "
+      "\nExpected shape: on multi-core hosts work stealing speeds up both "
+      "workloads, the skewed one included (idle workers steal the heavy "
+      "subtree's tasks). This host reports %u hardware threads — on a "
+      "single core only the correctness claim and the scheduling "
       "overhead are observable.\n",
       std::thread::hardware_concurrency());
   reporter.WriteJson();

@@ -32,7 +32,7 @@ void Run() {
       Cnf cnf = RandomCnf(vars, clauses, 3, seed * 1000 + vars);
       SatReduction reduction = Unwrap(ReduceCnfToCategorySatisfiability(cnf));
       WallTimer timer;
-      DimsatResult r = Dimsat(reduction.schema, reduction.query);
+      DimsatResult r = RunDimsat(reduction.schema, reduction.query);
       OLAPDC_CHECK(r.status.ok());
       total_ms += timer.ElapsedMs() / 5;
       total_expands += r.stats.expand_calls / 5;

@@ -46,7 +46,7 @@ Sample Measure(double into_fraction, int levels, int width, uint64_t seed) {
   options.max_frozen = 1 << 14;
   WallTimer timer;
   DimsatResult r =
-      Dimsat(ds, ds.hierarchy().FindCategory("Base"), options);
+      RunDimsat(ds, ds.hierarchy().FindCategory("Base"), options);
   OLAPDC_CHECK(r.status.ok()) << r.status.ToString();
   return Sample{timer.ElapsedMs(), r.stats.expand_calls,
                 r.stats.check_calls, r.frozen.size()};

@@ -45,7 +45,7 @@ Sample Measure(const HierarchySchemaPtr& hierarchy, int eq_constraints,
   dimsat_options.max_frozen = 1 << 14;
   WallTimer timer;
   DimsatResult r =
-      Dimsat(ds, ds.hierarchy().FindCategory("Base"), dimsat_options);
+      RunDimsat(ds, ds.hierarchy().FindCategory("Base"), dimsat_options);
   OLAPDC_CHECK(r.status.ok());
   return Sample{timer.ElapsedMs(), r.stats.assignments_tried,
                 ds.constraints().size()};

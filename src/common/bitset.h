@@ -7,418 +7,20 @@
 // all. Larger universes transparently spill to a heap vector — nothing
 // caps the schema size, only the fast path assumes it is small.
 //
-// The word loops live in bitset_kernels: every bulk operation has a
-// scalar reference implementation and a 4-words-per-iteration wide
-// implementation (AVX2 via the `target` function attribute, so no
-// global -mavx2 is required; plain unrolled otherwise). Dispatch is
-// one cached CPU check plus a process-global toggle — the toggle
-// exists so the ablation micro-bench (bench/dimsat_ablation.cc) can
-// time both paths in one process. It is deliberately *not* a
-// per-search DimsatOptions flag: kernels are process-global shared
-// code, and flipping them per request would race in the
-// multi-threaded service.
+// Every bulk operation is one plain word loop. The sets DIMSAT builds
+// for the paper's schemas and the generated workloads are one or two
+// words long, where loop overhead, not data width, is the cost.
 
 #ifndef OLAPDC_COMMON_BITSET_H_
 #define OLAPDC_COMMON_BITSET_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "common/check.h"
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define OLAPDC_BITSET_X86_DISPATCH 1
-#include <immintrin.h>
-#endif
-
 namespace olapdc {
-namespace bitset_kernels {
-
-/// Process-global kernel toggle (default: wide kernels on wherever the
-/// CPU supports them). Relaxed atomics: flipping mid-flight never
-/// changes results, only which loop computes them.
-inline std::atomic<bool>& WideFlag() {
-  static std::atomic<bool> flag{true};
-  return flag;
-}
-inline void SetWideKernelsEnabled(bool enabled) {
-  WideFlag().store(enabled, std::memory_order_relaxed);
-}
-inline bool WideKernelsEnabled() {
-  return WideFlag().load(std::memory_order_relaxed);
-}
-
-inline bool CpuHasAvx2() {
-#ifdef OLAPDC_BITSET_X86_DISPATCH
-  static const bool has_avx2 = __builtin_cpu_supports("avx2") != 0;
-  return has_avx2;
-#else
-  return false;
-#endif
-}
-
-// ---------------------------------------------------------------------
-// Scalar reference kernels (the pre-vectorization word loops, kept as
-// the correctness baseline for the property tests and the ablation
-// micro-bench).
-
-inline void OrScalar(uint64_t* w, const uint64_t* v, int n) {
-  for (int i = 0; i < n; ++i) w[i] |= v[i];
-}
-inline void AndScalar(uint64_t* w, const uint64_t* v, int n) {
-  for (int i = 0; i < n; ++i) w[i] &= v[i];
-}
-inline void AndNotScalar(uint64_t* w, const uint64_t* v, int n) {
-  for (int i = 0; i < n; ++i) w[i] &= ~v[i];
-}
-inline bool AnyScalar(const uint64_t* w, int n) {
-  for (int i = 0; i < n; ++i)
-    if (w[i]) return true;
-  return false;
-}
-inline bool IntersectsScalar(const uint64_t* w, const uint64_t* v, int n) {
-  for (int i = 0; i < n; ++i)
-    if (w[i] & v[i]) return true;
-  return false;
-}
-/// True iff (w & ~v) has any set bit — the fused form of the subset
-/// test and the DIMSAT into-prune ("is any forced target blocked?").
-inline bool AndNotAnyScalar(const uint64_t* w, const uint64_t* v, int n) {
-  for (int i = 0; i < n; ++i)
-    if (w[i] & ~v[i]) return true;
-  return false;
-}
-inline bool EqualScalar(const uint64_t* w, const uint64_t* v, int n) {
-  for (int i = 0; i < n; ++i)
-    if (w[i] != v[i]) return false;
-  return true;
-}
-inline int CountScalar(const uint64_t* w, int n) {
-  int count = 0;
-  for (int i = 0; i < n; ++i) count += __builtin_popcountll(w[i]);
-  return count;
-}
-
-// ---------------------------------------------------------------------
-// Wide kernels: 8 words (two 256-bit blocks) per main-loop iteration
-// with a 4-word cleanup block. On x86-64 they carry the AVX2 `target`
-// attribute so GCC emits ymm code for just these functions without a
-// global -mavx2 (dispatch checks the CPU at run time); elsewhere they
-// are plain 4-way unrolled loops the auto-vectorizer can chew on.
-
-#ifdef OLAPDC_BITSET_X86_DISPATCH
-#define OLAPDC_BITSET_WIDE_TARGET __attribute__((target("avx2")))
-#else
-#define OLAPDC_BITSET_WIDE_TARGET
-#endif
-
-OLAPDC_BITSET_WIDE_TARGET inline void OrWide(uint64_t* w, const uint64_t* v,
-                                             int n) {
-  int i = 0;
-#ifdef OLAPDC_BITSET_X86_DISPATCH
-  // Two 256-bit blocks per iteration: halves the loop overhead and
-  // lets the independent load/op/store chains overlap in the pipeline.
-  for (; i + 8 <= n; i += 8) {
-    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    __m256i a1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i + 4));
-    __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i + 4));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(w + i),
-                        _mm256_or_si256(a0, b0));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(w + i + 4),
-                        _mm256_or_si256(a1, b1));
-  }
-  for (; i + 4 <= n; i += 4) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(w + i),
-                        _mm256_or_si256(a, b));
-  }
-#else
-  for (; i + 4 <= n; i += 4) {
-    w[i] |= v[i];
-    w[i + 1] |= v[i + 1];
-    w[i + 2] |= v[i + 2];
-    w[i + 3] |= v[i + 3];
-  }
-#endif
-  for (; i < n; ++i) w[i] |= v[i];
-}
-
-OLAPDC_BITSET_WIDE_TARGET inline void AndWide(uint64_t* w, const uint64_t* v,
-                                              int n) {
-  int i = 0;
-#ifdef OLAPDC_BITSET_X86_DISPATCH
-  for (; i + 8 <= n; i += 8) {
-    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    __m256i a1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i + 4));
-    __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i + 4));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(w + i),
-                        _mm256_and_si256(a0, b0));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(w + i + 4),
-                        _mm256_and_si256(a1, b1));
-  }
-  for (; i + 4 <= n; i += 4) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(w + i),
-                        _mm256_and_si256(a, b));
-  }
-#else
-  for (; i + 4 <= n; i += 4) {
-    w[i] &= v[i];
-    w[i + 1] &= v[i + 1];
-    w[i + 2] &= v[i + 2];
-    w[i + 3] &= v[i + 3];
-  }
-#endif
-  for (; i < n; ++i) w[i] &= v[i];
-}
-
-OLAPDC_BITSET_WIDE_TARGET inline void AndNotWide(uint64_t* w,
-                                                 const uint64_t* v, int n) {
-  int i = 0;
-#ifdef OLAPDC_BITSET_X86_DISPATCH
-  // andnot computes (~b) & a.
-  for (; i + 8 <= n; i += 8) {
-    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    __m256i a1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i + 4));
-    __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i + 4));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(w + i),
-                        _mm256_andnot_si256(b0, a0));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(w + i + 4),
-                        _mm256_andnot_si256(b1, a1));
-  }
-  for (; i + 4 <= n; i += 4) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(w + i),
-                        _mm256_andnot_si256(b, a));
-  }
-#else
-  for (; i + 4 <= n; i += 4) {
-    w[i] &= ~v[i];
-    w[i + 1] &= ~v[i + 1];
-    w[i + 2] &= ~v[i + 2];
-    w[i + 3] &= ~v[i + 3];
-  }
-#endif
-  for (; i < n; ++i) w[i] &= ~v[i];
-}
-
-OLAPDC_BITSET_WIDE_TARGET inline bool AnyWide(const uint64_t* w, int n) {
-  int i = 0;
-#ifdef OLAPDC_BITSET_X86_DISPATCH
-  // Pairs of blocks fold into one OR before the test: one branch per
-  // 512 bits instead of per 256, which matters on the full-scan
-  // (all-zero) path where every branch is taken.
-  for (; i + 8 <= n; i += 8) {
-    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i a1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i + 4));
-    __m256i t = _mm256_or_si256(a0, a1);
-    if (!_mm256_testz_si256(t, t)) return true;
-  }
-  for (; i + 4 <= n; i += 4) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    if (!_mm256_testz_si256(a, a)) return true;
-  }
-#else
-  for (; i + 4 <= n; i += 4) {
-    if (w[i] | w[i + 1] | w[i + 2] | w[i + 3]) return true;
-  }
-#endif
-  for (; i < n; ++i)
-    if (w[i]) return true;
-  return false;
-}
-
-OLAPDC_BITSET_WIDE_TARGET inline bool IntersectsWide(const uint64_t* w,
-                                                     const uint64_t* v,
-                                                     int n) {
-  int i = 0;
-#ifdef OLAPDC_BITSET_X86_DISPATCH
-  for (; i + 8 <= n; i += 8) {
-    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    __m256i a1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i + 4));
-    __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i + 4));
-    __m256i t = _mm256_or_si256(_mm256_and_si256(a0, b0),
-                                _mm256_and_si256(a1, b1));
-    if (!_mm256_testz_si256(t, t)) return true;
-  }
-  for (; i + 4 <= n; i += 4) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    if (!_mm256_testz_si256(a, b)) return true;
-  }
-#else
-  for (; i + 4 <= n; i += 4) {
-    if ((w[i] & v[i]) | (w[i + 1] & v[i + 1]) | (w[i + 2] & v[i + 2]) |
-        (w[i + 3] & v[i + 3])) {
-      return true;
-    }
-  }
-#endif
-  for (; i < n; ++i)
-    if (w[i] & v[i]) return true;
-  return false;
-}
-
-OLAPDC_BITSET_WIDE_TARGET inline bool AndNotAnyWide(const uint64_t* w,
-                                                    const uint64_t* v,
-                                                    int n) {
-  int i = 0;
-#ifdef OLAPDC_BITSET_X86_DISPATCH
-  // andnot computes (~v) & w — exactly the violating bits. Pairs fold
-  // into one OR so the subset-holds path takes one branch per 512
-  // bits.
-  for (; i + 8 <= n; i += 8) {
-    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    __m256i a1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i + 4));
-    __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i + 4));
-    __m256i t = _mm256_or_si256(_mm256_andnot_si256(b0, a0),
-                                _mm256_andnot_si256(b1, a1));
-    if (!_mm256_testz_si256(t, t)) return true;
-  }
-  for (; i + 4 <= n; i += 4) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    // testc is 1 iff (~a & b) == 0; we want (w & ~v) != 0, i.e.
-    // testc(v, w) == 0.
-    if (!_mm256_testc_si256(b, a)) return true;
-  }
-#else
-  for (; i + 4 <= n; i += 4) {
-    if ((w[i] & ~v[i]) | (w[i + 1] & ~v[i + 1]) | (w[i + 2] & ~v[i + 2]) |
-        (w[i + 3] & ~v[i + 3])) {
-      return true;
-    }
-  }
-#endif
-  for (; i < n; ++i)
-    if (w[i] & ~v[i]) return true;
-  return false;
-}
-
-OLAPDC_BITSET_WIDE_TARGET inline bool EqualWide(const uint64_t* w,
-                                                const uint64_t* v, int n) {
-  int i = 0;
-#ifdef OLAPDC_BITSET_X86_DISPATCH
-  for (; i + 8 <= n; i += 8) {
-    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    __m256i a1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i + 4));
-    __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i + 4));
-    __m256i x = _mm256_or_si256(_mm256_xor_si256(a0, b0),
-                                _mm256_xor_si256(a1, b1));
-    if (!_mm256_testz_si256(x, x)) return false;
-  }
-  for (; i + 4 <= n; i += 4) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    __m256i x = _mm256_xor_si256(a, b);
-    if (!_mm256_testz_si256(x, x)) return false;
-  }
-#else
-  for (; i + 4 <= n; i += 4) {
-    if ((w[i] ^ v[i]) | (w[i + 1] ^ v[i + 1]) | (w[i + 2] ^ v[i + 2]) |
-        (w[i + 3] ^ v[i + 3])) {
-      return false;
-    }
-  }
-#endif
-  for (; i < n; ++i)
-    if (w[i] != v[i]) return false;
-  return true;
-}
-
-/// popcount has no AVX2 single instruction; the win here is plain
-/// 4-way unrolling (independent popcntq chains).
-inline int CountWide(const uint64_t* w, int n) {
-  int i = 0;
-  int c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-  for (; i + 4 <= n; i += 4) {
-    c0 += __builtin_popcountll(w[i]);
-    c1 += __builtin_popcountll(w[i + 1]);
-    c2 += __builtin_popcountll(w[i + 2]);
-    c3 += __builtin_popcountll(w[i + 3]);
-  }
-  int count = c0 + c1 + c2 + c3;
-  for (; i < n; ++i) count += __builtin_popcountll(w[i]);
-  return count;
-}
-
-#undef OLAPDC_BITSET_WIDE_TARGET
-
-/// One cached branch: wide kernels require both CPU support and the
-/// process toggle. Word counts below 4 take the scalar path outright —
-/// the wide preamble would fall through to the tail loop anyway.
-inline bool UseWide(int n) {
-  return n >= 4 && CpuHasAvx2() && WideKernelsEnabled();
-}
-
-inline void Or(uint64_t* w, const uint64_t* v, int n) {
-  if (UseWide(n)) {
-    OrWide(w, v, n);
-  } else {
-    OrScalar(w, v, n);
-  }
-}
-inline void And(uint64_t* w, const uint64_t* v, int n) {
-  if (UseWide(n)) {
-    AndWide(w, v, n);
-  } else {
-    AndScalar(w, v, n);
-  }
-}
-inline void AndNot(uint64_t* w, const uint64_t* v, int n) {
-  if (UseWide(n)) {
-    AndNotWide(w, v, n);
-  } else {
-    AndNotScalar(w, v, n);
-  }
-}
-inline bool Any(const uint64_t* w, int n) {
-  if (UseWide(n)) return AnyWide(w, n);
-  return AnyScalar(w, n);
-}
-inline bool Intersects(const uint64_t* w, const uint64_t* v, int n) {
-  if (UseWide(n)) return IntersectsWide(w, v, n);
-  return IntersectsScalar(w, v, n);
-}
-inline bool AndNotAny(const uint64_t* w, const uint64_t* v, int n) {
-  if (UseWide(n)) return AndNotAnyWide(w, v, n);
-  return AndNotAnyScalar(w, v, n);
-}
-inline bool Equal(const uint64_t* w, const uint64_t* v, int n) {
-  if (UseWide(n)) return EqualWide(w, v, n);
-  return EqualScalar(w, v, n);
-}
-inline int Count(const uint64_t* w, int n) {
-  if (UseWide(n)) return CountWide(w, n);
-  return CountScalar(w, n);
-}
-
-}  // namespace bitset_kernels
 
 /// A set of small non-negative integers (node ids) backed by 64-bit
 /// words. Size is fixed at construction; all binary operations require
@@ -428,8 +30,7 @@ class DynamicBitset {
  public:
   /// Inline capacity in words: 512 elements cover every schema the
   /// paper's workloads (and our generators) produce with room to
-  /// spare, and 8 words is an exact multiple of the 4-word kernel
-  /// stride, so inline sets never pay the remainder loop.
+  /// spare.
   static constexpr int kInlineWords = 8;
   static constexpr int kInlineBits = kInlineWords * 64;
 
@@ -469,30 +70,46 @@ class DynamicBitset {
     for (int i = 0; i < num_words_; ++i) w[i] = 0;
   }
 
-  bool any() const { return bitset_kernels::Any(data(), num_words_); }
+  bool any() const {
+    const uint64_t* w = data();
+    for (int i = 0; i < num_words_; ++i)
+      if (w[i]) return true;
+    return false;
+  }
 
   bool none() const { return !any(); }
 
-  int count() const { return bitset_kernels::Count(data(), num_words_); }
+  int count() const {
+    const uint64_t* w = data();
+    int count = 0;
+    for (int i = 0; i < num_words_; ++i) count += __builtin_popcountll(w[i]);
+    return count;
+  }
 
   /// In-place union.
   DynamicBitset& operator|=(const DynamicBitset& o) {
     OLAPDC_DCHECK(size_ == o.size_);
-    bitset_kernels::Or(data(), o.data(), num_words_);
+    uint64_t* w = data();
+    const uint64_t* v = o.data();
+    for (int i = 0; i < num_words_; ++i) w[i] |= v[i];
     return *this;
   }
 
   /// In-place intersection.
   DynamicBitset& operator&=(const DynamicBitset& o) {
     OLAPDC_DCHECK(size_ == o.size_);
-    bitset_kernels::And(data(), o.data(), num_words_);
+    uint64_t* w = data();
+    const uint64_t* v = o.data();
+    for (int i = 0; i < num_words_; ++i) w[i] &= v[i];
     return *this;
   }
 
   /// In-place difference (this \ o).
   DynamicBitset& operator-=(const DynamicBitset& o) {
     OLAPDC_DCHECK(size_ == o.size_);
-    bitset_kernels::AndNot(data(), o.data(), num_words_);
+    uint64_t* w = data();
+    const uint64_t* v = o.data();
+    for (int i = 0; i < num_words_; ++i) w[i] &= ~v[i];
     return *this;
   }
 
@@ -511,14 +128,22 @@ class DynamicBitset {
 
   bool operator==(const DynamicBitset& o) const {
     if (size_ != o.size_) return false;
-    return bitset_kernels::Equal(data(), o.data(), num_words_);
+    const uint64_t* w = data();
+    const uint64_t* v = o.data();
+    for (int i = 0; i < num_words_; ++i)
+      if (w[i] != v[i]) return false;
+    return true;
   }
   bool operator!=(const DynamicBitset& o) const { return !(*this == o); }
 
   /// True if this and o share at least one element.
   bool Intersects(const DynamicBitset& o) const {
     OLAPDC_DCHECK(size_ == o.size_);
-    return bitset_kernels::Intersects(data(), o.data(), num_words_);
+    const uint64_t* w = data();
+    const uint64_t* v = o.data();
+    for (int i = 0; i < num_words_; ++i)
+      if (w[i] & v[i]) return true;
+    return false;
   }
 
   /// True if some element of this is missing from o — the fused
@@ -526,7 +151,11 @@ class DynamicBitset {
   /// outside the allowed set?") without materializing (this \ o).
   bool AndNotAny(const DynamicBitset& o) const {
     OLAPDC_DCHECK(size_ == o.size_);
-    return bitset_kernels::AndNotAny(data(), o.data(), num_words_);
+    const uint64_t* w = data();
+    const uint64_t* v = o.data();
+    for (int i = 0; i < num_words_; ++i)
+      if (w[i] & ~v[i]) return true;
+    return false;
   }
 
   /// True if every element of this is in o.
@@ -585,11 +214,7 @@ class DynamicBitset {
     return num_words_ <= kInlineWords ? inline_.data() : heap_.data();
   }
 
-  // The inline buffer leads the object at 32-byte alignment so the
-  // 256-bit kernel loads on SBO sets are never cache-line-split; the
-  // object stays 96 bytes (96 % 32 == 0, so vector elements keep the
-  // alignment too).
-  alignas(32) std::array<uint64_t, kInlineWords> inline_{};
+  std::array<uint64_t, kInlineWords> inline_{};
   int size_ = 0;
   int num_words_ = 0;
   std::vector<uint64_t> heap_;

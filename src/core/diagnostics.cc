@@ -59,7 +59,7 @@ Result<std::vector<size_t>> UnsatisfiableCore(const DimensionSchema& ds,
                                               CategoryId category,
                                               const DimsatOptions& options) {
   {
-    DimsatResult full = Dimsat(ds, category, options);
+    DimsatResult full = RunDimsat(ds, category, options);
     OLAPDC_RETURN_NOT_OK(full.status);
     if (full.satisfiable) {
       return Status::InvalidArgument(
@@ -71,7 +71,7 @@ Result<std::vector<size_t>> UnsatisfiableCore(const DimensionSchema& ds,
   for (size_t i = 0; i < n; ++i) {
     keep[i] = false;
     DimensionSchema rest = Restrict(ds, keep);
-    DimsatResult r = Dimsat(rest, category, options);
+    DimsatResult r = RunDimsat(rest, category, options);
     OLAPDC_RETURN_NOT_OK(r.status);
     if (r.satisfiable) keep[i] = true;  // needed for unsatisfiability
   }

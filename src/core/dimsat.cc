@@ -8,8 +8,8 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/fault_injector.h"
@@ -31,6 +31,18 @@ namespace {
 /// Inventory registration for the chaos campaign's site sweep.
 [[maybe_unused]] const bool kExpandSite = RegisterFaultSite("dimsat.expand");
 [[maybe_unused]] const bool kSubmitSite = RegisterFaultSite("exec.submit");
+
+/// Work-stealing runs: EXPAND nodes at recursion depth below this
+/// become stealable pool tasks; at or beyond it the search recurses
+/// in place (mutation + rollback). Depth 0 is the root. Small values
+/// under-split skewed trees; large ones drown the pool in tiny tasks
+/// (DESIGN.md §8 discusses the trade-off).
+constexpr int kParallelSplitDepth = 3;
+/// Cap on recorded Figure 7 trace events.
+constexpr size_t kMaxTraceEvents = 100000;
+/// EXPAND walks the subsets of a category's free successor choices as
+/// a 32-bit mask, so it accepts at most this many.
+constexpr int kMaxFreeChoices = 30;
 }  // namespace
 
 void AccumulateStats(DimsatStats* total, const DimsatStats& delta) {
@@ -208,7 +220,7 @@ class DimsatSearch {
   }
 
   /// Continues the search from a partially built subhierarchy at the
-  /// given recursion depth (the parallel drivers seed tasks this way).
+  /// given recursion depth (work-stealing tasks start this way).
   DimsatResult RunFrom(Subhierarchy seed, int depth) {
     g_ = std::move(seed);
     Status base = mem_.Reserve(subhierarchy_bytes_, "dimsat.search");
@@ -256,12 +268,18 @@ class DimsatSearch {
   void set_external_stop(std::atomic<bool>* stop) { external_stop_ = stop; }
 
   /// Work-stealing hook: while the recursion depth is below
-  /// `split_depth`, child subhierarchies are handed to `spawner`
+  /// kParallelSplitDepth, child subhierarchies are handed to `spawner`
   /// (becoming stealable tasks) instead of being expanded in-place.
-  void set_spawner(std::function<void(Subhierarchy&&, int)> spawner,
-                   int split_depth) {
+  void set_spawner(std::function<void(Subhierarchy&&, int)> spawner) {
     spawner_ = std::move(spawner);
-    split_depth_ = split_depth;
+  }
+
+  /// Run-wide EXPAND counter that options.max_expand_calls caps,
+  /// shared by every search of the run (the monolithic search, each
+  /// work-stealing task, each component). Null (the default, and every
+  /// uncapped run) leaves the search uncapped. Not owned.
+  void set_expand_counter(std::atomic<uint64_t>* counter) {
+    expand_counter_ = counter;
   }
 
   /// Restricts successor choices to a category universe — the
@@ -283,11 +301,11 @@ class DimsatSearch {
  private:
   void Trace(DimsatTraceEvent::Kind kind, const Subhierarchy& g) {
     if (!options_.collect_trace ||
-        result_.trace.size() >= options_.max_trace) {
+        result_.trace.size() >= kMaxTraceEvents) {
       return;
     }
     // Under a memory budget the trace degrades by silent truncation —
-    // the same contract as the max_trace cap — rather than tripping
+    // the same contract as the kMaxTraceEvents cap — rather than tripping
     // the whole search over an advisory artifact.
     MemoryBudget* mb = mem_.budget();
     if (mb != nullptr) {
@@ -459,10 +477,12 @@ class DimsatSearch {
       }
     }
     if (fresh) {
-      if (++result_.stats.expand_calls > options_.max_expand_calls) {
-        // Uncount the node: it is captured unprocessed (next_mask 0),
-        // so the resumed run counts it when it actually expands it.
-        --result_.stats.expand_calls;
+      if (expand_counter_ != nullptr &&
+          expand_counter_->fetch_add(1, std::memory_order_relaxed) >=
+              options_.max_expand_calls) {
+        // The node stays uncounted: it is captured unprocessed
+        // (next_mask 0), so the resumed run counts it when it actually
+        // expands it.
         result_.status = Status::ResourceExhausted(
             "DIMSAT exceeded max_expand_calls");
         RecordExplain(obs::ExplainEvent::Kind::kBudgetStop, depth, -1, -1, -1,
@@ -470,6 +490,7 @@ class DimsatSearch {
         MaybeCapture(depth, 0);
         return;
       }
+      ++result_.stats.expand_calls;
       Trace(DimsatTraceEvent::Kind::kExpand, g_);
     }
 
@@ -589,13 +610,20 @@ class DimsatSearch {
     // Line (16), corrected: iterate S' over all subsets of the free
     // choices (including the empty set) and recurse on R = S' ∪ Into
     // whenever R is non-empty.
-    std::array<CategoryId, 31> free;
-    int num_free = 0;
-    (allowed - into).ForEach([&](int c) {
-      OLAPDC_CHECK(num_free < 31) << "category out-degree too large";
-      free[num_free++] = c;
-    });
-    const bool split = spawner_ && depth < split_depth_;
+    const DynamicBitset choices = allowed - into;
+    const int num_free = choices.count();
+    if (num_free > kMaxFreeChoices) {
+      result_.status = Status::InvalidArgument(
+          "category " + schema_.CategoryName(ctop) + " has " +
+          std::to_string(num_free) +
+          " free successor choices; DIMSAT supports at most " +
+          std::to_string(kMaxFreeChoices));
+      return;
+    }
+    std::array<CategoryId, kMaxFreeChoices> free;
+    int next_free = 0;
+    choices.ForEach([&](int c) { free[next_free++] = c; });
+    const bool split = spawner_ && depth < kParallelSplitDepth;
     const uint32_t subsets = uint32_t{1} << num_free;
     const size_t frozen_before_children = result_.frozen.size();
     for (uint32_t mask = start_mask; mask < subsets; ++mask) {
@@ -665,8 +693,8 @@ class DimsatSearch {
   uint64_t nogood_salt_ = 0;
   DimsatResult result_;
   std::atomic<bool>* external_stop_ = nullptr;
+  std::atomic<uint64_t>* expand_counter_ = nullptr;
   std::function<void(Subhierarchy&&, int)> spawner_;
-  int split_depth_ = 0;
   /// Category universe restriction (decomposed component searches).
   const DynamicBitset* universe_ = nullptr;
   /// Branching rank (options.branch_heuristic); null = id order.
@@ -756,27 +784,222 @@ Status ComposeFrozen(const ComponentSplit& split,
   }
 }
 
-/// The sequential decomposed driver: one restricted-universe
-/// DimsatSearch per component, run in deterministic order, then the
-/// composition step. Handles both fresh runs and checkpoint resumes
-/// (`resume_from`); on a budget stop it captures a v2 checkpoint —
-/// frames of the interrupted component, models collected so far, and
-/// seed frames for components not yet started — and reports *no*
-/// frozen dimensions (partial per-component sets cannot compose; the
-/// resume emits the full composed set instead).
-DimsatResult RunDecomposedSequential(
-    const DimensionSchema& ds, CategoryId root, const DimsatOptions& options,
-    const std::vector<DimensionConstraint>& relevant,
-    const ComponentSplit& split, const std::vector<int>* branch_rank,
-    DimsatCheckpoint* resume_from) {
-  const int n = ds.hierarchy().num_categories();
+/// Wall-clock sampled only when someone is listening (metrics or a
+/// trace sink); otherwise the run pays one branch.
+class ObservedRun {
+ public:
+  ObservedRun() : observed_(obs::MetricsEnabled() ||
+                            obs::TraceSink::Global().enabled()) {
+    if (observed_) start_ = std::chrono::steady_clock::now();
+  }
+  double ElapsedUs() const {
+    if (!observed_) return 0;
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - start_)
+        .count();
+  }
+  bool observed() const { return observed_; }
+
+ private:
+  bool observed_;
+  std::chrono::steady_clock::time_point start_;
+};
+
+/// Attaches the per-run search statistics to a trace span.
+void AnnotateSpan(obs::ObsSpan& span, const HierarchySchema& schema,
+                  CategoryId root, const DimsatResult& result) {
+  if (!span.active()) return;
+  span.AddStat("root", schema.CategoryName(root));
+  span.AddStat("satisfiable", result.satisfiable);
+  span.AddStat("expand_calls", result.stats.expand_calls);
+  span.AddStat("check_calls", result.stats.check_calls);
+  span.AddStat("prune_into", result.stats.into_prunes);
+  span.AddStat("prune_shortcut", result.stats.shortcut_prunes);
+  span.AddStat("prune_cycle", result.stats.cycle_prunes);
+  span.AddStat("dead_ends", result.stats.dead_ends);
+  span.AddStat("frozen_found", result.stats.frozen_found);
+  if (!result.status.ok()) {
+    span.AddStat("status", StatusCodeToString(result.status.code()));
+  }
+}
+
+/// Runs the tasks of one DIMSAT run: inline on the calling thread, in
+/// submission order, when there is no pool; otherwise as stealable
+/// tasks of one TaskGroup. Pool tasks are counted for
+/// DimsatStats::parallel_tasks / parallel_steals.
+class Spawner {
+ public:
+  Spawner(exec::WorkStealingPool* pool, MemoryBudget* mem) : mem_(mem) {
+    if (pool != nullptr) group_.emplace(pool);
+  }
+
+  /// Runs or queues `task`. While queued, its captured state
+  /// (`queued_bytes`) is charged against the request's memory budget.
+  void Spawn(std::function<void()> task, uint64_t queued_bytes) {
+    if (!group_.has_value()) {
+      task();
+      return;
+    }
+    tasks.fetch_add(1, std::memory_order_relaxed);
+    // Chaos site: a failed submission degrades to inline execution on
+    // the calling thread — slower, never lost (degraded-but-correct).
+    if (!FaultInjector::Global().MaybeFail("exec.submit").ok()) {
+      task();
+      return;
+    }
+    bool charged = false;
+    if (mem_ != nullptr && queued_bytes > 0) {
+      charged = mem_->Reserve(queued_bytes, "dimsat.seed").ok();
+      if (!charged) {
+        // Exhausted: skip the queued copy and run inline; the search
+        // trips on its first budget probe and degrades with partial
+        // stats instead of piling more work into a full request.
+        task();
+        return;
+      }
+    }
+    // A steal only makes sense for tasks a worker spawned; the run's
+    // first tasks come from outside the pool.
+    const bool from_worker = exec::WorkStealingPool::CurrentWorkerId() >= 0;
+    group_->Spawn([this, task = std::move(task), queued_bytes, charged,
+                   from_worker] {
+      if (charged) mem_->Release(queued_bytes);
+      if (from_worker && exec::WorkStealingPool::CurrentTaskStolen()) {
+        steals.fetch_add(1, std::memory_order_relaxed);
+      }
+      task();
+    });
+  }
+
+  void Wait() {
+    if (group_.has_value()) group_->Wait();
+  }
+
+  std::atomic<uint64_t> tasks{0};
+  std::atomic<uint64_t> steals{0};
+
+ private:
+  MemoryBudget* const mem_;
+  std::optional<exec::TaskGroup> group_;
+};
+
+/// What every search of one run shares. Borrowed; outlives the run.
+struct RunContext {
+  const DimensionSchema& ds;
+  const CategoryId root;
+  const DimsatOptions& options;
+  const std::vector<DimensionConstraint>& relevant;
+  /// Most-constrained-first rank (options.branch_heuristic); null =
+  /// id order.
+  const std::vector<int>* const branch_rank;
+  /// Run-wide EXPAND count when options.max_expand_calls is set; null
+  /// for uncapped runs, which then pay nothing for the cap.
+  std::atomic<uint64_t>* const expand_counter;
+  Spawner& spawner;
+};
+
+/// The monolithic work-stealing search: the root is one pool task, and
+/// EXPAND nodes above kParallelSplitDepth spawn their children as
+/// further tasks. Lives on the caller's stack; the spawner drains
+/// before it dies.
+struct WorkStealingRun {
+  WorkStealingRun(const RunContext& run, uint64_t seed_bytes)
+      : run(run), seed_bytes(seed_bytes) {}
+
+  const RunContext& run;
+  /// Queued task seeds are charged against the request's memory budget
+  /// while they sit in the pool.
+  const uint64_t seed_bytes;
+  std::atomic<bool> stop{false};
+  std::mutex mu;
+  DimsatResult merged;  // frozen/stats/status guarded by mu
+};
+
+void RunSubtreeTask(WorkStealingRun* ws, Subhierarchy seed, int depth);
+
+void SpawnSubtree(WorkStealingRun* ws, Subhierarchy&& child, int depth) {
+  ws->run.spawner.Spawn(
+      [ws, seed = std::move(child), depth]() mutable {
+        RunSubtreeTask(ws, std::move(seed), depth);
+      },
+      ws->seed_bytes);
+}
+
+void RunSubtreeTask(WorkStealingRun* ws, Subhierarchy seed, int depth) {
+  if (ws->stop.load(std::memory_order_acquire)) return;
+  const RunContext& run = ws->run;
+  DimsatSearch search(run.ds, run.root, run.options, run.relevant);
+  search.set_branch_rank(run.branch_rank);
+  search.set_expand_counter(run.expand_counter);
+  search.set_external_stop(&ws->stop);
+  search.set_spawner([ws](Subhierarchy&& child, int child_depth) {
+    SpawnSubtree(ws, std::move(child), child_depth);
+  });
+  DimsatResult partial = search.RunFrom(std::move(seed), depth);
+
+  const DimsatOptions& options = run.options;
+  std::lock_guard<std::mutex> lock(ws->mu);
+  AccumulateStats(&ws->merged.stats, partial.stats);
+  if (!partial.status.ok()) {
+    // First budget expiry / cap overrun wins and stops every worker —
+    // this is what bounds wall-clock after a Cancel().
+    if (ws->merged.status.ok()) ws->merged.status = partial.status;
+    ws->stop.store(true, std::memory_order_release);
+  }
+  // Decision mode reports one witness, as the sequential search does,
+  // however many workers found one before the stop reached them.
+  const size_t keep = options.enumerate_all ? options.max_frozen : 1;
+  for (FrozenDimension& f : partial.frozen) {
+    if (ws->merged.frozen.size() >= keep) break;
+    ws->merged.frozen.push_back(std::move(f));
+  }
+  if (!ws->merged.frozen.empty() && !options.enumerate_all) {
+    ws->stop.store(true, std::memory_order_release);
+  }
+  if (ws->merged.frozen.size() >= options.max_frozen) {
+    ws->stop.store(true, std::memory_order_release);
+  }
+}
+
+DimsatResult RunWorkStealing(const RunContext& run) {
+  const int n = run.ds.hierarchy().num_categories();
+  WorkStealingRun ws(run, ApproxSubhierarchyBytes(n));
+  SpawnSubtree(&ws, Subhierarchy(n, run.root), 0);
+  run.spawner.Wait();
+
+  DimsatResult merged = std::move(ws.merged);
+  // A budget error from a worker that was merely told to stop early is
+  // not an error of the whole run.
+  if (ws.stop.load() && !run.options.enumerate_all &&
+      !merged.frozen.empty()) {
+    merged.status = Status::OK();
+  }
+  merged.satisfiable = !merged.frozen.empty();
+  merged.stats.frozen_found = merged.frozen.size();
+  return merged;
+}
+
+/// The decomposed driver: one restricted-universe DimsatSearch per
+/// component, spawned through run.spawner — inline in component order
+/// when sequential, one pool task per component when parallel (the
+/// component is then the steal granularity: components are
+/// independent, so no merge lock and no subtree respawning) — and the
+/// composition step on the caller's thread. Handles fresh runs and
+/// checkpoint resumes (`resume_from`). On a budget stop it captures a
+/// v2 checkpoint — frames of the interrupted component, models
+/// collected so far, and seed frames for components not yet started —
+/// and reports *no* frozen dimensions (partial per-component sets
+/// cannot compose; the resume emits the full composed set instead).
+DimsatResult RunDecomposed(const RunContext& run, const ComponentSplit& split,
+                           DimsatCheckpoint* resume_from) {
+  const DimsatOptions& options = run.options;
+  const int n = run.ds.hierarchy().num_categories();
   const int w = static_cast<int>(split.num_components());
-  DimsatResult result;
 
   std::vector<std::vector<DimensionConstraint>> comp_relevant(w);
   for (int k = 0; k < w; ++k) {
     for (size_t i : split.constraint_indices[k]) {
-      comp_relevant[k].push_back(relevant[i]);
+      comp_relevant[k].push_back(run.relevant[i]);
     }
   }
 
@@ -819,34 +1042,34 @@ DimsatResult RunDecomposedSequential(
     }
   }
 
-  uint64_t consumed = 0;
-  bool interrupted = false;
-  int interrupted_comp = -1;
-  size_t interrupted_idx = 0;
-  bool unsat_proven = false;
-  int witness_comp = -1;
-  DimsatCheckpoint local_cp;
-
-  for (size_t idx = 0; idx < to_search.size(); ++idx) {
-    const int k = to_search[idx];
+  // Per-component slots: each task writes only its own.
+  std::vector<DimsatStats> stats(w);
+  std::vector<Status> errors(w);
+  std::vector<DimsatCheckpoint> captured(w);
+  std::vector<char> started(w, 0);
+  std::atomic<bool> stop{false};
+  /// Set only by semantic verdicts (a scan-mode witness, a required
+  /// component proven UNSAT) — never by budget errors, so the
+  /// post-drain logic can tell "decided" from "interrupted".
+  std::atomic<bool> decided{false};
+  const auto solve = [&](int k) {
+    if (stop.load(std::memory_order_acquire)) return;
+    started[k] = 1;
     if (!done[k]) {
-      local_cp = DimsatCheckpoint{};
       DimsatOptions comp_opts = options;
       comp_opts.nogood_salt = split.salts[k];
       comp_opts.checkpoint =
-          options.checkpoint != nullptr ? &local_cp : nullptr;
-      comp_opts.max_expand_calls =
-          options.max_expand_calls == UINT64_MAX
-              ? UINT64_MAX
-              : options.max_expand_calls - consumed;
-      DimsatSearch search(ds, root, comp_opts, comp_relevant[k]);
+          options.checkpoint != nullptr ? &captured[k] : nullptr;
+      DimsatSearch search(run.ds, run.root, comp_opts, comp_relevant[k]);
       search.set_universe(&split.universes[k]);
-      if (branch_rank != nullptr) search.set_branch_rank(branch_rank);
+      search.set_branch_rank(run.branch_rank);
+      search.set_expand_counter(run.expand_counter);
       search.set_component(k);
+      search.set_external_stop(&stop);
       DimsatResult r;
       if (!frames[k].empty()) {
         DimsatCheckpoint sub;
-        sub.root = root;
+        sub.root = run.root;
         sub.num_categories = n;
         sub.frames = std::move(frames[k]);
         frames[k].clear();
@@ -854,105 +1077,102 @@ DimsatResult RunDecomposedSequential(
       } else {
         r = search.Run();
       }
-      consumed += r.stats.expand_calls;
-      AccumulateStats(&result.stats, r.stats);
+      stats[k] = r.stats;
+      errors[k] = r.status;
       for (FrozenDimension& f : r.frozen) models[k].push_back(std::move(f));
-      if (!r.status.ok()) {
-        result.status = r.status;
-        interrupted = true;
-        interrupted_comp = k;
-        interrupted_idx = idx;
-        break;
-      }
-      done[k] = 1;
+      done[k] = r.status.ok();
     }
-    if (!options.enumerate_all) {
-      if (scan_mode) {
-        if (!models[k].empty()) {
-          witness_comp = k;
-          break;
-        }
-      } else if (models[k].empty()) {
-        unsat_proven = true;
+    bool verdict = false;
+    if (errors[k].ok() && !options.enumerate_all &&
+        !stop.load(std::memory_order_acquire)) {
+      // Completed cleanly: a scan-mode witness or a required component
+      // with no model decides the whole run.
+      verdict = scan_mode ? !models[k].empty() : models[k].empty();
+    }
+    if (verdict) decided.store(true, std::memory_order_release);
+    if (verdict || !errors[k].ok()) {
+      stop.store(true, std::memory_order_release);
+    }
+  };
+  for (int k : to_search) {
+    run.spawner.Spawn([&solve, k] { solve(k); }, /*queued_bytes=*/0);
+  }
+  run.spawner.Wait();
+
+  DimsatResult result;
+  Status first_err;
+  for (int k = 0; k < w; ++k) {
+    AccumulateStats(&result.stats, stats[k]);
+    if (!errors[k].ok() && first_err.ok()) first_err = errors[k];
+  }
+
+  // Hands the unfinished work to options.checkpoint: the interrupted
+  // component's frames, then a carried-over or fresh seed frontier for
+  // every later unfinished component, plus every model set collected.
+  const auto capture = [&] {
+    DimsatCheckpoint* cp = options.checkpoint;
+    cp->root = run.root;
+    cp->num_categories = n;
+    cp->num_components = w;
+    for (int k : to_search) {
+      if (done[k]) continue;
+      if (!started[k] && frames[k].empty()) {
+        cp->frames.push_back(
+            DimsatCheckpointFrame{Subhierarchy(n, run.root), 0, 0, k});
+      }
+      // The interrupted component's fresh frontier, or an earlier
+      // interrupt's still-unreplayed frontier carried over verbatim.
+      for (DimsatCheckpointFrame& f :
+           started[k] ? captured[k].frames : frames[k]) {
+        cp->frames.push_back(std::move(f));
+      }
+    }
+    for (int k = 0; k < w; ++k) {
+      if (done[k] || !models[k].empty()) {
+        cp->solved.push_back(DimsatSolvedComponent{k, std::move(models[k])});
+      }
+    }
+  };
+
+  if (!options.enumerate_all && scan_mode) {
+    // A witness is a verdict even when another component errored.
+    for (int k : to_search) {
+      if (!models[k].empty()) {
+        result.frozen.push_back(std::move(models[k][0]));
         break;
       }
     }
   }
-
-  if (interrupted) {
+  if (result.frozen.empty() && !decided.load() && !first_err.ok()) {
+    result.status = first_err;
     if (IsBudgetError(result.status) && options.checkpoint != nullptr) {
-      DimsatCheckpoint* cp = options.checkpoint;
-      cp->root = root;
-      cp->num_categories = n;
-      cp->num_components = w;
-      cp->frames = std::move(local_cp.frames);
-      if (!models[interrupted_comp].empty()) {
-        cp->solved.push_back(DimsatSolvedComponent{
-            interrupted_comp, std::move(models[interrupted_comp])});
-      }
-      for (int k = 0; k < w; ++k) {
-        if (done[k]) {
-          cp->solved.push_back(
-              DimsatSolvedComponent{k, std::move(models[k])});
-        }
-      }
-      for (size_t j = interrupted_idx + 1; j < to_search.size(); ++j) {
-        const int k = to_search[j];
-        if (done[k]) continue;
-        if (!frames[k].empty()) {
-          // An earlier interrupt's still-unreplayed frontier for this
-          // component carries over verbatim.
-          for (DimsatCheckpointFrame& f : frames[k]) {
-            cp->frames.push_back(std::move(f));
-          }
-        } else {
-          cp->frames.push_back(DimsatCheckpointFrame{
-              Subhierarchy(n, root), 0, 0, k});
-        }
-      }
+      capture();
     }
-    result.satisfiable = false;
-    result.stats.frozen_found = 0;
     return result;
   }
 
   // Verdict / composition.
-  MemoryReservation mem(options.budget != nullptr ? options.budget->memory()
-                                                  : nullptr);
-  const uint64_t frozen_bytes =
-      ApproxSubhierarchyBytes(n) + static_cast<uint64_t>(n) * 24;
   if (!options.enumerate_all) {
-    if (!unsat_proven) {
-      if (scan_mode) {
-        if (witness_comp >= 0) {
-          result.frozen.push_back(std::move(models[witness_comp][0]));
-        }
-      } else {
-        FrozenDimension fd{Subhierarchy(n, root),
-                           CAssignment(static_cast<size_t>(n), std::nullopt)};
-        for (int k : to_search) MergeDisjointInto(models[k][0], &fd);
-        result.frozen.push_back(std::move(fd));
-      }
+    if (!scan_mode && !decided.load()) {
+      FrozenDimension fd{Subhierarchy(n, run.root),
+                         CAssignment(static_cast<size_t>(n), std::nullopt)};
+      for (int k : to_search) MergeDisjointInto(models[k][0], &fd);
+      result.frozen.push_back(std::move(fd));
     }
   } else {
+    MemoryReservation mem(options.budget != nullptr ? options.budget->memory()
+                                                    : nullptr);
+    const uint64_t frozen_bytes =
+        ApproxSubhierarchyBytes(n) + static_cast<uint64_t>(n) * 24;
     Status composed = ComposeFrozen(split, models, options.max_frozen,
                                     frozen_bytes, &mem, &result.frozen);
     if (!composed.ok()) {
       result.status = std::move(composed);
       result.frozen.clear();
+      // Everything is solved; the resume only needs to recompose.
       if (IsBudgetError(result.status) && options.checkpoint != nullptr) {
-        // Everything is solved; the resume only needs to recompose.
-        DimsatCheckpoint* cp = options.checkpoint;
-        cp->root = root;
-        cp->num_categories = n;
-        cp->num_components = w;
-        for (int k = 0; k < w; ++k) {
-          cp->solved.push_back(
-              DimsatSolvedComponent{k, std::move(models[k])});
-        }
+        capture();
       }
-      result.satisfiable = false;
-      result.stats.frozen_found = 0;
       return result;
     }
   }
@@ -961,330 +1181,37 @@ DimsatResult RunDecomposedSequential(
   return result;
 }
 
-/// First-level expansion choices of `root` under the schema+options —
-/// the static driver's work items. Mirrors one EXPAND step (the seeds
-/// are exactly the subhierarchies the sequential search would recurse
-/// into).
-std::vector<Subhierarchy> FirstLevelSeeds(const DimensionSchema& ds,
-                                          CategoryId root,
-                                          const DimsatOptions& options) {
-  const HierarchySchema& schema = ds.hierarchy();
-  std::vector<Subhierarchy> seeds;
-  Subhierarchy g(schema.num_categories(), root);
-  if (root == schema.all()) return seeds;  // nothing to expand
-
-  DynamicBitset allowed(schema.num_categories());
-  DynamicBitset into(schema.num_categories());
-  for (CategoryId c : schema.graph().OutNeighbors(root)) {
-    allowed.set(c);  // no cycles/shortcuts possible at depth one
-    if (ds.IntoTargets(root).test(c)) into.set(c);
-  }
-  if (!options.prune_into) into.clear();
-  std::vector<CategoryId> free;
-  (allowed - into).ForEach([&](int c) { free.push_back(c); });
-  OLAPDC_CHECK(free.size() < 31);
-  const uint32_t subsets = uint32_t{1} << free.size();
-  for (uint32_t mask = 0; mask < subsets; ++mask) {
-    DynamicBitset r = into;
-    for (size_t i = 0; i < free.size(); ++i) {
-      if (mask & (uint32_t{1} << i)) r.set(free[i]);
-    }
-    if (r.none()) continue;
-    Subhierarchy child = g;
-    child.Expand(root, r);
-    seeds.push_back(std::move(child));
-  }
-  return seeds;
-}
-
-}  // namespace
-
-namespace {
-
-/// Wall-clock sampled only when someone is listening (metrics or a
-/// trace sink); otherwise the run pays one branch.
-class ObservedRun {
- public:
-  ObservedRun() : observed_(obs::MetricsEnabled() ||
-                            obs::TraceSink::Global().enabled()) {
-    if (observed_) start_ = std::chrono::steady_clock::now();
-  }
-  double ElapsedUs() const {
-    if (!observed_) return 0;
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-  bool observed() const { return observed_; }
-
- private:
-  bool observed_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Attaches the per-run search statistics to a trace span.
-void AnnotateSpan(obs::ObsSpan& span, const HierarchySchema& schema,
-                  CategoryId root, const DimsatResult& result) {
-  if (!span.active()) return;
-  span.AddStat("root", schema.CategoryName(root));
-  span.AddStat("satisfiable", result.satisfiable);
-  span.AddStat("expand_calls", result.stats.expand_calls);
-  span.AddStat("check_calls", result.stats.check_calls);
-  span.AddStat("prune_into", result.stats.into_prunes);
-  span.AddStat("prune_shortcut", result.stats.shortcut_prunes);
-  span.AddStat("prune_cycle", result.stats.cycle_prunes);
-  span.AddStat("dead_ends", result.stats.dead_ends);
-  span.AddStat("frozen_found", result.stats.frozen_found);
-  if (!result.status.ok()) {
-    span.AddStat("status", StatusCodeToString(result.status.code()));
-  }
-}
-
-/// Everything the work-stealing tasks share. Lives on the caller's
-/// stack; the TaskGroup drains before it dies.
-struct ParallelShared {
-  ParallelShared(const DimensionSchema& ds, CategoryId root,
-                 const DimsatOptions& options,
-                 const std::vector<DimensionConstraint>& relevant,
-                 exec::WorkStealingPool* pool)
-      : ds(ds),
-        root(root),
-        options(options),
-        relevant(relevant),
-        mem(options.budget != nullptr ? options.budget->memory() : nullptr),
-        seed_bytes(ApproxSubhierarchyBytes(ds.hierarchy().num_categories())),
-        group(pool) {}
-
-  const DimensionSchema& ds;
-  const CategoryId root;
-  const DimsatOptions& options;
-  const std::vector<DimensionConstraint>& relevant;
-  /// Queued task seeds are charged against the request's memory budget
-  /// while they sit in the pool (reserved at spawn, released when the
-  /// task starts and the seed is consumed).
-  MemoryBudget* const mem;
-  const uint64_t seed_bytes;
-  /// Branching rank shared by every worker (options.branch_heuristic);
-  /// null = declaration order. Outlives the task group.
-  const std::vector<int>* branch_rank = nullptr;
-  exec::TaskGroup group;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> tasks{0};
-  std::atomic<uint64_t> stolen{0};
-  std::mutex mu;
-  DimsatResult merged;  // frozen/stats/status guarded by mu
-};
-
-void RunSubtreeTask(ParallelShared* shared, Subhierarchy seed, int depth);
-
-void SpawnSubtree(ParallelShared* shared, Subhierarchy&& child, int depth) {
-  // Chaos site: a failed submission degrades to inline execution on
-  // the calling thread — slower, never lost (degraded-but-correct).
-  if (!FaultInjector::Global().MaybeFail("exec.submit").ok()) {
-    RunSubtreeTask(shared, std::move(child), depth);
-    return;
-  }
-  bool charged = false;
-  if (shared->mem != nullptr) {
-    charged = shared->mem->Reserve(shared->seed_bytes, "dimsat.seed").ok();
-    if (!charged) {
-      // Exhausted: skip the queued copy and run inline; the search
-      // trips on its first budget probe and degrades with partial
-      // stats instead of piling more seeds into a full request.
-      RunSubtreeTask(shared, std::move(child), depth);
-      return;
-    }
-  }
-  shared->group.Spawn(
-      [shared, seed = std::move(child), depth, charged]() mutable {
-        if (charged) shared->mem->Release(shared->seed_bytes);
-        RunSubtreeTask(shared, std::move(seed), depth);
-      });
-}
-
-void RunSubtreeTask(ParallelShared* shared, Subhierarchy seed, int depth) {
-  shared->tasks.fetch_add(1, std::memory_order_relaxed);
-  // depth 0 is the externally injected root task; "stolen" only makes
-  // sense for worker-spawned children.
-  if (depth > 0 && exec::WorkStealingPool::CurrentTaskStolen()) {
-    shared->stolen.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (shared->stop.load(std::memory_order_acquire)) return;
-
-  DimsatSearch search(shared->ds, shared->root, shared->options,
-                      shared->relevant);
-  if (shared->branch_rank != nullptr) {
-    search.set_branch_rank(shared->branch_rank);
-  }
-  search.set_external_stop(&shared->stop);
-  search.set_spawner(
-      [shared](Subhierarchy&& child, int child_depth) {
-        SpawnSubtree(shared, std::move(child), child_depth);
-      },
-      shared->options.parallel_split_depth);
-  DimsatResult partial = search.RunFrom(std::move(seed), depth);
-
-  std::lock_guard<std::mutex> lock(shared->mu);
-  AccumulateStats(&shared->merged.stats, partial.stats);
-  if (!partial.status.ok()) {
-    // First budget expiry / cap overrun wins and stops every worker —
-    // this is what bounds wall-clock after a Cancel().
-    if (shared->merged.status.ok()) shared->merged.status = partial.status;
-    shared->stop.store(true, std::memory_order_release);
-  }
-  for (FrozenDimension& f : partial.frozen) {
-    if (shared->merged.frozen.size() >= shared->options.max_frozen) break;
-    shared->merged.frozen.push_back(std::move(f));
-  }
-  if (!shared->merged.frozen.empty() && !shared->options.enumerate_all) {
-    shared->stop.store(true, std::memory_order_release);
-  }
-  if (shared->merged.frozen.size() >= shared->options.max_frozen) {
-    shared->stop.store(true, std::memory_order_release);
-  }
-}
-
-/// The decomposed parallel driver: one pool task per component — the
-/// component *is* the steal granularity, replacing the depth-split of
-/// the monolithic driver (components are independent by construction,
-/// so no merge locking, no cross-task subtree spawning, and the
-/// shared stop flag only fires on verdict-deciding events). Each task
-/// runs the component search sequentially; the composition step runs
-/// on the caller's thread after the group drains.
-DimsatResult RunDecomposedParallel(
-    const DimensionSchema& ds, CategoryId root, const DimsatOptions& options,
-    const std::vector<DimensionConstraint>& relevant,
-    const ComponentSplit& split, const std::vector<int>* branch_rank,
-    exec::WorkStealingPool& pool) {
-  const int n = ds.hierarchy().num_categories();
-  const int w = static_cast<int>(split.num_components());
-
-  std::vector<std::vector<DimensionConstraint>> comp_relevant(w);
-  for (int k = 0; k < w; ++k) {
-    for (size_t i : split.constraint_indices[k]) {
-      comp_relevant[k].push_back(relevant[i]);
-    }
-  }
-  std::vector<int> to_search;
-  bool any_required = false;
-  for (int k = 0; k < w; ++k) {
-    if (!split.absent_valid[k]) any_required = true;
-  }
-  const bool scan_mode = !options.enumerate_all && !any_required;
-  for (int k = 0; k < w; ++k) {
-    if (options.enumerate_all || scan_mode || !split.absent_valid[k]) {
-      to_search.push_back(k);
-    }
-  }
-
-  std::vector<DimsatResult> partials(w);
-  std::atomic<bool> stop{false};
-  /// Set only by semantic verdicts (a scan-mode witness, a required
-  /// component proven UNSAT) — never by budget errors, so the
-  /// post-drain logic can tell "decided" from "interrupted".
-  std::atomic<bool> decided{false};
-  std::atomic<uint64_t> tasks{0}, stolen{0};
-  exec::TaskGroup group(&pool);
-  for (int k : to_search) {
-    group.Spawn([&, k]() {
-      tasks.fetch_add(1, std::memory_order_relaxed);
-      if (exec::WorkStealingPool::CurrentTaskStolen()) {
-        stolen.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (stop.load(std::memory_order_acquire)) return;
-      DimsatOptions comp_opts = options;
-      comp_opts.nogood_salt = split.salts[k];
-      comp_opts.checkpoint = nullptr;
-      DimsatSearch search(ds, root, comp_opts, comp_relevant[k]);
-      search.set_universe(&split.universes[k]);
-      if (branch_rank != nullptr) search.set_branch_rank(branch_rank);
-      search.set_external_stop(&stop);
-      DimsatResult r = search.Run();
-      bool verdict = false;
-      if (r.status.ok() && !options.enumerate_all &&
-          !stop.load(std::memory_order_acquire)) {
-        // Completed cleanly: a scan-mode witness or a required
-        // component with no model decides the whole run.
-        verdict = scan_mode ? !r.frozen.empty() : r.frozen.empty();
-      }
-      const bool errored = !r.status.ok();
-      partials[k] = std::move(r);
-      if (verdict) decided.store(true, std::memory_order_release);
-      if (verdict || errored) {
-        stop.store(true, std::memory_order_release);
-      }
-    });
-  }
-  group.Wait();
-
-  DimsatResult result;
-  Status first_err;
-  for (int k = 0; k < w; ++k) {
-    AccumulateStats(&result.stats, partials[k].stats);
-    if (!partials[k].status.ok() && first_err.ok()) {
-      first_err = partials[k].status;
-    }
-  }
-  result.stats.parallel_tasks = tasks.load();
-  result.stats.parallel_steals = stolen.load();
-
-  MemoryReservation mem(options.budget != nullptr ? options.budget->memory()
-                                                  : nullptr);
-  const uint64_t frozen_bytes =
-      ApproxSubhierarchyBytes(n) + static_cast<uint64_t>(n) * 24;
-  if (!options.enumerate_all) {
-    if (scan_mode) {
-      // A witness is a verdict even when another component errored.
-      for (int k : to_search) {
-        if (!partials[k].frozen.empty()) {
-          result.frozen.push_back(std::move(partials[k].frozen[0]));
-          break;
-        }
-      }
-      if (result.frozen.empty() && !first_err.ok()) {
-        result.status = first_err;
-      }
-    } else if (decided.load()) {
-      // Some required component is exhaustively UNSAT: the whole
-      // query is, regardless of how the other workers stopped.
-    } else if (!first_err.ok()) {
-      result.status = first_err;
-    } else {
-      FrozenDimension fd{Subhierarchy(n, root),
-                         CAssignment(static_cast<size_t>(n), std::nullopt)};
-      for (int k : to_search) MergeDisjointInto(partials[k].frozen[0], &fd);
-      result.frozen.push_back(std::move(fd));
-    }
-  } else {
-    if (!first_err.ok()) {
-      result.status = first_err;
-    } else {
-      std::vector<std::vector<FrozenDimension>> models(w);
-      for (int k = 0; k < w; ++k) models[k] = std::move(partials[k].frozen);
-      Status composed = ComposeFrozen(split, models, options.max_frozen,
-                                      frozen_bytes, &mem, &result.frozen);
-      if (!composed.ok()) {
-        result.status = std::move(composed);
-        result.frozen.clear();
-      }
-    }
-  }
-  result.satisfiable = !result.frozen.empty();
-  result.stats.frozen_found = result.frozen.size();
-  return result;
-}
-
-}  // namespace
-
-DimsatResult Dimsat(const DimensionSchema& ds, CategoryId root,
-                    const DimsatOptions& options) {
+/// The one DIMSAT driver behind RunDimsat() and ResumeDimsat()
+/// (`resume_from` non-null): one preamble, one search — monolithic or
+/// decomposed, sequential or on the work-stealing pool — and one
+/// epilogue.
+DimsatResult SolveDimsat(const DimensionSchema& ds, CategoryId root,
+                         const DimsatOptions& options,
+                         DimsatCheckpoint* resume_from) {
   OLAPDC_CHECK(0 <= root && root < ds.hierarchy().num_categories());
-  obs::ObsSpan span("dimsat.run");
-  ObservedRun run;
+  // The Figure 7 trace, checkpoint capture, and resume are properties
+  // of one depth-first traversal: they pin the sequential path.
+  const bool parallel = options.num_threads > 1 && !options.collect_trace &&
+                        options.checkpoint == nullptr &&
+                        resume_from == nullptr;
+  DimsatResult result;
+
+  // Overload shedding happens before any other work: a shed request
+  // costs microseconds, holds nothing, and is safe to retry verbatim.
+  // Only runs that occupy the pool ask the gate.
+  exec::AdmissionGate::Ticket ticket(parallel ? options.admission : nullptr);
+  if (!ticket.admitted()) {
+    result.status = ticket.status();
+    return result;
+  }
+
+  obs::ObsSpan span(resume_from != nullptr ? "dimsat.resume"
+                    : parallel             ? "dimsat.parallel_run"
+                                           : "dimsat.run");
+  ObservedRun observed;
   Result<std::vector<DimensionConstraint>> prepared =
       PrepareRelevantConstraints(ds, root, options.path_limit);
   if (!prepared.ok()) {
-    DimsatResult result;
     result.status = prepared.status();
     return result;
   }
@@ -1292,40 +1219,101 @@ DimsatResult Dimsat(const DimensionSchema& ds, CategoryId root,
       std::move(prepared).ValueOrDie();
   if (options.checkpoint != nullptr) *options.checkpoint = DimsatCheckpoint{};
   std::vector<int> rank;
-  const std::vector<int>* rank_ptr = nullptr;
-  if (options.branch_heuristic) {
-    rank = ComputeBranchRank(ds);
-    rank_ptr = &rank;
-  }
-  DimsatResult result;
-  bool decomposed = false;
+  if (options.branch_heuristic) rank = ComputeBranchRank(ds);
+  ComponentSplit split;
   if (options.decompose && !options.collect_trace &&
       !options.require_injective_names) {
-    const ComponentSplit split =
-        ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
-    if (split.eligible) {
-      result = RunDecomposedSequential(ds, root, options, relevant, split,
-                                       rank_ptr, nullptr);
-      decomposed = true;
+    split = ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
+  }
+  // A resume continues whatever the interrupted run was: decomposed iff
+  // its checkpoint is, and then only under options that reproduce the
+  // interrupted run's exact split (a pure function of schema, root,
+  // and salt).
+  bool decomposed = split.eligible;
+  if (resume_from != nullptr) {
+    decomposed = resume_from->num_components > 0;
+    if (decomposed && (!split.eligible ||
+                       static_cast<int>(split.num_components()) !=
+                           resume_from->num_components)) {
+      result.status = Status::InvalidArgument(
+          "decomposed checkpoint does not match: the current options and "
+          "schema do not reproduce the interrupted run's component split");
+      return result;
     }
   }
-  if (!decomposed) {
+
+  // An explicit options.pool wins. Otherwise use the shared process
+  // pool — unless it is smaller than the requested num_threads, in
+  // which case a run-local pool honors the caller's explicit request
+  // (e.g. num_threads=8 on a host whose process pool was sized 1)
+  // rather than silently degrading to the smaller pool.
+  std::unique_ptr<exec::WorkStealingPool> local_pool;
+  exec::WorkStealingPool* pool = nullptr;
+  if (parallel) {
+    pool = options.pool;
+    if (pool == nullptr) {
+      pool = &exec::ProcessPool();
+      if (pool->num_threads() < options.num_threads) {
+        local_pool =
+            std::make_unique<exec::WorkStealingPool>(options.num_threads);
+        pool = local_pool.get();
+      }
+    }
+  }
+  Spawner spawner(pool, options.budget != nullptr ? options.budget->memory()
+                                                  : nullptr);
+  std::atomic<uint64_t> expand_count{0};
+  const RunContext run{
+      ds,
+      root,
+      options,
+      relevant,
+      options.branch_heuristic ? &rank : nullptr,
+      options.max_expand_calls != UINT64_MAX ? &expand_count : nullptr,
+      spawner};
+
+  if (decomposed) {
+    result = RunDecomposed(run, split, resume_from);
+  } else if (parallel) {
+    result = RunWorkStealing(run);
+  } else {
     DimsatSearch search(ds, root, options, relevant);
-    if (rank_ptr != nullptr) search.set_branch_rank(rank_ptr);
-    result = search.Run();
+    search.set_branch_rank(run.branch_rank);
+    search.set_expand_counter(run.expand_counter);
+    result = resume_from != nullptr ? search.RunResume(std::move(*resume_from))
+                                    : search.Run();
   }
-  if (decomposed && obs::MetricsEnabled()) {
-    obs::Count("olapdc.dimsat.decomposed_runs");
+  result.stats.parallel_tasks = spawner.tasks.load();
+  result.stats.parallel_steals = spawner.steals.load();
+
+  if (obs::MetricsEnabled()) {
+    if (resume_from != nullptr) {
+      obs::Count("olapdc.dimsat.resumes");
+    } else if (decomposed) {
+      obs::Count("olapdc.dimsat.decomposed_runs");
+    }
+    if (options.checkpoint != nullptr && !options.checkpoint->empty()) {
+      obs::Count("olapdc.dimsat.checkpoints");
+    }
   }
-  if (options.checkpoint != nullptr && !options.checkpoint->empty() &&
-      obs::MetricsEnabled()) {
-    obs::Count("olapdc.dimsat.checkpoints");
-  }
-  if (run.observed()) {
-    FlushDimsatMetrics(result.stats, result.status, run.ElapsedUs());
+  if (observed.observed()) {
+    if (pool != nullptr) pool->PublishMetricNames();
+    FlushDimsatMetrics(result.stats, result.status, observed.ElapsedUs());
+    if (pool != nullptr) {
+      span.AddStat("threads", pool->num_threads());
+      span.AddStat("tasks", result.stats.parallel_tasks);
+      span.AddStat("steals", result.stats.parallel_steals);
+    }
     AnnotateSpan(span, ds.hierarchy(), root, result);
   }
   return result;
+}
+
+}  // namespace
+
+DimsatResult RunDimsat(const DimensionSchema& ds, CategoryId root,
+                       const DimsatOptions& options) {
+  return SolveDimsat(ds, root, options, /*resume_from=*/nullptr);
 }
 
 DimsatResult ResumeDimsat(const DimensionSchema& ds, CategoryId root,
@@ -1346,255 +1334,7 @@ DimsatResult ResumeDimsat(const DimensionSchema& ds, CategoryId root,
         std::to_string(ds.hierarchy().num_categories()) + ")");
     return result;
   }
-  obs::ObsSpan span("dimsat.resume");
-  ObservedRun run;
-  Result<std::vector<DimensionConstraint>> prepared =
-      PrepareRelevantConstraints(ds, root, options.path_limit);
-  if (!prepared.ok()) {
-    result.status = prepared.status();
-    return result;
-  }
-  const std::vector<DimensionConstraint> relevant =
-      std::move(prepared).ValueOrDie();
-  if (options.checkpoint != nullptr) *options.checkpoint = DimsatCheckpoint{};
-  std::vector<int> rank;
-  const std::vector<int>* rank_ptr = nullptr;
-  if (options.branch_heuristic) {
-    rank = ComputeBranchRank(ds);
-    rank_ptr = &rank;
-  }
-  if (checkpoint.num_components > 0) {
-    // A decomposed checkpoint only resumes under options that
-    // reproduce the interrupted run's exact component split (the
-    // split is a pure function of schema, root, and salt).
-    ComponentSplit split;
-    if (options.decompose && !options.collect_trace &&
-        !options.require_injective_names) {
-      split = ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
-    }
-    if (!split.eligible ||
-        static_cast<int>(split.num_components()) !=
-            checkpoint.num_components) {
-      result.status = Status::InvalidArgument(
-          "decomposed checkpoint does not match: the current options and "
-          "schema do not reproduce the interrupted run's component split");
-      return result;
-    }
-    result = RunDecomposedSequential(ds, root, options, relevant, split,
-                                     rank_ptr, &checkpoint);
-  } else {
-    DimsatSearch search(ds, root, options, relevant);
-    if (rank_ptr != nullptr) search.set_branch_rank(rank_ptr);
-    result = search.RunResume(std::move(checkpoint));
-  }
-  if (obs::MetricsEnabled()) {
-    obs::Count("olapdc.dimsat.resumes");
-    if (options.checkpoint != nullptr && !options.checkpoint->empty()) {
-      obs::Count("olapdc.dimsat.checkpoints");
-    }
-  }
-  if (run.observed()) {
-    FlushDimsatMetrics(result.stats, result.status, run.ElapsedUs());
-    AnnotateSpan(span, ds.hierarchy(), root, result);
-  }
-  return result;
-}
-
-DimsatResult DimsatParallel(const DimensionSchema& ds, CategoryId root,
-                            const DimsatOptions& options, int num_threads) {
-  OLAPDC_CHECK(0 <= root && root < ds.hierarchy().num_categories());
-  OLAPDC_CHECK(!options.collect_trace)
-      << "tracing is inherently sequential; use Dimsat()";
-  OLAPDC_CHECK(options.checkpoint == nullptr)
-      << "checkpoint capture is sequential; use RunDimsat()/Dimsat()";
-  if (num_threads <= 1) return Dimsat(ds, root, options);
-
-  // Overload shedding happens before any other work: a shed request
-  // costs microseconds, holds nothing, and is safe to retry verbatim.
-  exec::AdmissionGate::Ticket ticket(options.admission);
-  if (!ticket.admitted()) {
-    DimsatResult result;
-    result.status = ticket.status();
-    return result;
-  }
-
-  obs::ObsSpan span("dimsat.parallel_run");
-  ObservedRun run;
-  Result<std::vector<DimensionConstraint>> prepared =
-      PrepareRelevantConstraints(ds, root, options.path_limit);
-  if (!prepared.ok()) {
-    DimsatResult result;
-    result.status = prepared.status();
-    return result;
-  }
-  const std::vector<DimensionConstraint> relevant =
-      std::move(prepared).ValueOrDie();
-
-  // An explicit options.pool wins. Otherwise use the shared process
-  // pool — unless it is smaller than the requested num_threads, in
-  // which case a run-local pool honors the caller's explicit request
-  // (e.g. num_threads=8 on a host whose process pool was sized 1)
-  // rather than silently degrading to the smaller pool.
-  std::unique_ptr<exec::WorkStealingPool> local_pool;
-  exec::WorkStealingPool* pool_ptr = options.pool;
-  if (pool_ptr == nullptr) {
-    pool_ptr = &exec::ProcessPool();
-    if (pool_ptr->num_threads() < num_threads) {
-      local_pool = std::make_unique<exec::WorkStealingPool>(num_threads);
-      pool_ptr = local_pool.get();
-    }
-  }
-  exec::WorkStealingPool& pool = *pool_ptr;
-
-  std::vector<int> rank;
-  const std::vector<int>* rank_ptr = nullptr;
-  if (options.branch_heuristic) {
-    rank = ComputeBranchRank(ds);
-    rank_ptr = &rank;
-  }
-
-  // Component decomposition replaces depth-split as the steal
-  // granularity when the split is eligible: independent components
-  // need no merge lock and no subtree respawning.
-  if (options.decompose && !options.require_injective_names) {
-    const ComponentSplit split =
-        ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
-    if (split.eligible) {
-      DimsatResult result =
-          RunDecomposedParallel(ds, root, options, relevant, split, rank_ptr,
-                                pool);
-      if (obs::MetricsEnabled()) {
-        obs::Count("olapdc.dimsat.decomposed_runs");
-      }
-      if (run.observed()) {
-        pool.PublishMetricNames();
-        FlushDimsatMetrics(result.stats, result.status, run.ElapsedUs());
-        span.AddStat("threads", pool.num_threads());
-        span.AddStat("tasks", result.stats.parallel_tasks);
-        span.AddStat("steals", result.stats.parallel_steals);
-        AnnotateSpan(span, ds.hierarchy(), root, result);
-      }
-      return result;
-    }
-  }
-
-  ParallelShared shared(ds, root, options, relevant, &pool);
-  shared.branch_rank = rank_ptr;
-  SpawnSubtree(&shared,
-               Subhierarchy(ds.hierarchy().num_categories(), root), 0);
-  shared.group.Wait();
-
-  DimsatResult merged = std::move(shared.merged);
-  // A budget error from a worker that was merely told to stop early is
-  // not an error of the whole run.
-  if (shared.stop.load() && !options.enumerate_all &&
-      !merged.frozen.empty()) {
-    merged.status = Status::OK();
-  }
-  merged.satisfiable = !merged.frozen.empty();
-  merged.stats.frozen_found = merged.frozen.size();
-  merged.stats.parallel_tasks = shared.tasks.load();
-  merged.stats.parallel_steals = shared.stolen.load();
-  if (run.observed()) {
-    pool.PublishMetricNames();
-    FlushDimsatMetrics(merged.stats, merged.status, run.ElapsedUs());
-    span.AddStat("threads", pool.num_threads());
-    span.AddStat("tasks", merged.stats.parallel_tasks);
-    span.AddStat("steals", merged.stats.parallel_steals);
-    AnnotateSpan(span, ds.hierarchy(), root, merged);
-  }
-  return merged;
-}
-
-DimsatResult DimsatParallelStatic(const DimensionSchema& ds, CategoryId root,
-                                  const DimsatOptions& options,
-                                  int num_threads) {
-  OLAPDC_CHECK(0 <= root && root < ds.hierarchy().num_categories());
-  OLAPDC_CHECK(!options.collect_trace)
-      << "tracing is inherently sequential; use Dimsat()";
-  OLAPDC_CHECK(options.checkpoint == nullptr)
-      << "checkpoint capture is sequential; use RunDimsat()/Dimsat()";
-  if (num_threads <= 1) return Dimsat(ds, root, options);
-
-  obs::ObsSpan span("dimsat.parallel_run");
-  ObservedRun run;
-  Result<std::vector<DimensionConstraint>> prepared =
-      PrepareRelevantConstraints(ds, root, options.path_limit);
-  if (!prepared.ok()) {
-    DimsatResult result;
-    result.status = prepared.status();
-    return result;
-  }
-  const std::vector<DimensionConstraint> relevant =
-      std::move(prepared).ValueOrDie();
-  std::vector<Subhierarchy> seeds = FirstLevelSeeds(ds, root, options);
-  if (seeds.empty()) return Dimsat(ds, root, options);
-
-  std::vector<int> rank;
-  const std::vector<int>* rank_ptr = nullptr;
-  if (options.branch_heuristic) {
-    rank = ComputeBranchRank(ds);
-    rank_ptr = &rank;
-  }
-
-  // Per-worker budget: sum across workers may exceed a tight global
-  // budget by (threads - 1); acceptable for a backstop limit.
-  std::atomic<bool> stop(false);
-  std::atomic<size_t> next(0);
-  std::vector<DimsatResult> partials(seeds.size());
-
-  auto worker = [&]() {
-    while (!stop.load(std::memory_order_relaxed)) {
-      size_t index = next.fetch_add(1);
-      if (index >= seeds.size()) return;
-      DimsatSearch search(ds, root, options, relevant);
-      if (rank_ptr != nullptr) search.set_branch_rank(rank_ptr);
-      search.set_external_stop(&stop);
-      partials[index] = search.RunFrom(std::move(seeds[index]), 1);
-      if (partials[index].satisfiable && !options.enumerate_all) {
-        stop.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  std::vector<std::thread> threads;
-  const int n = std::min<int>(num_threads, static_cast<int>(seeds.size()));
-  threads.reserve(n);
-  for (int i = 0; i < n; ++i) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
-
-  DimsatResult merged;
-  for (DimsatResult& partial : partials) {
-    AccumulateStats(&merged.stats, partial.stats);
-    if (!partial.status.ok() && merged.status.ok()) {
-      merged.status = partial.status;
-    }
-    for (FrozenDimension& f : partial.frozen) {
-      if (merged.frozen.size() >= options.max_frozen) break;
-      merged.frozen.push_back(std::move(f));
-    }
-  }
-  // A budget error from a worker that was merely told to stop early is
-  // not an error of the whole run.
-  if (stop.load() && !options.enumerate_all && !merged.frozen.empty()) {
-    merged.status = Status::OK();
-  }
-  merged.satisfiable = !merged.frozen.empty();
-  merged.stats.frozen_found = merged.frozen.size();
-  if (run.observed()) {
-    FlushDimsatMetrics(merged.stats, merged.status, run.ElapsedUs());
-    span.AddStat("threads", n);
-    AnnotateSpan(span, ds.hierarchy(), root, merged);
-  }
-  return merged;
-}
-
-DimsatResult RunDimsat(const DimensionSchema& ds, CategoryId root,
-                       const DimsatOptions& options) {
-  if (options.num_threads <= 1 || options.collect_trace ||
-      options.checkpoint != nullptr) {
-    return Dimsat(ds, root, options);
-  }
-  return DimsatParallel(ds, root, options, options.num_threads);
+  return SolveDimsat(ds, root, options, &checkpoint);
 }
 
 DimsatResult EnumerateFrozenDimensions(const DimensionSchema& ds,

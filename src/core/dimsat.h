@@ -72,12 +72,14 @@ struct DimsatOptions {
   bool enumerate_all = false;
   /// Cap on collected frozen dimensions (enumerate_all mode).
   size_t max_frozen = 1 << 20;
-  /// Budget on EXPAND calls; exceeding it aborts with
-  /// ResourceExhausted in DimsatResult::status.
+  /// Budget on EXPAND calls for the whole run — summed over every
+  /// worker and component search when the run is parallel or
+  /// decomposed; exceeding it aborts with ResourceExhausted in
+  /// DimsatResult::status, and stats.expand_calls never exceeds it.
   uint64_t max_expand_calls = UINT64_MAX;
-  /// Record the EXPAND/CHECK event sequence (Figure 7 harness).
+  /// Record the EXPAND/CHECK event sequence (Figure 7 harness; the
+  /// first 100000 events). Forces the sequential engine.
   bool collect_trace = false;
-  size_t max_trace = 100000;
   /// Bound on simple paths enumerated when expanding composed atoms.
   size_t path_limit = 1 << 20;
   /// Wall-clock / cancellation budget; not owned, may be null
@@ -89,34 +91,31 @@ struct DimsatOptions {
   /// load); the amortization that keeps the budget check off the hot
   /// path.
   uint32_t budget_check_stride = 256;
-  /// Worker parallelism for callers that dispatch through RunDimsat():
-  /// <= 1 runs the sequential engine, > 1 the work-stealing driver.
+  /// Worker parallelism: <= 1 runs the search on the calling thread,
+  /// > 1 on the work-stealing pool (EXPAND nodes near the root become
+  /// stealable tasks; decomposed runs make each component one task).
   int num_threads = 1;
-  /// Work-stealing driver: EXPAND nodes at recursion depth below this
-  /// become stealable pool tasks; at or beyond it the search recurses
-  /// in-place (mutation + rollback). Depth 0 is the root. Small values
-  /// under-split skewed trees; large ones drown the pool in tiny tasks
-  /// (DESIGN.md §8 discusses the trade-off).
-  int parallel_split_depth = 3;
-  /// Pool override for the work-stealing driver (benches and tests pin
-  /// exact worker counts); null uses the shared process pool.
+  /// Pool override for parallel runs (benches and tests pin exact
+  /// worker counts); null uses the shared process pool, or a run-local
+  /// pool of num_threads workers when the process pool is smaller — an
+  /// explicit num_threads is honored, never silently degraded.
   exec::WorkStealingPool* pool = nullptr;
   /// Out-parameter for checkpoint/resume: when non-null and the run
   /// stops on a budget error (deadline, cancellation, memory pressure,
   /// or the expand-call cap), the live search frontier is captured here
   /// so ResumeDimsat() can continue the search instead of restarting
   /// it. Cleared at the start of each run; forces the sequential engine
-  /// (RunDimsat() dispatches accordingly — frontier capture is
-  /// inherently a property of one depth-first traversal). The
+  /// (frontier capture is inherently a property of one depth-first
+  /// traversal). The
   /// interrupted and resumed runs partition the search tree, so their
   /// combined verdict, frozen set, and statistics equal an
   /// uninterrupted run's.
   DimsatCheckpoint* checkpoint = nullptr;
-  /// Overload shedding for the parallel driver: when non-null,
-  /// DimsatParallel() asks the gate *before doing any work* and returns
-  /// kUnavailable (no partial result; retry-after-ms hint in the
-  /// message) when shed. Ignored by the sequential engine, which holds
-  /// no pool resources.
+  /// Overload shedding for parallel runs: when non-null, a run that
+  /// will use the pool asks the gate *before doing any work* and
+  /// returns kUnavailable (no partial result; retry-after-ms hint in
+  /// the message) when shed. Ignored by sequential runs, which hold no
+  /// pool resources.
   exec::AdmissionGate* admission = nullptr;
   /// Learned-pruning store (core/nogood.h); not owned, may be shared
   /// across runs and threads. Null (the default) disables the feature
@@ -157,9 +156,9 @@ struct DimsatStats {
   /// barren (DimsatOptions::nogoods).
   uint64_t nogood_prunes = 0;
   uint64_t frozen_found = 0;
-  /// Work-stealing driver only: pool tasks run for this search, and how
-  /// many of them a worker other than the submitter executed (load
-  /// actually rebalanced, not just parallelizable).
+  /// Parallel runs only: pool tasks run for this search, and how many
+  /// worker-spawned tasks a worker other than the submitter executed
+  /// (load actually rebalanced, not just parallelizable).
   uint64_t parallel_tasks = 0;
   uint64_t parallel_steals = 0;
 
@@ -177,7 +176,7 @@ void AccumulateStats(DimsatStats* total, const DimsatStats& delta);
 /// Publishes one finished run's statistics into the global metrics
 /// registry under `olapdc.dimsat.*` (docs/observability.md has the
 /// inventory) and records the run latency. No-op when metrics are
-/// disabled. Called once per Dimsat()/DimsatParallel() run — batching
+/// disabled. Called once per RunDimsat()/ResumeDimsat() run — batching
 /// the flush here keeps the EXPAND hot loop free of registry traffic.
 void FlushDimsatMetrics(const DimsatStats& stats, const Status& status,
                         double elapsed_us);
@@ -203,48 +202,34 @@ struct DimsatResult {
   /// OK, or a budget error (kResourceExhausted for the expand-call cap,
   /// kDeadlineExceeded / kCancelled for the wall-clock budget) when the
   /// search stopped early — `satisfiable` is then only a lower bound
-  /// and `stats` records the partial work performed.
+  /// and `stats` records the partial work performed. kInvalidArgument
+  /// when a category offers EXPAND more than 30 free successor choices
+  /// (the subset loop's limit).
   Status status;
 };
 
-/// Decides whether `root` is satisfiable in `ds` (Theorem 3 / Figure 6).
-DimsatResult Dimsat(const DimensionSchema& ds, CategoryId root,
-                    const DimsatOptions& options = {});
+/// Decides whether `root` is satisfiable in `ds` (Theorem 3 / Figure
+/// 6) — the one entry point every layer uses (implication,
+/// summarizability, Reasoner, service, CLI). options.num_threads <= 1
+/// searches on the calling thread; > 1 runs on the work-stealing pool
+/// unless a trace or a checkpoint capture is requested, which pin the
+/// sequential search. A parallel run is semantically identical to the
+/// sequential one: the frozen-dimension *set* is equal (enumeration
+/// order may differ, and in decision mode a different — equally valid
+/// — witness may be returned). Its shared stop flag propagates the
+/// first witness in decision mode and the first budget expiry in every
+/// mode, so a cancelled Budget stops all workers promptly.
+DimsatResult RunDimsat(const DimensionSchema& ds, CategoryId root,
+                       const DimsatOptions& options = {});
 
 /// Convenience: all frozen dimensions of ds with the given root.
 DimsatResult EnumerateFrozenDimensions(const DimensionSchema& ds,
                                        CategoryId root,
                                        DimsatOptions options = {});
 
-/// Multi-threaded DIMSAT on the work-stealing pool: EXPAND nodes above
-/// options.parallel_split_depth become stealable tasks, so skewed
-/// subtrees rebalance dynamically instead of serializing on whichever
-/// worker drew them. Semantically identical to Dimsat() (the
-/// frozen-dimension *set* is equal; enumeration order may differ, and
-/// in decision mode a different — equally valid — witness may be
-/// returned). The shared stop flag propagates the first witness in
-/// decision mode and the first budget expiry in every mode, so a
-/// cancelled Budget stops all workers promptly. Tracing is unsupported.
-/// num_threads <= 1 falls back to the sequential search. Otherwise the
-/// run executes on options.pool if set (its size then bounds the
-/// parallelism); with no pool override it uses the shared process
-/// pool, or a run-local pool of num_threads workers when the process
-/// pool is smaller — an explicit num_threads is honored, never
-/// silently degraded.
-DimsatResult DimsatParallel(const DimensionSchema& ds, CategoryId root,
-                            const DimsatOptions& options, int num_threads);
-
-/// The pre-work-stealing parallel driver, kept as the comparison
-/// baseline for the scheduling benchmarks: the first-level expansion
-/// choices of the root statically partition the search space over
-/// `num_threads` fresh threads, so speedup is bounded by the skew of
-/// first-level subtree sizes. Same semantics as DimsatParallel().
-DimsatResult DimsatParallelStatic(const DimensionSchema& ds, CategoryId root,
-                                  const DimsatOptions& options,
-                                  int num_threads);
-
 /// Continues an interrupted search from `checkpoint` (captured by a
-/// previous run through DimsatOptions::checkpoint). Runs sequentially.
+/// previous run through DimsatOptions::checkpoint) in the same driver
+/// as RunDimsat(). Runs sequentially.
 /// The result reports only the *fresh* work performed after the
 /// interruption — callers accumulate it onto the interrupted run's
 /// partial result (AccumulateStats + appending frozen), which then
@@ -258,14 +243,6 @@ DimsatResult DimsatParallelStatic(const DimensionSchema& ds, CategoryId root,
 DimsatResult ResumeDimsat(const DimensionSchema& ds, CategoryId root,
                           const DimsatOptions& options,
                           DimsatCheckpoint checkpoint);
-
-/// Dispatch helper used by every higher layer (implication,
-/// summarizability, Reasoner, CLI): runs Dimsat() when
-/// options.num_threads <= 1, a trace is requested, or a checkpoint
-/// capture is requested, else DimsatParallel() with
-/// options.num_threads.
-DimsatResult RunDimsat(const DimensionSchema& ds, CategoryId root,
-                       const DimsatOptions& options = {});
 
 }  // namespace olapdc
 

@@ -85,7 +85,7 @@ Result<DimsatResult> NaiveSat(const DimensionSchema& ds, CategoryId root,
     Status budget = budget_checker.Check();
     if (!budget.ok()) {
       // Partial answer: statistics (and any frozen dimensions found so
-      // far) survive, matching Dimsat()'s degradation contract.
+      // far) survive, matching RunDimsat()'s degradation contract.
       result.status = std::move(budget);
       break;
     }

@@ -27,7 +27,7 @@ struct NaiveSatOptions {
   size_t path_limit = 1 << 20;
   /// Wall-clock / cancellation budget; not owned, may be null. On
   /// expiration the enumeration stops with the budget status and
-  /// partial stats in DimsatResult (mirroring Dimsat()).
+  /// partial stats in DimsatResult (mirroring RunDimsat()).
   const Budget* budget = nullptr;
   /// Candidate subhierarchies between full budget probes.
   uint32_t budget_check_stride = 64;

@@ -60,7 +60,7 @@ Result<std::string> HeterogeneityReport(const DimensionSchema& ds,
   out += "\n== satisfiability ==\n";
   std::vector<bool> satisfiable(schema.num_categories());
   for (CategoryId c = 0; c < schema.num_categories(); ++c) {
-    DimsatResult r = Dimsat(ds, c, options.dimsat);
+    DimsatResult r = RunDimsat(ds, c, options.dimsat);
     OLAPDC_RETURN_NOT_OK(r.status);
     satisfiable[c] = r.satisfiable;
     if (!r.satisfiable) {
@@ -78,7 +78,10 @@ Result<std::string> HeterogeneityReport(const DimensionSchema& ds,
     DimsatOptions enumerate = options.dimsat;
     enumerate.enumerate_all = true;
     enumerate.max_frozen = options.max_frozen_per_bottom;
-    DimsatResult r = Dimsat(ds, b, enumerate);
+    // The models are listed in search order, so the report stays
+    // byte-stable only on the sequential search.
+    enumerate.num_threads = 1;
+    DimsatResult r = RunDimsat(ds, b, enumerate);
     OLAPDC_RETURN_NOT_OK(r.status);
     std::set<std::string> structures;
     for (const FrozenDimension& f : r.frozen) {
@@ -135,7 +138,7 @@ Result<bool> IsHomogeneousSchema(const DimensionSchema& ds,
     if (b == schema.all()) continue;
     DimsatOptions enumerate = options;
     enumerate.enumerate_all = true;
-    DimsatResult r = Dimsat(ds, b, enumerate);
+    DimsatResult r = RunDimsat(ds, b, enumerate);
     OLAPDC_RETURN_NOT_OK(r.status);
     if (r.frozen.empty()) continue;  // unsatisfiable: vacuously uniform
     std::set<std::string> structures;

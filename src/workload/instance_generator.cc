@@ -56,7 +56,7 @@ Result<DimensionInstance> GenerateInstanceFromFrozen(
     DimsatOptions dimsat_options;
     dimsat_options.enumerate_all = true;
     dimsat_options.max_frozen = options.max_structures;
-    DimsatResult frozen = Dimsat(ds, bottom, dimsat_options);
+    DimsatResult frozen = RunDimsat(ds, bottom, dimsat_options);
     OLAPDC_RETURN_NOT_OK(frozen.status);
 
     for (size_t s = 0; s < frozen.frozen.size(); ++s) {

@@ -1,7 +1,7 @@
 // AdmissionGate: shed-don't-queue semantics (kUnavailable with a
 // retry-after-ms hint, no partial work), the Ticket RAII, the hint
 // parser RetryPolicy consumes, and the end-to-end property — a
-// DimsatParallel request arriving beyond the gate's high-water mark is
+// parallel RunDimsat request arriving beyond the gate's high-water mark is
 // shed before doing any work, and runs normally once the gate drains.
 
 #include <gtest/gtest.h>
@@ -144,11 +144,12 @@ TEST(AdmissionGateTest, ParallelDimsatIsShedBeforeDoingAnyWork) {
   options.enumerate_all = true;
   options.pool = &pool;
   options.admission = &gate;
+  options.num_threads = 2;
 
   // The saturated pool's slot is taken; the next request must be shed
   // immediately — kUnavailable, retry hint, and zero work performed.
   ASSERT_OK(gate.TryAdmit());
-  DimsatResult shed = DimsatParallel(ds, store, options, 2);
+  DimsatResult shed = RunDimsat(ds, store, options);
   EXPECT_EQ(shed.status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(exec::RetryAfterMsFromStatus(shed.status), 25);
   EXPECT_FALSE(shed.satisfiable);
@@ -158,7 +159,7 @@ TEST(AdmissionGateTest, ParallelDimsatIsShedBeforeDoingAnyWork) {
 
   // Once the gate drains the identical request runs to completion.
   gate.Release();
-  DimsatResult admitted = DimsatParallel(ds, store, options, 2);
+  DimsatResult admitted = RunDimsat(ds, store, options);
   ASSERT_OK(admitted.status);
   EXPECT_EQ(admitted.frozen.size(), 4u);
   EXPECT_EQ(gate.in_flight(), 0);
@@ -176,7 +177,7 @@ TEST(AdmissionGateTest, SequentialFallbackIgnoresTheGate) {
   options.admission = &gate;
   options.num_threads = 1;
   // The sequential engine holds no pool resources, so a full gate must
-  // not block it (RunDimsat dispatches it past the gate).
+  // not block it (it never asks the gate).
   DimsatResult r = RunDimsat(ds, store, options);
   ASSERT_OK(r.status);
   EXPECT_EQ(r.frozen.size(), 4u);

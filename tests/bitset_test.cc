@@ -1,9 +1,7 @@
-// Property tests for the widened DynamicBitset kernels
-// (common/bitset.h): every vectorized operation — scalar-unrolled or
-// AVX2, inline-buffer or heap — must agree with a std::vector<bool>
-// reference model across randomized operation sequences, sizes
-// straddling the small-buffer boundary, and both settings of the
-// process-global wide-kernel toggle.
+// Property tests for DynamicBitset (common/bitset.h): every word-loop
+// operation, on the inline buffer or the heap, must agree with a
+// std::vector<bool> reference model across randomized operation
+// sequences and sizes straddling word and small-buffer boundaries.
 
 #include <gtest/gtest.h>
 
@@ -57,20 +55,10 @@ void ExpectSame(const DynamicBitset& got, const RefBits& want) {
   EXPECT_EQ(got.any(), want.Count() > 0);
 }
 
-class WideKernelsGuard {
- public:
-  explicit WideKernelsGuard(bool enabled) { bitset_kernels::SetWideKernelsEnabled(enabled); }
-  ~WideKernelsGuard() { bitset_kernels::SetWideKernelsEnabled(true); }
-};
-
-class BitsetKernelTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(BitsetKernelTest, RandomOpSequencesMatchReference) {
-  WideKernelsGuard guard(GetParam());
+TEST(BitsetTest, RandomOpSequencesMatchReference) {
   std::mt19937_64 rng(20260808);
-  // Sizes straddle word boundaries, the unrolled 4-word stride, the
-  // AVX2 256-bit stride, and the inline/heap small-buffer boundary
-  // (kInlineWords * 64 = 512 bits).
+  // Sizes straddle word boundaries and the inline/heap small-buffer
+  // boundary (kInlineWords * 64 = 512 bits).
   for (int n : {1, 63, 64, 65, 127, 128, 255, 256, 257, 320, 511, 512, 513,
                 640, 1024}) {
     std::uniform_int_distribution<int> bit(0, n - 1);
@@ -137,8 +125,7 @@ TEST_P(BitsetKernelTest, RandomOpSequencesMatchReference) {
   }
 }
 
-TEST_P(BitsetKernelTest, FusedAndNotAnyAgreesWithMaterializedDifference) {
-  WideKernelsGuard guard(GetParam());
+TEST(BitsetTest, FusedAndNotAnyAgreesWithMaterializedDifference) {
   std::mt19937_64 rng(99);
   for (int n : {64, 320, 512, 513, 2048}) {
     std::uniform_int_distribution<int> bit(0, n - 1);
@@ -155,8 +142,7 @@ TEST_P(BitsetKernelTest, FusedAndNotAnyAgreesWithMaterializedDifference) {
   }
 }
 
-TEST_P(BitsetKernelTest, SmallBufferBoundaryCopiesAndMoves) {
-  WideKernelsGuard guard(GetParam());
+TEST(BitsetTest, SmallBufferBoundaryCopiesAndMoves) {
   // 512 bits is the last inline size, 513 the first heap size: copies,
   // moves, and assignments across the boundary must preserve content.
   for (int n : {511, 512, 513, 514}) {
@@ -180,8 +166,7 @@ TEST_P(BitsetKernelTest, SmallBufferBoundaryCopiesAndMoves) {
   }
 }
 
-TEST_P(BitsetKernelTest, EqualityAndHashIgnoreTailGarbage) {
-  WideKernelsGuard guard(GetParam());
+TEST(BitsetTest, EqualityAndHashIgnoreTailGarbage) {
   // Partial-word sizes: operations must keep the unused high bits of
   // the last word clear, or equality/count would drift.
   for (int n : {1, 5, 65, 321, 519}) {
@@ -199,11 +184,6 @@ TEST_P(BitsetKernelTest, EqualityAndHashIgnoreTailGarbage) {
     EXPECT_EQ(a.count(), n);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(WideAndScalar, BitsetKernelTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "wide" : "scalar";
-                         });
 
 }  // namespace
 }  // namespace olapdc

@@ -55,7 +55,7 @@ DimsatResult RunInterrupted(const DimensionSchema& ds, CategoryId root,
                             DimsatOptions options, int* chains) {
   DimsatCheckpoint cp;
   options.checkpoint = &cp;
-  DimsatResult combined = Dimsat(ds, root, options);
+  DimsatResult combined = RunDimsat(ds, root, options);
   // Interrupt causes driven by a per-run Budget (deadline / memory)
   // must not recur on the resumed runs, or the chain may never make
   // progress; the expand cap renews per run and is fine.
@@ -104,7 +104,7 @@ TEST_P(ResumeEquivalenceTest, CapInterruptedChainMatchesUninterrupted) {
 
   DimsatOptions options;
   options.enumerate_all = true;
-  DimsatResult uninterrupted = Dimsat(ds, base, options);
+  DimsatResult uninterrupted = RunDimsat(ds, base, options);
   ASSERT_OK(uninterrupted.status);
 
   // A tiny odd cap lands interrupts at awkward places (mid-mask-loop,
@@ -134,7 +134,7 @@ TEST_P(ResumeEquivalenceTest, DecisionModeAgrees) {
   DimensionSchema ds = RandomSchema(seed);
   CategoryId base = ds.hierarchy().FindCategory("Base");
 
-  DimsatResult uninterrupted = Dimsat(ds, base, {});
+  DimsatResult uninterrupted = RunDimsat(ds, base, {});
   ASSERT_OK(uninterrupted.status);
 
   DimsatOptions options;
@@ -159,13 +159,13 @@ TEST_P(ResumeEquivalenceTest, SerializedFrontierResumesIdentically) {
 
   DimsatOptions options;
   options.enumerate_all = true;
-  DimsatResult uninterrupted = Dimsat(ds, base, options);
+  DimsatResult uninterrupted = RunDimsat(ds, base, options);
   ASSERT_OK(uninterrupted.status);
 
   DimsatCheckpoint cp;
   options.checkpoint = &cp;
   options.max_expand_calls = 9;
-  DimsatResult first = Dimsat(ds, base, options);
+  DimsatResult first = RunDimsat(ds, base, options);
   if (cp.empty()) {
     ASSERT_OK(first.status);  // finished under the cap; nothing to test
     return;
@@ -199,7 +199,7 @@ TEST(CheckpointTest, DeadlineInterruptedRunResumesExactly) {
 
   DimsatOptions options;
   options.enumerate_all = true;
-  DimsatResult uninterrupted = Dimsat(ds, base, options);
+  DimsatResult uninterrupted = RunDimsat(ds, base, options);
   ASSERT_OK(uninterrupted.status);
 
   // Already-expired deadline: deterministically trips on the first
@@ -225,7 +225,7 @@ TEST(CheckpointTest, MemoryInterruptedRunResumesExactly) {
 
   DimsatOptions options;
   options.enumerate_all = true;
-  DimsatResult uninterrupted = Dimsat(ds, base, options);
+  DimsatResult uninterrupted = RunDimsat(ds, base, options);
   ASSERT_OK(uninterrupted.status);
 
   // A cap small enough that even the base search-state reservation
@@ -262,7 +262,7 @@ TEST(CheckpointTest, MismatchedCheckpointIsRejected) {
   DimsatOptions options;
   options.checkpoint = &cp;
   options.max_expand_calls = 1;
-  (void)Dimsat(ds, store, options);
+  (void)RunDimsat(ds, store, options);
   ASSERT_FALSE(cp.empty());
 
   DimsatCheckpoint wrong_root = cp;
@@ -301,7 +301,7 @@ TEST(CheckpointTest, DeserializeRejectsGarbage) {
 TEST(CheckpointTest, ReasonerLadderResumesAcrossRungs) {
   DimensionSchema ds = RandomSchema(3);
   CategoryId base = ds.hierarchy().FindCategory("Base");
-  DimsatResult truth = Dimsat(ds, base, {});
+  DimsatResult truth = RunDimsat(ds, base, {});
   ASSERT_OK(truth.status);
 
   ReasonerOptions options;

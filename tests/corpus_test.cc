@@ -52,7 +52,7 @@ TEST_P(CorpusTest, LoadsAuditsAndRoundTrips) {
     DimsatOptions options;
     options.enumerate_all = true;
     options.max_expand_calls = 100000;
-    DimsatResult r = Dimsat(ds, b, options);
+    DimsatResult r = RunDimsat(ds, b, options);
     ASSERT_OK(r.status);
     EXPECT_TRUE(r.satisfiable);
     for (const FrozenDimension& f : r.frozen) {
@@ -66,8 +66,8 @@ TEST_P(CorpusTest, LoadsAuditsAndRoundTrips) {
   for (CategoryId b : schema.bottom_categories()) {
     DimsatOptions options;
     options.enumerate_all = true;
-    DimsatResult a = Dimsat(ds, b, options);
-    DimsatResult b2 = Dimsat(
+    DimsatResult a = RunDimsat(ds, b, options);
+    DimsatResult b2 = RunDimsat(
         reparsed, reparsed.hierarchy().FindCategory(schema.CategoryName(b)),
         options);
     EXPECT_EQ(a.frozen.size(), b2.frozen.size()) << GetParam();

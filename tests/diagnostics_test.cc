@@ -67,9 +67,16 @@ TEST(UnsatCoreTest, FindsMinimalConflict) {
   CategoryId a = ds.hierarchy().FindCategory("A");
   ASSERT_OK_AND_ASSIGN(bool satisfiable, IsCategorySatisfiable(ds, a));
   ASSERT_FALSE(satisfiable);
-  ASSERT_OK_AND_ASSIGN(std::vector<size_t> core, UnsatisfiableCore(ds, a));
-  // The core is {2} alone: !A/B & !A/C contradicts C7 by itself.
-  EXPECT_EQ(core, std::vector<size_t>({2}));
+  // `olapdc check --threads N` passes N through: the core is the same
+  // whether its searches run on the caller's thread or on the pool.
+  for (int threads : {1, 2}) {
+    DimsatOptions options;
+    options.num_threads = threads;
+    ASSERT_OK_AND_ASSIGN(std::vector<size_t> core,
+                         UnsatisfiableCore(ds, a, options));
+    // The core is {2} alone: !A/B & !A/C contradicts C7 by itself.
+    EXPECT_EQ(core, std::vector<size_t>({2})) << threads << " threads";
+  }
 }
 
 TEST(UnsatCoreTest, TwoConstraintCore) {
@@ -77,8 +84,13 @@ TEST(UnsatCoreTest, TwoConstraintCore) {
       {{"A", "B"}, {"A", "C"}, {"B", "All"}, {"C", "All"}},
       {"B/All", "A/B", "!A/B | false"});
   CategoryId a = ds.hierarchy().FindCategory("A");
-  ASSERT_OK_AND_ASSIGN(std::vector<size_t> core, UnsatisfiableCore(ds, a));
-  EXPECT_EQ(core, std::vector<size_t>({1, 2}));
+  for (int threads : {1, 2}) {
+    DimsatOptions options;
+    options.num_threads = threads;
+    ASSERT_OK_AND_ASSIGN(std::vector<size_t> core,
+                         UnsatisfiableCore(ds, a, options));
+    EXPECT_EQ(core, std::vector<size_t>({1, 2})) << threads << " threads";
+  }
 }
 
 TEST(UnsatCoreTest, RejectsSatisfiableCategory) {

@@ -1,11 +1,11 @@
 // Equivalence pinning for the DIMSAT speed techniques
-// (DimsatOptions::decompose, DimsatOptions::branch_heuristic, and the
-// wide bitset kernels): every technique, alone and combined, must
-// produce the same canonical frozen-dimension set as the baseline
-// search — across the seeded random corpus, the multi-component
-// workloads that actually trigger decomposition, both witness and
-// enumerate modes, with and without no-good stores, and across
-// checkpoint interrupt/resume chains.
+// (DimsatOptions::decompose and DimsatOptions::branch_heuristic): every
+// technique, alone and combined, sequential and parallel, must produce
+// the same canonical frozen-dimension set as the baseline search —
+// across the seeded random corpus, the multi-component workloads that
+// actually trigger decomposition, both witness and enumerate modes,
+// with and without no-good stores, and across checkpoint
+// interrupt/resume chains.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/bitset.h"
 #include "core/decompose.h"
 #include "core/dimsat.h"
 #include "core/location_example.h"
@@ -66,22 +65,12 @@ struct Technique {
   const char* name;
   bool decompose;
   bool branch_heuristic;
-  bool wide_kernels;
 };
 
 constexpr Technique kTechniques[] = {
-    {"decompose", true, false, false},
-    {"branching", false, true, false},
-    {"simd", false, false, true},
-    {"all", true, true, true},
-};
-
-/// Restores the process-global kernel toggle on scope exit so a failed
-/// ASSERT cannot leak a disabled-SIMD state into later tests.
-class WideKernelsGuard {
- public:
-  explicit WideKernelsGuard(bool enabled) { bitset_kernels::SetWideKernelsEnabled(enabled); }
-  ~WideKernelsGuard() { bitset_kernels::SetWideKernelsEnabled(true); }
+    {"decompose", true, false},
+    {"branching", false, true},
+    {"all", true, true},
 };
 
 class AblationCorpusTest : public ::testing::TestWithParam<int> {};
@@ -96,29 +85,35 @@ TEST_P(AblationCorpusTest, EveryTechniquePreservesTheModelSet) {
   for (bool enumerate : {false, true}) {
     DimsatOptions baseline_options;
     baseline_options.enumerate_all = enumerate;
-    const DimsatResult baseline = Dimsat(ds, base, baseline_options);
+    const DimsatResult baseline = RunDimsat(ds, base, baseline_options);
     ASSERT_OK(baseline.status);
     const std::vector<std::string> want =
         Canonical(baseline.frozen, ds.hierarchy());
 
     for (const Technique& t : kTechniques) {
-      WideKernelsGuard guard(t.wide_kernels);
-      DimsatOptions options;
-      options.enumerate_all = enumerate;
-      options.decompose = t.decompose;
-      options.branch_heuristic = t.branch_heuristic;
-      const DimsatResult got = Dimsat(ds, base, options);
-      ASSERT_TRUE(got.status.ok()) << t.name << ": " << got.status.ToString();
-      EXPECT_EQ(got.satisfiable, baseline.satisfiable)
-          << t.name << " enumerate=" << enumerate << " seed " << seed;
-      if (enumerate) {
-        EXPECT_EQ(Canonical(got.frozen, ds.hierarchy()), want)
-            << t.name << " seed " << seed;
-      } else if (got.satisfiable) {
-        // Witness mode: any valid model is acceptable; materialization
-        // re-checks C1-C7 and every constraint.
-        ASSERT_EQ(got.frozen.size(), 1u) << t.name;
-        EXPECT_TRUE(got.frozen[0].ToInstance(ds).ok()) << t.name;
+      for (int threads : {1, 4}) {
+        DimsatOptions options;
+        options.enumerate_all = enumerate;
+        options.decompose = t.decompose;
+        options.branch_heuristic = t.branch_heuristic;
+        options.num_threads = threads;
+        const DimsatResult got = RunDimsat(ds, base, options);
+        ASSERT_TRUE(got.status.ok())
+            << t.name << " threads " << threads << ": "
+            << got.status.ToString();
+        EXPECT_EQ(got.satisfiable, baseline.satisfiable)
+            << t.name << " threads " << threads << " enumerate=" << enumerate
+            << " seed " << seed;
+        if (enumerate) {
+          EXPECT_EQ(Canonical(got.frozen, ds.hierarchy()), want)
+              << t.name << " threads " << threads << " seed " << seed;
+        } else if (got.satisfiable) {
+          // Witness mode: any valid model is acceptable; materialization
+          // re-checks C1-C7 and every constraint.
+          ASSERT_EQ(got.frozen.size(), 1u) << t.name << " threads " << threads;
+          EXPECT_TRUE(got.frozen[0].ToInstance(ds).ok())
+              << t.name << " threads " << threads;
+        }
       }
     }
   }
@@ -133,7 +128,7 @@ TEST_P(AblationCorpusTest, TechniquesComposeWithNoGoodStores) {
 
   DimsatOptions baseline_options;
   baseline_options.enumerate_all = true;
-  const DimsatResult baseline = Dimsat(ds, base, baseline_options);
+  const DimsatResult baseline = RunDimsat(ds, base, baseline_options);
   ASSERT_OK(baseline.status);
   const std::vector<std::string> want =
       Canonical(baseline.frozen, ds.hierarchy());
@@ -147,7 +142,7 @@ TEST_P(AblationCorpusTest, TechniquesComposeWithNoGoodStores) {
     options.decompose = true;
     options.branch_heuristic = true;
     options.nogoods = &store;
-    const DimsatResult got = Dimsat(ds, base, options);
+    const DimsatResult got = RunDimsat(ds, base, options);
     ASSERT_TRUE(got.status.ok())
         << "round " << round << ": " << got.status.ToString();
     EXPECT_EQ(Canonical(got.frozen, ds.hierarchy()), want)
@@ -186,9 +181,9 @@ TEST(DecomposeSplitTest, LocationSchemaFallsBackToMonolithic) {
   const CategoryId store = ds.hierarchy().FindCategory("Store");
   DimsatOptions options;
   options.enumerate_all = true;
-  const DimsatResult baseline = Dimsat(ds, store, options);
+  const DimsatResult baseline = RunDimsat(ds, store, options);
   options.decompose = true;
-  const DimsatResult decomposed = Dimsat(ds, store, options);
+  const DimsatResult decomposed = RunDimsat(ds, store, options);
   ASSERT_OK(decomposed.status);
   EXPECT_EQ(Canonical(decomposed.frozen, ds.hierarchy()),
             Canonical(baseline.frozen, ds.hierarchy()));
@@ -199,10 +194,10 @@ TEST(DecomposeSpeedTest, DecompositionReducesExpandCalls) {
   const CategoryId base = ds.hierarchy().FindCategory("Base");
   DimsatOptions options;
   options.enumerate_all = true;
-  const DimsatResult baseline = Dimsat(ds, base, options);
+  const DimsatResult baseline = RunDimsat(ds, base, options);
   ASSERT_OK(baseline.status);
   options.decompose = true;
-  const DimsatResult decomposed = Dimsat(ds, base, options);
+  const DimsatResult decomposed = RunDimsat(ds, base, options);
   ASSERT_OK(decomposed.status);
   EXPECT_EQ(Canonical(decomposed.frozen, ds.hierarchy()),
             Canonical(baseline.frozen, ds.hierarchy()));
@@ -220,11 +215,11 @@ TEST(DecomposeParallelTest, ParallelDecomposedMatchesSequential) {
       options.enumerate_all = enumerate;
       options.decompose = true;
       options.branch_heuristic = true;
-      const DimsatResult sequential = Dimsat(ds, base, options);
+      const DimsatResult sequential = RunDimsat(ds, base, options);
       ASSERT_OK(sequential.status);
       for (int threads : {2, 4}) {
-        const DimsatResult parallel =
-            DimsatParallel(ds, base, options, threads);
+        options.num_threads = threads;
+        const DimsatResult parallel = RunDimsat(ds, base, options);
         ASSERT_OK(parallel.status);
         EXPECT_EQ(parallel.satisfiable, sequential.satisfiable)
             << "seed " << seed << " threads " << threads;
@@ -250,7 +245,7 @@ TEST(DecomposeCheckpointTest, InterruptedChainMatchesUninterrupted) {
     full_options.enumerate_all = true;
     full_options.decompose = true;
     full_options.branch_heuristic = true;
-    const DimsatResult full = Dimsat(ds, base, full_options);
+    const DimsatResult full = RunDimsat(ds, base, full_options);
     ASSERT_OK(full.status);
 
     // Interrupt every few expand calls; resume until the chain runs to
@@ -260,7 +255,7 @@ TEST(DecomposeCheckpointTest, InterruptedChainMatchesUninterrupted) {
     DimsatOptions chunk_options = full_options;
     chunk_options.max_expand_calls = 7;
     chunk_options.checkpoint = &checkpoint;
-    DimsatResult result = Dimsat(ds, base, chunk_options);
+    DimsatResult result = RunDimsat(ds, base, chunk_options);
     int resumes = 0;
     while (!checkpoint.empty()) {
       ASSERT_LT(resumes, 10000) << "resume chain does not converge";
@@ -292,7 +287,7 @@ TEST(DecomposeCheckpointTest, DecomposedCheckpointNeedsMatchingOptions) {
   options.decompose = true;
   options.max_expand_calls = 5;
   options.checkpoint = &checkpoint;
-  const DimsatResult interrupted = Dimsat(ds, base, options);
+  const DimsatResult interrupted = RunDimsat(ds, base, options);
   ASSERT_FALSE(interrupted.status.ok());
   ASSERT_FALSE(checkpoint.empty());
   ASSERT_GT(checkpoint.num_components, 0);

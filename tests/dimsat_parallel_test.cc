@@ -1,5 +1,6 @@
-// Tests for the parallel DIMSAT driver: semantic equivalence with the
-// sequential search across thread counts, workloads, and modes, plus
+// Tests for parallel DIMSAT (RunDimsat with num_threads > 1): semantic
+// equivalence with the sequential search across thread counts,
+// workloads, and modes, the expand-call cap over the whole run, plus
 // prompt propagation of Budget cancellation to every worker.
 
 #include <gtest/gtest.h>
@@ -37,9 +38,10 @@ TEST(ParallelDimsatTest, LocationEnumerationMatchesSequential) {
   CategoryId store = ds.hierarchy().FindCategory("Store");
   DimsatOptions options;
   options.enumerate_all = true;
-  DimsatResult sequential = Dimsat(ds, store, options);
+  DimsatResult sequential = RunDimsat(ds, store, options);
   for (int threads : {1, 2, 4, 8}) {
-    DimsatResult parallel = DimsatParallel(ds, store, options, threads);
+    options.num_threads = threads;
+    DimsatResult parallel = RunDimsat(ds, store, options);
     ASSERT_OK(parallel.status);
     EXPECT_EQ(Canonical(parallel.frozen, ds.hierarchy()),
               Canonical(sequential.frozen, ds.hierarchy()))
@@ -54,8 +56,9 @@ TEST(ParallelDimsatTest, ExplicitPoolIsUsed) {
   DimsatOptions options;
   options.enumerate_all = true;
   options.pool = &pool;
-  DimsatResult sequential = Dimsat(ds, store, options);
-  DimsatResult parallel = DimsatParallel(ds, store, options, 3);
+  DimsatResult sequential = RunDimsat(ds, store, options);
+  options.num_threads = 3;
+  DimsatResult parallel = RunDimsat(ds, store, options);
   ASSERT_OK(parallel.status);
   EXPECT_EQ(Canonical(parallel.frozen, ds.hierarchy()),
             Canonical(sequential.frozen, ds.hierarchy()));
@@ -67,7 +70,9 @@ TEST(ParallelDimsatTest, ExplicitPoolIsUsed) {
 TEST(ParallelDimsatTest, DecisionModeFindsAWitness) {
   ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
   CategoryId store = ds.hierarchy().FindCategory("Store");
-  DimsatResult r = DimsatParallel(ds, store, {}, 4);
+  DimsatOptions options;
+  options.num_threads = 4;
+  DimsatResult r = RunDimsat(ds, store, options);
   ASSERT_OK(r.status);
   EXPECT_TRUE(r.satisfiable);
   ASSERT_FALSE(r.frozen.empty());
@@ -81,7 +86,9 @@ TEST(ParallelDimsatTest, UnsatisfiableStaysUnsatisfiable) {
       testing_util::ParseC(ds.hierarchy(), "!SaleRegion/Country"));
   CategoryId store = ds.hierarchy().FindCategory("Store");
   for (int threads : {2, 4}) {
-    DimsatResult r = DimsatParallel(extended, store, {}, threads);
+    DimsatOptions options;
+    options.num_threads = threads;
+    DimsatResult r = RunDimsat(extended, store, options);
     ASSERT_OK(r.status);
     EXPECT_FALSE(r.satisfiable);
   }
@@ -89,23 +96,10 @@ TEST(ParallelDimsatTest, UnsatisfiableStaysUnsatisfiable) {
 
 TEST(ParallelDimsatTest, AllRootFallsBackToSequential) {
   ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  DimsatResult r = DimsatParallel(ds, ds.hierarchy().all(), {}, 4);
-  EXPECT_TRUE(r.satisfiable);
-}
-
-TEST(ParallelDimsatTest, StaticPartitionMatchesSequential) {
-  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  CategoryId store = ds.hierarchy().FindCategory("Store");
   DimsatOptions options;
-  options.enumerate_all = true;
-  DimsatResult sequential = Dimsat(ds, store, options);
-  for (int threads : {2, 4}) {
-    DimsatResult parallel = DimsatParallelStatic(ds, store, options, threads);
-    ASSERT_OK(parallel.status);
-    EXPECT_EQ(Canonical(parallel.frozen, ds.hierarchy()),
-              Canonical(sequential.frozen, ds.hierarchy()))
-        << threads << " threads (static partition)";
-  }
+  options.num_threads = 4;
+  DimsatResult r = RunDimsat(ds, ds.hierarchy().all(), options);
+  EXPECT_TRUE(r.satisfiable);
 }
 
 // A cancelled Budget must stop every worker promptly: cancellation is
@@ -138,9 +132,10 @@ TEST(ParallelDimsatTest, CancelStopsAllWorkersPromptly) {
   options.max_frozen = 1u << 20;
   options.max_expand_calls = ~0ull;
   options.budget = &budget;
+  options.num_threads = 4;
 
   DimsatResult result;
-  std::thread runner([&] { result = DimsatParallel(ds, base, options, 4); });
+  std::thread runner([&] { result = RunDimsat(ds, base, options); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const auto cancel_time = std::chrono::steady_clock::now();
   source.RequestCancel();
@@ -156,6 +151,92 @@ TEST(ParallelDimsatTest, CancelStopsAllWorkersPromptly) {
   EXPECT_LT(drain_ms, 10000.0) << "workers did not stop promptly";
   EXPECT_EQ(result.status.code(), StatusCode::kCancelled)
       << result.status.ToString();
+}
+
+// bench/parallel_speedup's uniform workload: 84,177 EXPANDs over 309
+// work-stealing tasks when enumerated in full.
+DimensionSchema UniformWorkload() {
+  SchemaGenOptions schema_options;
+  schema_options.num_levels = 5;
+  schema_options.categories_per_level = 3;
+  schema_options.extra_edge_prob = 0.25;
+  schema_options.seed = 4;
+  auto hierarchy = GenerateLayeredHierarchy(schema_options);
+  OLAPDC_CHECK(hierarchy.ok()) << hierarchy.status().ToString();
+  ConstraintGenOptions constraint_options;
+  constraint_options.into_fraction = 0.4;
+  constraint_options.num_choice_constraints = 2;
+  constraint_options.num_equality_constraints = 2;
+  constraint_options.seed = 29;
+  auto ds = GenerateConstrainedSchema(*hierarchy, constraint_options);
+  OLAPDC_CHECK(ds.ok()) << ds.status().ToString();
+  return *std::move(ds);
+}
+
+// The ablation bench's mc4: four independent components, which a
+// decomposed run searches as one task each.
+DimensionSchema FourComponentWorkload() {
+  MultiComponentGenOptions options;
+  options.num_components = 4;
+  options.levels_per_component = 2;
+  options.categories_per_level = 3;
+  options.seed = 23;
+  auto ds = GenerateMultiComponentSchema(options);
+  OLAPDC_CHECK(ds.ok()) << ds.status().ToString();
+  return *std::move(ds);
+}
+
+// max_expand_calls caps the whole run, not each pool task or component
+// search: a parallel run is exhausted exactly when the sequential run
+// with the same cap is, and never counts more EXPANDs than the cap.
+TEST(ParallelDimsatTest, ExpandCapBoundsTheWholeRun) {
+  struct Case {
+    const char* name;
+    DimensionSchema ds;
+    bool decompose;
+  };
+  const Case cases[] = {{"uniform", UniformWorkload(), false},
+                        {"mc4", FourComponentWorkload(), true}};
+  for (const Case& c : cases) {
+    const CategoryId base = c.ds.hierarchy().FindCategory("Base");
+    for (uint64_t cap : {100, 1000, 10000}) {
+      DimsatOptions options;
+      options.enumerate_all = true;
+      options.decompose = c.decompose;
+      options.max_expand_calls = cap;
+      const DimsatResult sequential = RunDimsat(c.ds, base, options);
+      const bool exhausted =
+          sequential.status.code() == StatusCode::kResourceExhausted;
+      if (!exhausted) ASSERT_OK(sequential.status);
+      EXPECT_LE(sequential.stats.expand_calls, cap);
+      for (int threads : {2, 4}) {
+        exec::WorkStealingPool pool(threads);
+        options.num_threads = threads;
+        options.pool = &pool;
+        const DimsatResult parallel = RunDimsat(c.ds, base, options);
+        const std::string where = std::string(c.name) + " cap " +
+                                  std::to_string(cap) + " threads " +
+                                  std::to_string(threads);
+        EXPECT_GT(parallel.stats.parallel_tasks, 0u) << where;
+        EXPECT_LE(parallel.stats.expand_calls, cap) << where;
+        EXPECT_EQ(parallel.status.code() == StatusCode::kResourceExhausted,
+                  exhausted)
+            << where << ": " << parallel.status.ToString();
+        if (exhausted) {
+          // Every slot of the shared count went to exactly one EXPAND.
+          EXPECT_EQ(parallel.stats.expand_calls, cap) << where;
+        } else {
+          EXPECT_TRUE(parallel.status.ok())
+              << where << ": " << parallel.status.ToString();
+          EXPECT_EQ(parallel.stats.expand_calls,
+                    sequential.stats.expand_calls)
+              << where;
+          EXPECT_EQ(parallel.frozen.size(), sequential.frozen.size())
+              << where;
+        }
+      }
+    }
+  }
 }
 
 class ParallelRandomTest : public ::testing::TestWithParam<int> {};
@@ -180,15 +261,18 @@ TEST_P(ParallelRandomTest, MatchesSequentialOnRandomSchemas) {
 
   DimsatOptions options;
   options.enumerate_all = true;
-  DimsatResult sequential = Dimsat(*ds, base, options);
+  DimsatResult sequential = RunDimsat(*ds, base, options);
   ASSERT_OK(sequential.status);
-  DimsatResult parallel = DimsatParallel(*ds, base, options, 4);
+  options.num_threads = 4;
+  DimsatResult parallel = RunDimsat(*ds, base, options);
   ASSERT_OK(parallel.status);
   EXPECT_EQ(Canonical(parallel.frozen, ds->hierarchy()),
             Canonical(sequential.frozen, ds->hierarchy()))
       << "seed " << seed;
   // Decision mode agrees on satisfiability.
-  DimsatResult decision = DimsatParallel(*ds, base, {}, 4);
+  DimsatOptions decision_options;
+  decision_options.num_threads = 4;
+  DimsatResult decision = RunDimsat(*ds, base, decision_options);
   EXPECT_EQ(decision.satisfiable, sequential.satisfiable);
 }
 

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "constraint/evaluator.h"
 #include "constraint/parser.h"
@@ -36,7 +38,7 @@ class DimsatLocationTest : public ::testing::Test {
 };
 
 TEST_F(DimsatLocationTest, StoreIsSatisfiable) {
-  DimsatResult r = Dimsat(*ds_, store_);
+  DimsatResult r = RunDimsat(*ds_, store_);
   ASSERT_OK(r.status);
   EXPECT_TRUE(r.satisfiable);
   ASSERT_EQ(r.frozen.size(), 1u);  // first witness only
@@ -81,9 +83,9 @@ TEST_F(DimsatLocationTest, Example11SaleRegionBecomesUnsatisfiable) {
   // only way up is through Country.
   DimensionSchema extended = ds_->WithExtraConstraint(
       ParseC(ds_->hierarchy(), "!SaleRegion/Country"));
-  DimsatResult before = Dimsat(*ds_, sale_region_);
+  DimsatResult before = RunDimsat(*ds_, sale_region_);
   EXPECT_TRUE(before.satisfiable);
-  DimsatResult after = Dimsat(extended, sale_region_);
+  DimsatResult after = RunDimsat(extended, sale_region_);
   ASSERT_OK(after.status);
   EXPECT_FALSE(after.satisfiable);
   // Other categories stay satisfiable (the constraint only bites
@@ -91,19 +93,19 @@ TEST_F(DimsatLocationTest, Example11SaleRegionBecomesUnsatisfiable) {
   // now cannot reach Country — everything must route around it, but
   // (b) forces SaleRegion into every store structure, so Store is
   // unsatisfiable too.
-  EXPECT_FALSE(Dimsat(extended, store_).satisfiable);
-  EXPECT_TRUE(Dimsat(extended, country_).satisfiable);
+  EXPECT_FALSE(RunDimsat(extended, store_).satisfiable);
+  EXPECT_TRUE(RunDimsat(extended, country_).satisfiable);
 }
 
 TEST_F(DimsatLocationTest, AllCategoryAlwaysSatisfiable) {
   // Proposition 1's core: the one-member instance over All.
-  DimsatResult r = Dimsat(*ds_, ds_->hierarchy().all());
+  DimsatResult r = RunDimsat(*ds_, ds_->hierarchy().all());
   EXPECT_TRUE(r.satisfiable);
 }
 
 TEST_F(DimsatLocationTest, EveryLocationCategoryIsSatisfiable) {
   for (CategoryId c = 0; c < ds_->hierarchy().num_categories(); ++c) {
-    EXPECT_TRUE(Dimsat(*ds_, c).satisfiable)
+    EXPECT_TRUE(RunDimsat(*ds_, c).satisfiable)
         << ds_->hierarchy().CategoryName(c);
   }
 }
@@ -117,7 +119,7 @@ TEST_F(DimsatLocationTest, PruningAblationsAgree) {
         options.prune_cycles = cycles;
         options.prune_into = into;
         options.enumerate_all = true;
-        DimsatResult r = Dimsat(*ds_, store_, options);
+        DimsatResult r = RunDimsat(*ds_, store_, options);
         ASSERT_OK(r.status);
         EXPECT_EQ(r.frozen.size(), 4u)
             << "shortcuts=" << shortcuts << " cycles=" << cycles
@@ -134,8 +136,8 @@ TEST_F(DimsatLocationTest, PruningReducesWork) {
   unpruned.prune_shortcuts = false;
   unpruned.prune_cycles = false;
   unpruned.prune_into = false;
-  DimsatResult with_pruning = Dimsat(*ds_, store_, pruned);
-  DimsatResult without_pruning = Dimsat(*ds_, store_, unpruned);
+  DimsatResult with_pruning = RunDimsat(*ds_, store_, pruned);
+  DimsatResult without_pruning = RunDimsat(*ds_, store_, unpruned);
   EXPECT_LT(with_pruning.stats.check_calls,
             without_pruning.stats.check_calls);
   // The incremental Ss test is not complete (DESIGN.md deviations):
@@ -148,7 +150,7 @@ TEST_F(DimsatLocationTest, PruningReducesWork) {
 TEST_F(DimsatLocationTest, TraceRecordsExpansionAndChecks) {
   DimsatOptions options;
   options.collect_trace = true;
-  DimsatResult r = Dimsat(*ds_, store_, options);
+  DimsatResult r = RunDimsat(*ds_, store_, options);
   ASSERT_FALSE(r.trace.empty());
   EXPECT_EQ(r.trace.front().kind, DimsatTraceEvent::Kind::kExpand);
   bool has_success = false;
@@ -165,7 +167,7 @@ TEST_F(DimsatLocationTest, ExpandBudgetExhaustion) {
   DimsatOptions options;
   options.max_expand_calls = 2;
   options.enumerate_all = true;
-  DimsatResult r = Dimsat(*ds_, store_, options);
+  DimsatResult r = RunDimsat(*ds_, store_, options);
   EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted);
 }
 
@@ -173,16 +175,46 @@ TEST_F(DimsatLocationTest, MaxFrozenCap) {
   DimsatOptions options;
   options.enumerate_all = true;
   options.max_frozen = 2;
-  DimsatResult r = Dimsat(*ds_, store_, options);
+  DimsatResult r = RunDimsat(*ds_, store_, options);
   ASSERT_OK(r.status);
   EXPECT_EQ(r.frozen.size(), 2u);
+}
+
+// EXPAND enumerates the subsets of a category's free successor
+// choices as a 32-bit mask. A category with more choices than that is
+// rejected with an error naming it — the process must not abort, at
+// any thread count.
+TEST(DimsatTest, TooWideCategoryIsAnErrorNotAnAbort) {
+  std::vector<std::pair<std::string, std::string>> edges;
+  for (int i = 0; i < 33; ++i) {
+    edges.push_back({"A", "P" + std::to_string(i)});
+    edges.push_back({"P" + std::to_string(i), "All"});
+  }
+  DimensionSchema ds = MakeSchema(edges, {});
+  const CategoryId a = ds.hierarchy().FindCategory("A");
+  for (int threads : {1, 2}) {
+    for (bool enumerate : {false, true}) {
+      DimsatOptions options;
+      options.num_threads = threads;
+      options.enumerate_all = enumerate;
+      DimsatResult r = RunDimsat(ds, a, options);
+      EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+          << threads << " threads: " << r.status.ToString();
+      EXPECT_NE(r.status.message().find("category A has 33"),
+                std::string::npos)
+          << r.status.ToString();
+      EXPECT_FALSE(r.satisfiable);
+    }
+  }
+  // Narrow categories of the same schema still answer.
+  EXPECT_TRUE(RunDimsat(ds, ds.hierarchy().FindCategory("P0")).satisfiable);
 }
 
 TEST(DimsatTest, HierarchyWithoutConstraintsIsAlwaysSatisfiable) {
   DimensionSchema ds = MakeSchema(
       {{"A", "B"}, {"B", "C"}, {"C", "All"}, {"A", "C"}}, {});
   for (CategoryId c = 0; c < ds.hierarchy().num_categories(); ++c) {
-    EXPECT_TRUE(Dimsat(ds, c).satisfiable);
+    EXPECT_TRUE(RunDimsat(ds, c).satisfiable);
   }
 }
 
@@ -193,13 +225,13 @@ TEST(DimsatTest, ContradictoryIntoConstraints) {
   DimensionSchema ds = MakeSchema(
       {{"A", "B"}, {"A", "C"}, {"B", "C"}, {"C", "All"}},
       {"A/B", "A/C"});
-  EXPECT_FALSE(Dimsat(ds, ds.hierarchy().FindCategory("A")).satisfiable);
+  EXPECT_FALSE(RunDimsat(ds, ds.hierarchy().FindCategory("A")).satisfiable);
   // Without pruning the same answer comes out of CHECK.
   DimsatOptions unpruned;
   unpruned.prune_into = false;
   unpruned.prune_shortcuts = false;
   EXPECT_FALSE(
-      Dimsat(ds, ds.hierarchy().FindCategory("A"), unpruned).satisfiable);
+      RunDimsat(ds, ds.hierarchy().FindCategory("A"), unpruned).satisfiable);
 }
 
 TEST(DimsatTest, CyclicSchemaExploredSafely) {

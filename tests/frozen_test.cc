@@ -19,7 +19,7 @@ using testing_util::MakeSchema;
 using testing_util::ParseC;
 
 FrozenDimension SampleFrozen(const DimensionSchema& ds) {
-  DimsatResult r = Dimsat(ds, ds.hierarchy().FindCategory("Store"));
+  DimsatResult r = RunDimsat(ds, ds.hierarchy().FindCategory("Store"));
   OLAPDC_CHECK(r.status.ok() && !r.frozen.empty());
   return r.frozen.front();
 }
@@ -69,7 +69,7 @@ TEST(FrozenTest, FrozenEquals) {
   DimsatOptions options;
   options.enumerate_all = true;
   DimsatResult r =
-      Dimsat(*ds, ds->hierarchy().FindCategory("Store"), options);
+      RunDimsat(*ds, ds->hierarchy().FindCategory("Store"), options);
   ASSERT_OK(r.status);
   ASSERT_GE(r.frozen.size(), 2u);
   EXPECT_TRUE(FrozenEquals(r.frozen[0], r.frozen[0]));

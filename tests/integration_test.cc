@@ -105,7 +105,7 @@ TEST_P(GeneratedPipelineTest, NavigatorNeverLies) {
   constraint_options.seed = seed;
   auto ds = GenerateConstrainedSchema(*hierarchy, constraint_options);
   ASSERT_TRUE(ds.ok());
-  if (!Dimsat(*ds, ds->hierarchy().FindCategory("Base")).satisfiable) {
+  if (!RunDimsat(*ds, ds->hierarchy().FindCategory("Base")).satisfiable) {
     GTEST_SKIP() << "generated schema unsatisfiable at Base";
   }
   RunNavigatorPipeline(*ds, seed, NavigatorMode::kSchemaLevel);

@@ -105,7 +105,7 @@ TEST(MemoryBudgetTest, DimsatEnumerationDegradesUnderByteCap) {
 
   DimsatOptions options;
   options.enumerate_all = true;
-  DimsatResult uncapped = Dimsat(ds, store, options);
+  DimsatResult uncapped = RunDimsat(ds, store, options);
   ASSERT_OK(uncapped.status);
   ASSERT_EQ(uncapped.frozen.size(), 4u);
 
@@ -116,7 +116,7 @@ TEST(MemoryBudgetTest, DimsatEnumerationDegradesUnderByteCap) {
   budget.SetMemory(&memory);
   options.budget = &budget;
   options.budget_check_stride = 1;
-  DimsatResult capped = Dimsat(ds, store, options);
+  DimsatResult capped = RunDimsat(ds, store, options);
   EXPECT_EQ(capped.status.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(capped.stats.Any());  // partial stats, not a blank abort
   EXPECT_LT(capped.frozen.size(), uncapped.frozen.size());

@@ -33,7 +33,7 @@ std::multiset<std::string> FrozenSet(const DimensionSchema& ds,
                                      CategoryId root) {
   DimsatOptions options;
   options.enumerate_all = true;
-  DimsatResult r = Dimsat(ds, root, options);
+  DimsatResult r = RunDimsat(ds, root, options);
   OLAPDC_CHECK(r.status.ok());
   std::multiset<std::string> out;
   for (const FrozenDimension& f : r.frozen) {
@@ -133,10 +133,10 @@ TEST(IsomorphismTest, M3LocationUnderReversedInsertion) {
 
   DimsatOptions options;
   options.enumerate_all = true;
-  DimsatResult a = Dimsat(
+  DimsatResult a = RunDimsat(
       original, original.hierarchy().FindCategory("Store"), options);
   DimsatResult b =
-      Dimsat(renamed, reversed->FindCategory("Store"), options);
+      RunDimsat(renamed, reversed->FindCategory("Store"), options);
   ASSERT_OK(a.status);
   ASSERT_OK(b.status);
   EXPECT_EQ(a.frozen.size(), b.frozen.size());

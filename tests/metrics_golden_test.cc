@@ -103,7 +103,8 @@ TEST_F(MetricsGoldenTest, ParallelDimsatAndExecCountersFlow) {
   DimsatOptions options;
   options.enumerate_all = true;
   options.pool = &pool;
-  DimsatResult r = DimsatParallel(*ds_, store_, options, 3);
+  options.num_threads = 3;
+  DimsatResult r = RunDimsat(*ds_, store_, options);
   ASSERT_OK(r.status);
   ASSERT_EQ(r.frozen.size(), 4u);
 
@@ -138,7 +139,7 @@ TEST_F(MetricsGoldenTest, MemoryAccountingCountersBalance) {
   DimsatOptions options;
   options.enumerate_all = true;
   options.budget = &budget;
-  DimsatResult r = Dimsat(*ds_, store_, options);
+  DimsatResult r = RunDimsat(*ds_, store_, options);
   ASSERT_OK(r.status);
   memory.PublishGauges();
 
@@ -164,7 +165,7 @@ TEST_F(MetricsGoldenTest, MemoryExhaustionCountsOnceAndClassifies) {
   options.enumerate_all = true;
   options.budget = &budget;
   options.budget_check_stride = 1;
-  DimsatResult r = Dimsat(*ds_, store_, options);
+  DimsatResult r = RunDimsat(*ds_, store_, options);
   ASSERT_EQ(r.status.code(), StatusCode::kResourceExhausted);
 
   // Any checker probing the shared Budget now classifies the trip as
@@ -186,7 +187,7 @@ TEST_F(MetricsGoldenTest, CheckpointAndResumeCountersFlow) {
   options.enumerate_all = true;
   options.max_expand_calls = 3;
   options.checkpoint = &cp;
-  DimsatResult interrupted = Dimsat(*ds_, store_, options);
+  DimsatResult interrupted = RunDimsat(*ds_, store_, options);
   ASSERT_EQ(interrupted.status.code(), StatusCode::kResourceExhausted);
   ASSERT_FALSE(cp.empty());
   options.max_expand_calls = UINT64_MAX;
@@ -207,11 +208,12 @@ TEST_F(MetricsGoldenTest, AdmissionCountersMatchGateState) {
   options.enumerate_all = true;
   options.pool = &pool;
   options.admission = &gate;
+  options.num_threads = 2;
 
-  DimsatResult admitted = DimsatParallel(*ds_, store_, options, 2);
+  DimsatResult admitted = RunDimsat(*ds_, store_, options);
   ASSERT_OK(admitted.status);
   ASSERT_OK(gate.TryAdmit());  // saturate by hand
-  DimsatResult shed = DimsatParallel(*ds_, store_, options, 2);
+  DimsatResult shed = RunDimsat(*ds_, store_, options);
   ASSERT_EQ(shed.status.code(), StatusCode::kUnavailable);
   gate.Release();
 

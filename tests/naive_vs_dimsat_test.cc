@@ -33,7 +33,7 @@ TEST(NaiveVsDimsatTest, LocationSchemaAgreesExactly) {
   for (CategoryId c = 0; c < ds.hierarchy().num_categories(); ++c) {
     DimsatOptions options;
     options.enumerate_all = true;
-    DimsatResult dimsat = Dimsat(ds, c, options);
+    DimsatResult dimsat = RunDimsat(ds, c, options);
     ASSERT_OK(dimsat.status);
     NaiveSatOptions naive_options;
     naive_options.enumerate_all = true;
@@ -84,7 +84,7 @@ TEST_P(RandomDifferentialTest, FrozenSetsAgree) {
 
   DimsatOptions dimsat_options;
   dimsat_options.enumerate_all = true;
-  DimsatResult dimsat = Dimsat(*ds, base, dimsat_options);
+  DimsatResult dimsat = RunDimsat(*ds, base, dimsat_options);
   ASSERT_OK(dimsat.status);
 
   NaiveSatOptions naive_options;
@@ -130,8 +130,8 @@ TEST_P(AblationDifferentialTest, UnprunedSearchAgrees) {
   unpruned.prune_cycles = false;
   unpruned.prune_into = false;
 
-  DimsatResult a = Dimsat(*ds, base, pruned);
-  DimsatResult b = Dimsat(*ds, base, unpruned);
+  DimsatResult a = RunDimsat(*ds, base, pruned);
+  DimsatResult b = RunDimsat(*ds, base, unpruned);
   ASSERT_OK(a.status);
   ASSERT_OK(b.status);
   EXPECT_EQ(Canonical(a.frozen, ds->hierarchy()),

@@ -182,7 +182,7 @@ TEST(OrderAtomTest, EqualityAndOrderInteract) {
   };
   DimensionSchema ds(schema, sigma);
   CategoryId product = schema->FindCategory("Product");
-  EXPECT_TRUE(Dimsat(ds, product).satisfiable);
+  EXPECT_TRUE(RunDimsat(ds, product).satisfiable);
 
   // A schema where the named constant contradicts the order atom makes
   // that constant unusable but the category stays satisfiable via nk.
@@ -192,7 +192,7 @@ TEST(OrderAtomTest, EqualityAndOrderInteract) {
       ParseC(*schema, "Product.PriceBand < 50"),
   };
   DimensionSchema ds2(schema, contradictory);
-  EXPECT_FALSE(Dimsat(ds2, product).satisfiable)
+  EXPECT_FALSE(RunDimsat(ds2, product).satisfiable)
       << "name must be '100' but numerically < 50 — impossible";
 }
 
@@ -209,7 +209,7 @@ TEST(OrderAtomTest, NaiveOracleAgreesWithOrderAtoms) {
     CategoryId product = schema->FindCategory("Product");
     DimsatOptions options;
     options.enumerate_all = true;
-    DimsatResult dimsat = Dimsat(ds, product, options);
+    DimsatResult dimsat = RunDimsat(ds, product, options);
     ASSERT_OK(dimsat.status);
     NaiveSatOptions naive_options;
     naive_options.enumerate_all = true;

@@ -27,6 +27,14 @@ TEST(ReportTest, LocationReportMentionsEverything) {
   EXPECT_NE(report.find("all categories satisfiable"), std::string::npos);
   EXPECT_NE(report.find("Washington"), std::string::npos);
   EXPECT_NE(report.find("City->Country"), std::string::npos);  // shortcut
+
+  // `olapdc report --threads N` passes N through: the satisfiability
+  // loop then runs on the pool, and the report is byte-identical.
+  ReportOptions parallel;
+  parallel.dimsat.num_threads = 2;
+  ASSERT_OK_AND_ASSIGN(std::string parallel_report,
+                       HeterogeneityReport(ds, parallel));
+  EXPECT_EQ(parallel_report, report);
 }
 
 TEST(ReportTest, UnsatisfiableCategoryCalledOut) {
@@ -40,15 +48,23 @@ TEST(ReportTest, UnsatisfiableCategoryCalledOut) {
 
 TEST(HomogeneityTest, LocationIsHeterogeneous) {
   ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  ASSERT_OK_AND_ASSIGN(bool homogeneous, IsHomogeneousSchema(ds));
-  EXPECT_FALSE(homogeneous);
+  for (int threads : {1, 2}) {
+    DimsatOptions options;
+    options.num_threads = threads;
+    ASSERT_OK_AND_ASSIGN(bool homogeneous, IsHomogeneousSchema(ds, options));
+    EXPECT_FALSE(homogeneous) << threads << " threads";
+  }
 }
 
 TEST(HomogeneityTest, FullyIntoConstrainedChainIsHomogeneous) {
   DimensionSchema ds = MakeSchema(
       {{"A", "B"}, {"B", "C"}, {"C", "All"}}, {"A/B", "B/C"});
-  ASSERT_OK_AND_ASSIGN(bool homogeneous, IsHomogeneousSchema(ds));
-  EXPECT_TRUE(homogeneous);
+  for (int threads : {1, 2}) {
+    DimsatOptions options;
+    options.num_threads = threads;
+    ASSERT_OK_AND_ASSIGN(bool homogeneous, IsHomogeneousSchema(ds, options));
+    EXPECT_TRUE(homogeneous) << threads << " threads";
+  }
 }
 
 TEST(HomogeneityTest, UnconstrainedDiamondIsHeterogeneous) {

@@ -77,7 +77,7 @@ class AdversarialTest : public ::testing::Test {
     // EXPAND calls, so a generous deadline can reliably interrupt it.
     DimsatOptions probe = EnumerateAllOptions();
     probe.max_expand_calls = kProbeCap;
-    DimsatResult r = Dimsat(*ds_, root_, probe);
+    DimsatResult r = RunDimsat(*ds_, root_, probe);
     ASSERT_EQ(r.status.code(), StatusCode::kResourceExhausted)
         << "generated schema too easy to exercise budgets";
   }
@@ -92,7 +92,7 @@ TEST_F(AdversarialTest, DeadlineStopsSearchWithPartialStats) {
   DimsatOptions options = EnumerateAllOptions();
   options.budget = &budget;
   auto start = std::chrono::steady_clock::now();
-  DimsatResult r = Dimsat(*ds_, root_, options);
+  DimsatResult r = RunDimsat(*ds_, root_, options);
   auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
@@ -113,7 +113,7 @@ TEST_F(AdversarialTest, CancellationStopsSearchWithPartialStats) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     source.RequestCancel();
   });
-  DimsatResult r = Dimsat(*ds_, root_, options);
+  DimsatResult r = RunDimsat(*ds_, root_, options);
   canceller.join();
   EXPECT_EQ(r.status.code(), StatusCode::kCancelled);
   EXPECT_TRUE(r.stats.Any());
@@ -143,7 +143,7 @@ TEST(ResourceExhaustionTest, ExpandCapEmbedsPartialStats) {
   DimsatOptions options;
   options.enumerate_all = true;
   options.max_expand_calls = 2;
-  DimsatResult r = Dimsat(ds, store, options);
+  DimsatResult r = RunDimsat(ds, store, options);
   EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(r.stats.Any());
   EXPECT_GT(r.stats.expand_calls, 0u);
@@ -154,7 +154,7 @@ TEST(ResourceExhaustionTest, PathLimitFailsBeforeSearching) {
   CategoryId store = ds.hierarchy().FindCategory("Store");
   DimsatOptions options;
   options.path_limit = 0;
-  DimsatResult r = Dimsat(ds, store, options);
+  DimsatResult r = RunDimsat(ds, store, options);
   EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted);
   // Exhausted during constraint preparation: no search work yet. This
   // distinction is what stops the Reasoner ladder from retrying it.
@@ -167,7 +167,7 @@ TEST(ResourceExhaustionTest, FrozenCapTruncatesEnumerationCleanly) {
   DimsatOptions options;
   options.enumerate_all = true;
   options.max_frozen = 2;
-  DimsatResult r = Dimsat(ds, store, options);
+  DimsatResult r = RunDimsat(ds, store, options);
   EXPECT_OK(r.status);  // a truncated enumeration is not an error
   EXPECT_EQ(r.frozen.size(), 2u);
 }
@@ -178,7 +178,7 @@ TEST(ResourceExhaustionTest, PreExpiredDeadlineTripsOnFirstCheck) {
   Budget budget = ExpiredBudget();
   DimsatOptions options;
   options.budget = &budget;
-  DimsatResult r = Dimsat(ds, store, options);
+  DimsatResult r = RunDimsat(ds, store, options);
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(r.stats.expand_calls, 0u);
 }
@@ -192,7 +192,7 @@ TEST(ResourceExhaustionTest, PreCancelledTokenStopsEverything) {
   budget.SetCancellation(source.token());
   DimsatOptions options;
   options.budget = &budget;
-  DimsatResult r = Dimsat(ds, store, options);
+  DimsatResult r = RunDimsat(ds, store, options);
   EXPECT_EQ(r.status.code(), StatusCode::kCancelled);
 }
 
@@ -331,7 +331,7 @@ TEST(FaultDegradationTest, ForcedBudgetExhaustionInDimsat) {
   FaultInjector::Global().SetFault("dimsat.expand",
                                    StatusCode::kDeadlineExceeded, 1.0,
                                    "injected deadline");
-  DimsatResult r = Dimsat(ds, store, {});
+  DimsatResult r = RunDimsat(ds, store, {});
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(r.status.message(), "injected deadline");
   EXPECT_GE(FaultInjector::Global().failures("dimsat.expand"), 1u);
@@ -399,7 +399,7 @@ TEST(FaultDegradationTest, ProbabilisticFaultsAreSeedReproducible) {
     for (int i = 0; i < 20; ++i) {
       DimsatOptions options;
       options.enumerate_all = true;
-      codes.push_back(Dimsat(ds, store, options).status.code());
+      codes.push_back(RunDimsat(ds, store, options).status.code());
     }
     return codes;
   };

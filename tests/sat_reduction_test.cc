@@ -15,20 +15,20 @@ TEST(SatReductionTest, TinyFormulas) {
   Cnf sat{1, {{1}}};
   ASSERT_OK_AND_ASSIGN(SatReduction r,
                        ReduceCnfToCategorySatisfiability(sat));
-  EXPECT_TRUE(Dimsat(r.schema, r.query).satisfiable);
+  EXPECT_TRUE(RunDimsat(r.schema, r.query).satisfiable);
 
   // (x1) and (!x1) unsatisfiable.
   Cnf unsat{1, {{1}, {-1}}};
   ASSERT_OK_AND_ASSIGN(SatReduction r2,
                        ReduceCnfToCategorySatisfiability(unsat));
-  EXPECT_FALSE(Dimsat(r2.schema, r2.query).satisfiable);
+  EXPECT_FALSE(RunDimsat(r2.schema, r2.query).satisfiable);
 }
 
 TEST(SatReductionTest, WitnessEncodesModel) {
   // (x1 | x2) & (!x1 | x2): x2 must be true.
   Cnf cnf{2, {{1, 2}, {-1, 2}}};
   ASSERT_OK_AND_ASSIGN(SatReduction r, ReduceCnfToCategorySatisfiability(cnf));
-  DimsatResult result = Dimsat(r.schema, r.query);
+  DimsatResult result = RunDimsat(r.schema, r.query);
   ASSERT_TRUE(result.satisfiable);
   const HierarchySchema& schema = r.schema.hierarchy();
   CategoryId x2 = schema.FindCategory("X2");
@@ -78,7 +78,7 @@ TEST_P(SatDifferentialTest, DimsatAgreesWithBruteForce) {
   const int num_clauses = 4 + (seed % 4) * 6;  // 4, 10, 16, 22
   Cnf cnf = RandomCnf(num_variables, num_clauses, 3, seed);
   ASSERT_OK_AND_ASSIGN(SatReduction r, ReduceCnfToCategorySatisfiability(cnf));
-  DimsatResult result = Dimsat(r.schema, r.query);
+  DimsatResult result = RunDimsat(r.schema, r.query);
   ASSERT_OK(result.status);
   EXPECT_EQ(result.satisfiable, BruteForceCnfSat(cnf)) << "seed " << seed;
   if (result.satisfiable) {

@@ -334,6 +334,33 @@ TEST_F(ServiceTest, RegisterEndpointRoundTripsAndHonorsDisable) {
   EXPECT_NE(denied.body.find("disabled"), std::string::npos) << denied.body;
 }
 
+// A category with more successor choices than EXPAND enumerates is a
+// clean 400 for that request; the service keeps answering.
+TEST_F(ServiceTest, TooWideCategoryIs400AndTheServiceSurvives) {
+  std::string text;
+  for (int i = 0; i < 33; ++i) {
+    text += "edge A P" + std::to_string(i) + "\n";
+    text += "edge P" + std::to_string(i) + " All\n";
+  }
+  DimService service(options_);
+  HttpResponse registered = service.HandleRequest(Post(
+      "/v1/schemas",
+      "{\"name\": \"wide\", \"text\": " + obs::JsonString(text) + "}"));
+  ASSERT_EQ(registered.status, 200) << registered.body;
+
+  HttpResponse wide = service.HandleRequest(
+      Post("/v1/check", "{\"schema\": \"wide\", \"category\": \"A\"}"));
+  EXPECT_EQ(wide.status, 400) << wide.body;
+  EXPECT_NE(wide.body.find("category A has 33"), std::string::npos)
+      << wide.body;
+
+  HttpResponse next = service.HandleRequest(
+      Post("/v1/check", "{\"schema\": \"wide\", \"category\": \"P0\"}"));
+  EXPECT_EQ(next.status, 200) << next.body;
+  EXPECT_NE(next.body.find("\"satisfiable\": true"), std::string::npos)
+      << next.body;
+}
+
 TEST_F(ServiceTest, BatchCapsFanOutAndEmbedsPerItemErrors) {
   options_.max_batch = 2;
   DimService service(options_);

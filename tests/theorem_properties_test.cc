@@ -83,7 +83,7 @@ TEST_P(FrozenModelEquivalenceTest, ImplicationAgreesWithFrozenModels) {
   // Enumerate the minimal models once.
   DimsatOptions enumerate;
   enumerate.enumerate_all = true;
-  DimsatResult frozen = Dimsat(*ds, base, enumerate);
+  DimsatResult frozen = RunDimsat(*ds, base, enumerate);
   ASSERT_OK(frozen.status);
   std::vector<DimensionInstance> models;
   for (const FrozenDimension& f : frozen.frozen) {

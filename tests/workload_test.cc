@@ -96,7 +96,7 @@ TEST_P(GeneratedInstanceValidityTest, InstancesAreModelsOfTheirSchema) {
   if (!d.ok()) {
     // Only acceptable cause: the schema is unsatisfiable at the base.
     EXPECT_FALSE(
-        Dimsat(*ds, ds->hierarchy().FindCategory("Base")).satisfiable)
+        RunDimsat(*ds, ds->hierarchy().FindCategory("Base")).satisfiable)
         << d.status().ToString();
     return;
   }
@@ -166,7 +166,7 @@ TEST(RealisticSchemaTest, HealthcareAndProductAreWellFormed) {
   // Every category satisfiable in both.
   for (const DimensionSchema* ds : {&healthcare, &product}) {
     for (CategoryId c = 0; c < ds->hierarchy().num_categories(); ++c) {
-      EXPECT_TRUE(Dimsat(*ds, c).satisfiable)
+      EXPECT_TRUE(RunDimsat(*ds, c).satisfiable)
           << ds->hierarchy().CategoryName(c);
     }
   }

@@ -249,9 +249,9 @@ int CheckFloors(const std::string& path,
       ++checked;
       // Rows may self-exempt from floors when the claim is unmeasurable
       // on the producing host: "single_core_host" (no parallel speedup
-      // physically possible) or the generic "floor_exempt" (e.g. SIMD
-      // speedups on machines without the vector unit). Failing the gate
-      // there would punish the machine, not catch a regression.
+      // physically possible) or the generic "floor_exempt" (a claim
+      // that needs hardware the host lacks). Failing the gate there
+      // would punish the machine, not catch a regression.
       const JsonValue* single = rows->array[i].Find("single_core_host");
       const JsonValue* generic = rows->array[i].Find("floor_exempt");
       const bool exempted =

@@ -162,7 +162,7 @@ Result<Workload> MakeWorkload(int seed) {
 
   Workload w{std::move(ds), /*root=*/0, /*satisfiable=*/false, {}, {}};
   OLAPDC_ASSIGN_OR_RETURN(w.root, w.ds.hierarchy().CategoryIdOf("Base"));
-  DimsatResult truth = Dimsat(w.ds, w.root, {});
+  DimsatResult truth = RunDimsat(w.ds, w.root, {});
   OLAPDC_RETURN_NOT_OK(truth.status);
   w.satisfiable = truth.satisfiable;
   w.schema_text = SerializeSchema(w.ds);
@@ -212,7 +212,7 @@ RunOutcome RunSequentialWithResume(const Workload& w,
   DimsatCheckpoint cp;
   options.num_threads = 1;
   options.checkpoint = &cp;
-  DimsatResult r = Dimsat(w.ds, w.root, options);
+  DimsatResult r = RunDimsat(w.ds, w.root, options);
   out.status = r.status;
   out.reported_satisfiable = r.satisfiable;
   for (FrozenDimension& f : r.frozen) out.frozen.push_back(std::move(f));
@@ -237,7 +237,7 @@ RunOutcome RunParallelAdmitted(const Workload& w, DimsatOptions options,
   options.num_threads = pool->num_threads();
   options.pool = pool;
   options.admission = gate;
-  DimsatResult r = DimsatParallel(w.ds, w.root, options, pool->num_threads());
+  DimsatResult r = RunDimsat(w.ds, w.root, options);
   out.status = r.status;
   out.reported_satisfiable = r.satisfiable;
   for (FrozenDimension& f : r.frozen) out.frozen.push_back(std::move(f));
@@ -261,7 +261,7 @@ RunOutcome RunReasonerLadder(const Workload& w, const DimsatOptions& base,
   return out;
 }
 
-/// Nested parallel request: a pool task that itself runs DimsatParallel
+/// Nested parallel request: a pool task that itself runs a parallel DIMSAT
 /// on the same pool (the shape of a parallel summarizability sweep,
 /// where per-bottom tasks fan out further). The inner search's
 /// TaskGroup::Wait then runs on a pool *worker*, driving the
@@ -274,8 +274,7 @@ RunOutcome RunNestedParallel(const Workload& w, DimsatOptions options,
   {
     exec::TaskGroup group(pool);
     group.Spawn([&] {
-      DimsatResult r =
-          DimsatParallel(w.ds, w.root, options, options.num_threads);
+      DimsatResult r = RunDimsat(w.ds, w.root, options);
       out.status = std::move(r.status);
       out.reported_satisfiable = r.satisfiable;
       for (FrozenDimension& f : r.frozen) out.frozen.push_back(std::move(f));
