@@ -15,9 +15,12 @@
 //      (the mode that explores whole subtrees instead of stopping at
 //      the first witness, so barren subtrees actually complete and
 //      record), every category of a set of generated schemas with one
-//      shared NoGoodStore: the second sweep shows the expand-call
+//      shared NoGoodStore: each search runs once to fill the store and
+//      once more as an exact repeat, which shows the expand-call
 //      reduction learned pruning buys without any response/closure
-//      short-circuit.
+//      short-circuit. signatures_learned counts the store's entries:
+//      each search's maximal barren subtrees plus one marker per
+//      search key.
 //   3. repeat-fraction sweep — loadgen-shaped traffic where a request
 //      is a repeat of an earlier one with probability f; the achieved
 //      hit ratio and mean latency per f show how the win scales with
@@ -275,7 +278,7 @@ int Run() {
                       : 0.0;
   std::printf(
       "expand calls %llu -> %llu (-%.1f%%), %.0f -> %.0f us, %llu "
-      "signatures learned, %llu warm prunes\n",
+      "store entries (signatures + search markers), %llu warm prunes\n",
       static_cast<unsigned long long>(expand_cold),
       static_cast<unsigned long long>(expand_warm), reduction, cold_us,
       warm_us, static_cast<unsigned long long>(store.size()),

@@ -133,6 +133,37 @@ uint64_t ApproxSubhierarchyBytes(int num_categories) {
   return 3 * n * bitset_bytes + 3 * bitset_bytes + 128;
 }
 
+/// The no-good identity of one search (core/nogood.h): the store, the
+/// semantic option bits and theory salt mixed into every signature,
+/// and the marker of the search key. Learned pruning changes which
+/// nodes are visited, so it is incompatible with the exact-trace
+/// contract of the Figure 7 harness: a trace-collecting run has no
+/// store.
+struct NoGoodKey {
+  NoGoodKey(const DimsatOptions& options, int num_categories,
+            CategoryId root) {
+    if (options.nogoods == nullptr || options.collect_trace) return;
+    store = options.nogoods;
+    bits = (options.prune_shortcuts ? 1u : 0u) |
+           (options.prune_cycles ? 2u : 0u) |
+           (options.prune_into ? 4u : 0u) |
+           (options.require_injective_names ? 8u : 0u);
+    salt = options.nogood_salt;
+    marker = NoGoodStore::Marker(num_categories, root, bits, salt);
+  }
+
+  /// The gate: one lookup, true iff an earlier search with this key
+  /// flushed entries — the only entries a probe of this search could
+  /// hit.
+  bool Seen() const { return store != nullptr && store->Probe(marker); }
+
+  /// Null = learned pruning off.
+  NoGoodStore* store = nullptr;
+  uint32_t bits = 0;
+  uint64_t salt = 0;
+  Fingerprint128 marker;
+};
+
 /// Emits the EXPAND begin/end pair of one search-tree node into the
 /// explain recorder (RAII so every exit path — prune, dead end,
 /// budget stop mid-loop — closes the node). A null recorder (explain
@@ -184,7 +215,8 @@ class DimsatSearch {
                         "dimsat.expand"),
         checkpoint_(options.checkpoint),
         mem_(options.budget != nullptr ? options.budget->memory() : nullptr),
-        g_(schema_.num_categories(), root) {
+        g_(schema_.num_categories(), root),
+        nogood_(options, schema_.num_categories(), root) {
     check_options_.assignment.require_injective =
         options.require_injective_names;
     check_options_.assignment.enumerate_all = options.enumerate_all;
@@ -202,17 +234,7 @@ class DimsatSearch {
     if (obs::SearchTreeRecorder::Global().enabled()) {
       recorder_ = &obs::SearchTreeRecorder::Global();
     }
-    // Learned pruning changes which nodes are visited, so it is
-    // incompatible with the exact-trace contract of the Figure 7
-    // harness: a trace-collecting run ignores the store.
-    if (options.nogoods != nullptr && !options.collect_trace) {
-      nogoods_ = options.nogoods;
-      nogood_bits_ = (options.prune_shortcuts ? 1u : 0u) |
-                     (options.prune_cycles ? 2u : 0u) |
-                     (options.prune_into ? 4u : 0u) |
-                     (options.require_injective_names ? 8u : 0u);
-      nogood_salt_ = options.nogood_salt;
-    }
+    if (nogood_.store != nullptr) learn_cap_ = nogood_.store->capacity();
   }
 
   DimsatResult Run() {
@@ -230,7 +252,9 @@ class DimsatSearch {
       result_.status = std::move(base);
       MaybeCapture(depth, 0);
     } else {
-      Expand(depth);
+      DecideGate();
+      // The starting node has no parent in this search to learn it.
+      if (Expand(depth)) LearnCurrent();
     }
     Finish();
     return std::move(result_);
@@ -250,6 +274,7 @@ class DimsatSearch {
       Finish();
       return std::move(result_);
     }
+    DecideGate();
     for (size_t i = 0; i < from.frames.size(); ++i) {
       if (!ShouldContinue()) {
         if (IsBudgetError(result_.status)) AppendRemaining(&from, i);
@@ -257,7 +282,9 @@ class DimsatSearch {
       }
       DimsatCheckpointFrame& frame = from.frames[i];
       g_ = std::move(frame.g);
-      Expand(frame.depth, frame.next_mask);
+      // Only a fresh frame (next_mask 0) can complete barren; it starts
+      // a subtree of its own, so it learns itself.
+      if (Expand(frame.depth, frame.next_mask)) LearnCurrent();
     }
     Finish();
     return std::move(result_);
@@ -298,7 +325,57 @@ class DimsatSearch {
   /// (decomposed runs); -1 (the default) marks monolithic frames.
   void set_component(int component) { component_ = component; }
 
+  /// Fixes the no-good probe gate instead of looking the search key's
+  /// marker up at start: work-stealing tasks share their run's key, so
+  /// the run looks it up once for all of them.
+  void set_nogood_gate(bool open) {
+    probe_ = open;
+    gate_fixed_ = true;
+  }
+
  private:
+  /// One store lookup per search: only an earlier search with the same
+  /// key can have learned an entry this search's probes could hit, so
+  /// without its marker the search neither signs nor probes a node.
+  void DecideGate() {
+    if (!gate_fixed_) probe_ = nogood_.Seen();
+  }
+
+  /// Buffers g_'s signature for the end-of-search flush, up to what the
+  /// store could retain.
+  void LearnCurrent() {
+    if (learned_.size() >= learn_cap_) return;
+    learned_.push_back(NoGoodStore::Signature(g_, nogood_.bits, nogood_.salt));
+  }
+
+  /// R = Into ∪ {free[i] : bit i of mask}: one subset-loop child.
+  static DynamicBitset ChildChoice(
+      const DynamicBitset& into,
+      const std::array<CategoryId, kMaxFreeChoices>& free, int num_free,
+      uint32_t mask) {
+    DynamicBitset r = into;
+    for (int i = 0; i < num_free; ++i) {
+      if (mask & (uint32_t{1} << i)) r.set(free[i]);
+    }
+    return r;
+  }
+
+  /// Learns the barren children of the node at g_ whose masks sit on
+  /// the frontier stack above `base`, and pops them. Called when the
+  /// node itself did not complete barren, which makes them maximal:
+  /// each is re-applied, signed, and rolled back.
+  void LearnBarrenChildren(CategoryId ctop, const DynamicBitset& into,
+                           const std::array<CategoryId, kMaxFreeChoices>& free,
+                           int num_free, size_t base) {
+    for (size_t i = base; i < barren_masks_.size(); ++i) {
+      g_.ExpandLogged(ctop, ChildChoice(into, free, num_free, barren_masks_[i]),
+                      &undo_);
+      LearnCurrent();
+      g_.Rollback(&undo_);
+    }
+    barren_masks_.resize(base);
+  }
+
   void Trace(DimsatTraceEvent::Kind kind, const Subhierarchy& g) {
     if (!options_.collect_trace ||
         result_.trace.size() >= kMaxTraceEvents) {
@@ -338,6 +415,10 @@ class DimsatSearch {
   void Finish() {
     result_.satisfiable = !result_.frozen.empty();
     result_.stats.frozen_found = result_.frozen.size();
+    // One batch per search, on every exit path.
+    if (nogood_.store != nullptr) {
+      nogood_.store->Learn(nogood_.marker, learned_);
+    }
   }
 
   /// Captures the current node as a checkpoint frame iff a checkpoint
@@ -442,9 +523,18 @@ class DimsatSearch {
   /// already happened in the interrupted run, so the replay recomputes
   /// the derived state silently — that is what keeps interrupted +
   /// resumed statistics exactly equal to an uninterrupted run's.
-  void Expand(int depth, uint32_t start_mask = 0) {
+  ///
+  /// Returns true iff this fresh node of a search with a store
+  /// completed barren under the recording guards: subtree explored
+  /// inline, OK status, no external stop, no frozen dimension below,
+  /// inside max_frozen. The caller decides who learns it
+  /// (core/nogood.h): a parent that completes barren too subsumes it,
+  /// any other parent learns it, and a search's starting node learns
+  /// itself. A node skipped on a store hit returns false: its entry
+  /// exists already.
+  bool Expand(int depth, uint32_t start_mask = 0) {
     const bool fresh = (start_mask == 0);
-    if (!ShouldContinue()) return;
+    if (!ShouldContinue()) return false;
     // Wall-clock / cancellation / memory probe, amortized by the
     // checker so the common case is one branch per EXPAND.
     Status budget = budget_checker_.Check();
@@ -459,23 +549,22 @@ class DimsatSearch {
       RecordExplain(obs::ExplainEvent::Kind::kBudgetStop, depth, -1, -1, -1,
                     result_.stats.expand_calls);
       MaybeCapture(depth, start_mask);
-      return;
+      return false;
     }
     // Learned pruning (core/nogood.h): a node whose signature is a
     // recorded barren subtree is skipped before it is even counted —
-    // the warm path of a repeat query does O(signature) work per
-    // skipped subtree instead of re-exploring it. Replayed checkpoint
-    // nodes (fresh == false) keep their stats contract untouched.
-    Fingerprint128 node_sig;
-    bool have_sig = false;
-    if (fresh && nogoods_ != nullptr) {
-      node_sig = NoGoodStore::Signature(g_, nogood_bits_, nogood_salt_);
-      have_sig = true;
-      if (nogoods_->Probe(node_sig)) {
-        ++result_.stats.nogood_prunes;
-        return;
-      }
+    // the warm path of a repeat search does O(signature) work per
+    // skipped subtree instead of re-exploring it. Only a search whose
+    // gate is open signs and probes; replayed checkpoint nodes
+    // (fresh == false) keep their stats contract untouched.
+    if (fresh && probe_ &&
+        nogood_.store->Probe(
+            NoGoodStore::Signature(g_, nogood_.bits, nogood_.salt))) {
+      ++result_.stats.nogood_prunes;
+      return false;
     }
+    // Only a fresh node of a search with a store joins the frontier.
+    const bool learnable = fresh && nogood_.store != nullptr;
     if (fresh) {
       if (expand_counter_ != nullptr &&
           expand_counter_->fetch_add(1, std::memory_order_relaxed) >=
@@ -488,7 +577,7 @@ class DimsatSearch {
         RecordExplain(obs::ExplainEvent::Kind::kBudgetStop, depth, -1, -1, -1,
                       result_.stats.expand_calls);
         MaybeCapture(depth, 0);
-        return;
+        return false;
       }
       ++result_.stats.expand_calls;
       Trace(DimsatTraceEvent::Kind::kExpand, g_);
@@ -505,17 +594,14 @@ class DimsatSearch {
         // are emitted exactly once across the interrupt/resume pair).
         if (fresh) --result_.stats.expand_calls;
         MaybeCapture(depth, 0);
-        return;
+        return false;
       }
       // A completed subhierarchy that induces no frozen dimension is
       // the leaf form of a barren subtree. The max_frozen guard keeps
-      // a capped enumerate run from recording a leaf whose dimensions
+      // a capped enumerate run from learning a leaf whose dimensions
       // were merely dropped at the cap.
-      if (have_sig && result_.frozen.size() == frozen_before &&
-          result_.frozen.size() < options_.max_frozen) {
-        nogoods_->Record(node_sig);
-      }
-      return;
+      return learnable && result_.frozen.size() == frozen_before &&
+             result_.frozen.size() < options_.max_frozen;
     }
 
     // Line (10): pick a pending top category — lowest id by default,
@@ -590,8 +676,7 @@ class DimsatSearch {
         }
         // An into-pruned node yields nothing under these options, in
         // this run or any future one: a no-good by construction.
-        if (have_sig) nogoods_->Record(node_sig);
-        return;
+        return learnable;
       }
     } else {
       into.clear();
@@ -603,8 +688,7 @@ class DimsatSearch {
         Trace(DimsatTraceEvent::Kind::kDeadEnd, g_);
         RecordExplain(obs::ExplainEvent::Kind::kDeadEnd, depth, ctop);
       }
-      if (have_sig) nogoods_->Record(node_sig);
-      return;
+      return learnable;
     }
 
     // Line (16), corrected: iterate S' over all subsets of the free
@@ -618,7 +702,7 @@ class DimsatSearch {
           std::to_string(num_free) +
           " free successor choices; DIMSAT supports at most " +
           std::to_string(kMaxFreeChoices));
-      return;
+      return false;
     }
     std::array<CategoryId, kMaxFreeChoices> free;
     int next_free = 0;
@@ -626,6 +710,9 @@ class DimsatSearch {
     const bool split = spawner_ && depth < kParallelSplitDepth;
     const uint32_t subsets = uint32_t{1} << num_free;
     const size_t frozen_before_children = result_.frozen.size();
+    // Masks of this node's barren children sit above this mark on the
+    // frontier stack until the node knows whether it is barren too.
+    const size_t frontier_base = barren_masks_.size();
     for (uint32_t mask = start_mask; mask < subsets; ++mask) {
       if (!ShouldContinue()) {
         // A budget stop mid-loop captures this node's continuation
@@ -633,12 +720,10 @@ class DimsatSearch {
         // child before unwinding, keeping frames deepest-first. On
         // non-budget stops (witness found) MaybeCapture is a no-op.
         MaybeCapture(depth, mask);
-        return;
+        LearnBarrenChildren(ctop, into, free, num_free, frontier_base);
+        return false;
       }
-      DynamicBitset r = into;
-      for (int i = 0; i < num_free; ++i) {
-        if (mask & (uint32_t{1} << i)) r.set(free[i]);
-      }
+      const DynamicBitset r = ChildChoice(into, free, num_free, mask);
       if (r.none()) continue;
       if (split) {
         Subhierarchy child = g_;
@@ -646,8 +731,11 @@ class DimsatSearch {
         spawner_(std::move(child), depth + 1);
       } else {
         g_.ExpandLogged(ctop, r, &undo_);
-        Expand(depth + 1);
+        const bool barren_child = Expand(depth + 1);
         g_.Rollback(&undo_);
+        if (barren_child && barren_masks_.size() < learn_cap_) {
+          barren_masks_.push_back(mask);
+        }
       }
     }
     // Interior no-good: the subset loop ran to completion *inline*
@@ -655,14 +743,18 @@ class DimsatSearch {
     // external stop), and no descendant produced a frozen dimension —
     // the subtree below this exact subhierarchy is barren and will be
     // barren in every future run with the same option bits. The
-    // max_frozen guard mirrors the leaf case above.
-    if (have_sig && !split && result_.status.ok() &&
+    // max_frozen guard mirrors the leaf case above. Such a node
+    // subsumes its barren children: a rerun probes it first.
+    if (learnable && !split && result_.status.ok() &&
         (external_stop_ == nullptr ||
          !external_stop_->load(std::memory_order_relaxed)) &&
         result_.frozen.size() == frozen_before_children &&
         result_.frozen.size() < options_.max_frozen) {
-      nogoods_->Record(node_sig);
+      barren_masks_.resize(frontier_base);
+      return true;
     }
+    LearnBarrenChildren(ctop, into, free, num_free, frontier_base);
+    return false;
   }
 
   const DimensionSchema& ds_;
@@ -685,12 +777,18 @@ class DimsatSearch {
   SubhierarchyUndoLog undo_;
   /// Explain recorder, cached at construction (null = --explain off).
   obs::SearchTreeRecorder* recorder_ = nullptr;
-  /// Learned-pruning store (null = off; forced off under
-  /// collect_trace) and the semantic option bits mixed into every
-  /// signature.
-  NoGoodStore* nogoods_ = nullptr;
-  uint32_t nogood_bits_ = 0;
-  uint64_t nogood_salt_ = 0;
+  /// Learned pruning (store null = off; forced off under
+  /// collect_trace).
+  const NoGoodKey nogood_;
+  /// Whether this search signs and probes its nodes (DecideGate).
+  bool probe_ = false;
+  bool gate_fixed_ = false;
+  /// Subset masks of barren children awaiting their parent's verdict,
+  /// and the signatures learned so far (flushed by Finish). Both hold
+  /// at most learn_cap_ entries, what the store could retain.
+  std::vector<uint32_t> barren_masks_;
+  std::vector<Fingerprint128> learned_;
+  uint64_t learn_cap_ = 0;
   DimsatResult result_;
   std::atomic<bool>* external_stop_ = nullptr;
   std::atomic<uint64_t>* expand_counter_ = nullptr;
@@ -910,6 +1008,9 @@ struct WorkStealingRun {
   /// Queued task seeds are charged against the request's memory budget
   /// while they sit in the pool.
   const uint64_t seed_bytes;
+  /// Every task shares the run's search key, so the run decides the
+  /// no-good gate once for all of them.
+  bool probe_nogoods = false;
   std::atomic<bool> stop{false};
   std::mutex mu;
   DimsatResult merged;  // frozen/stats/status guarded by mu
@@ -932,6 +1033,7 @@ void RunSubtreeTask(WorkStealingRun* ws, Subhierarchy seed, int depth) {
   search.set_branch_rank(run.branch_rank);
   search.set_expand_counter(run.expand_counter);
   search.set_external_stop(&ws->stop);
+  search.set_nogood_gate(ws->probe_nogoods);
   search.set_spawner([ws](Subhierarchy&& child, int child_depth) {
     SpawnSubtree(ws, std::move(child), child_depth);
   });
@@ -964,6 +1066,7 @@ void RunSubtreeTask(WorkStealingRun* ws, Subhierarchy seed, int depth) {
 DimsatResult RunWorkStealing(const RunContext& run) {
   const int n = run.ds.hierarchy().num_categories();
   WorkStealingRun ws(run, ApproxSubhierarchyBytes(n));
+  ws.probe_nogoods = NoGoodKey(run.options, n, run.root).Seen();
   SpawnSubtree(&ws, Subhierarchy(n, run.root), 0);
   run.spawner.Wait();
 

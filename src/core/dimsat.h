@@ -120,12 +120,13 @@ struct DimsatOptions {
   /// Learned-pruning store (core/nogood.h); not owned, may be shared
   /// across runs and threads. Null (the default) disables the feature
   /// entirely — existing stats/trace/explain contracts are unchanged.
-  /// When set, barren subtrees are skipped on sight (counted as
-  /// stats.nogood_prunes) and newly completed barren subtrees are
-  /// recorded. The frozen-dimension *set* is unaffected; per-node
-  /// statistics and traces differ from an uncached run, so the store
-  /// is ignored while collect_trace is on (the Figure 7 harness pins
-  /// exact traces). The caller owns epoch discipline: one store must
+  /// When set, each search records its maximal barren subtrees when it
+  /// ends, and a later search with the same root, salt and pruning
+  /// options skips them on sight (counted as stats.nogood_prunes).
+  /// The frozen-dimension *set* is unaffected; per-node statistics
+  /// and traces differ from an uncached run, so the store is ignored
+  /// while collect_trace is on (the Figure 7 harness pins exact
+  /// traces). The caller owns epoch discipline: one store must
   /// only ever see one schema content epoch.
   NoGoodStore* nogoods = nullptr;
   /// Mixed into every no-good signature. A subtree is barren relative

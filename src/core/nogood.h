@@ -8,10 +8,31 @@
 // dimension* — a dead end, an into-prune, a failed CHECK, or a fully
 // enumerated barren interior node — that fact can be memoized as a
 // signature of (g, options) and consulted before ever expanding an
-// identical node again, in this request or any later one against the
-// same Σ epoch. DIMSAT revisits structurally identical subhierarchies
-// constantly (different subset-loop paths converge on the same g), so
-// the store prunes both within one search and across requests.
+// identical node again against the same Σ epoch.
+//
+// What the store can serve: a signature fixes the query root, the
+// theory salt and the option bits (the *search key*), and one search
+// meets each subhierarchy at most once (g determines the EXPAND path
+// that built it). So a probe can only hit entries that an earlier
+// search with the same key learned: an exact repeat of a search — a
+// retry after a deadline, a repeat after both verdict caches evicted
+// the answer, a warm restart that reloaded the store. A novel query
+// never hits, and a search never hits its own entries.
+//
+// The engine (dimsat.cc) therefore pays per hit, not per EXPAND:
+//   * It learns only the maximal barren subtrees. A rerun reaches a
+//     barren node only through its highest barren ancestor, which it
+//     probes first, so that ancestor's entry subsumes every entry
+//     below it. A completed unsatisfiable search stores one entry.
+//   * A search buffers its entries and flushes them once, when it
+//     ends (Learn), together with a marker for its search key.
+//   * A search looks its marker up once when it starts. Only when the
+//     marker is present does it sign and probe its EXPAND nodes;
+//     otherwise no probe could hit. Markers share the byte cap and the
+//     LRU with the entries; evicting one only closes the gate, which
+//     is safe. They serialize as ordinary entries, so a warm restart
+//     keeps probing (files written before markers existed load, but
+//     stay inert until their searches run again).
 //
 // Soundness guards (enforced at the recording sites in dimsat.cc):
 // a node is recorded only when its subtree ran to completion *inline*
@@ -34,6 +55,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/cache_shard.h"
 #include "common/status.h"
@@ -72,12 +94,35 @@ class NoGoodStore {
                                   uint32_t option_bits,
                                   uint64_t theory_salt = 0);
 
-  /// True iff `sig` is a recorded barren subtree; refreshes its LRU
-  /// position.
+  /// Marker of a search key: the universe size, root, option bits and
+  /// theory salt that every node signature of one search starts with.
+  /// Where a node signature continues with its lowest category, the
+  /// marker ends on a word no category id can produce, so no node
+  /// signature can equal it.
+  static Fingerprint128 Marker(int num_categories, int root,
+                               uint32_t option_bits,
+                               uint64_t theory_salt = 0);
+
+  /// True iff `sig` is a recorded barren subtree (or a present
+  /// marker); refreshes its LRU position.
   bool Probe(const Fingerprint128& sig) { return cache_.Contains(sig); }
 
   void Record(const Fingerprint128& sig) {
     cache_.Insert(sig, true, /*value_bytes=*/sizeof(Fingerprint128));
+  }
+
+  /// One search's flush: records its learned node signatures, then the
+  /// marker of its search key, which opens the probe gate of later
+  /// searches with that key. Records nothing when `sigs` is empty.
+  void Learn(const Fingerprint128& marker,
+             const std::vector<Fingerprint128>& sigs);
+
+  /// How many entries the byte cap can retain (UINT64_MAX when
+  /// uncapped). The engine bounds its per-search learning buffers by
+  /// it: a search cannot usefully learn more than the store keeps.
+  uint64_t capacity() const {
+    const uint64_t cap = cache_.max_bytes();
+    return cap == 0 ? UINT64_MAX : cap / kEntryBytes;
   }
 
   uint64_t size() const { return cache_.size(); }
@@ -107,6 +152,8 @@ class NoGoodStore {
  private:
   /// list node + map node + key; the signature itself is the value.
   static constexpr uint64_t kEntryOverheadBytes = 80;
+  static constexpr uint64_t kEntryBytes =
+      kEntryOverheadBytes + sizeof(Fingerprint128);
 
   ShardedCache<Fingerprint128, bool, Fingerprint128Hash> cache_;
 };

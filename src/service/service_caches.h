@@ -8,10 +8,12 @@
 //             against an unchanged epoch is one hash lookup and zero
 //             engine work.
 //   layer b — per-epoch DIMSAT no-good stores (core/nogood.h):
-//             learned barren-subtree signatures shared by every
-//             request against the same epoch, so even *novel* queries
-//             reuse the pruning earlier traffic paid for. The last few
-//             epochs stay live; older ones age out with their stores.
+//             the maximal barren subtrees each search proved, keyed by
+//             the search (root, theory salt, option bits), so an exact
+//             repeat of a search — a retry, a repeat the verdict
+//             layers no longer hold, a warm restart — skips them. A
+//             novel query never hits. The last few epochs stay live;
+//             older ones age out with their stores.
 //   layer c — the shared implication-closure cache
 //             (core/answer_cache.h): canonical-key -> verdict, keyed
 //             under an "e<epoch>/" scope. Survives response-cache
