@@ -13,7 +13,7 @@
 #include "common/budget.h"
 #include "constraint/parser.h"
 #include "core/dimsat.h"
-#include "core/reasoner.h"
+#include "core/implication.h"
 #include "workload/schema_generator.h"
 
 namespace olapdc {
@@ -79,11 +79,12 @@ int Run() {
     }
   }
 
-  // The Reasoner view of the same pressure: a deadline degrades the
-  // query to "unknown" with the partial work accounted, never an error.
-  PrintHeader("Reasoner under the same deadlines (three-valued answers)");
-  std::printf("%12s | %-8s %-20s %10s %8s\n", "deadline_ms", "answer",
-              "reason", "expands", "rungs");
+  // The query view of the same pressure: a deadline degrades Implies()
+  // to "unknown" (a budget status) with the partial work accounted,
+  // never an error.
+  PrintHeader("Implies() under the same deadlines (three-valued answers)");
+  std::printf("%12s | %-8s %-20s %10s\n", "deadline_ms", "answer", "status",
+              "expands");
   bench::PrintRule();
   // A *true* implication is the hard direction: proving it means
   // exhausting the whole search space under the negation (a refutation
@@ -92,14 +93,15 @@ int Run() {
   DimensionConstraint alpha =
       Unwrap(ParseConstraint(ds.hierarchy(), "Base.All"));
   for (int deadline_ms : {10, 50, 200}) {
-    Reasoner reasoner(ds);
     Budget budget = Budget::WithDeadlineMs(deadline_ms);
-    ReasonerAnswer answer = reasoner.QueryImplies(alpha, &budget);
-    std::printf("%12d | %-8s %-20s %10llu %8d\n", deadline_ms,
-                std::string(TruthToString(answer.truth)).c_str(),
-                std::string(StatusCodeToString(answer.reason.code())).c_str(),
-                static_cast<unsigned long long>(answer.work.expand_calls),
-                answer.attempts);
+    DimsatOptions options;
+    options.budget = &budget;
+    ImplicationResult answer = Unwrap(Implies(ds, alpha, options));
+    const char* verdict =
+        !answer.status.ok() ? "unknown" : answer.implied ? "yes" : "no";
+    std::printf("%12d | %-8s %-20s %10llu\n", deadline_ms, verdict,
+                std::string(StatusCodeToString(answer.status.code())).c_str(),
+                static_cast<unsigned long long>(answer.stats.expand_calls));
   }
 
   std::printf("\n%s\n", all_ok

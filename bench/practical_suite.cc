@@ -4,9 +4,9 @@
 // diagnosis dimension, a product catalog) and a battery of implication
 // and summarizability queries per schema, each individually timed.
 //
-// Queries route through the Reasoner (the production entry point), so
-// the timings include its cache and expand-budget ladder, and the run
-// doubles as a Reasoner smoke test. Emits BENCH_reasoner.json.
+// Each query is one call to Implies() or IsSummarizable(), the calls
+// the olapdc CLI and olapdcd make, so the timings are the engine's
+// without any cache in front. Emits BENCH_practical.json.
 
 #include <cstdio>
 #include <string>
@@ -15,7 +15,8 @@
 #include "bench/bench_util.h"
 #include "constraint/parser.h"
 #include "core/location_example.h"
-#include "core/reasoner.h"
+#include "core/implication.h"
+#include "core/summarizability.h"
 #include "workload/realistic.h"
 
 namespace olapdc {
@@ -27,33 +28,30 @@ using bench::Unwrap;
 using bench::WallTimer;
 
 void RunQueries(const std::string& name, const std::string& slug,
-                BenchReporter& reporter, DimensionSchema ds,
+                BenchReporter& reporter, const DimensionSchema& ds,
                 const std::vector<std::string>& implication_queries,
                 const std::vector<std::pair<std::string,
                                             std::vector<std::string>>>&
                     summarizability_queries) {
   PrintHeader(name);
-  Reasoner reasoner(std::move(ds));
-  const HierarchySchema& schema = reasoner.schema().hierarchy();
+  const HierarchySchema& schema = ds.hierarchy();
   double total_ms = 0;
   for (const std::string& text : implication_queries) {
     DimensionConstraint alpha = Unwrap(ParseConstraint(schema, text));
     WallTimer timer;
-    ReasonerAnswer answer = reasoner.QueryImplies(alpha);
+    ImplicationResult answer = Unwrap(Implies(ds, alpha));
     double ms = timer.ElapsedMs();
     total_ms += ms;
-    OLAPDC_CHECK(answer.truth != Truth::kUnknown)
-        << answer.reason.ToString();
+    OLAPDC_CHECK(answer.status.ok()) << answer.status.ToString();
     std::printf("  implied=%-5s %8.3f ms  ds |= %s\n",
-                answer.truth == Truth::kYes ? "yes" : "no", ms, text.c_str());
+                answer.implied ? "yes" : "no", ms, text.c_str());
     reporter.AddRow()
         .Set("schema", slug)
         .Set("kind", "implies")
         .Set("query", text)
-        .Set("answer", std::string_view(TruthToString(answer.truth)))
+        .Set("answer", answer.implied ? "yes" : "no")
         .Set("ms", ms)
-        .Set("attempts", answer.attempts)
-        .Set("expand_calls", answer.work.expand_calls);
+        .Set("expand_calls", answer.stats.expand_calls);
   }
   for (const auto& [target, sources] : summarizability_queries) {
     CategoryId c = Unwrap(schema.CategoryIdOf(target));
@@ -62,35 +60,31 @@ void RunQueries(const std::string& name, const std::string& slug,
       s.push_back(Unwrap(schema.CategoryIdOf(source)));
     }
     WallTimer timer;
-    ReasonerAnswer answer = reasoner.QuerySummarizable(c, s);
+    SummarizabilityResult answer = Unwrap(IsSummarizable(ds, c, s));
     double ms = timer.ElapsedMs();
     total_ms += ms;
-    OLAPDC_CHECK(answer.truth != Truth::kUnknown)
-        << answer.reason.ToString();
+    OLAPDC_CHECK(answer.status.ok()) << answer.status.ToString();
     std::string set;
     for (const std::string& source : sources) {
       set += (set.empty() ? "" : ", ") + source;
     }
     std::printf("  summ.  =%-5s %8.3f ms  %s from {%s}\n",
-                answer.truth == Truth::kYes ? "yes" : "no", ms, target.c_str(),
+                answer.summarizable ? "yes" : "no", ms, target.c_str(),
                 set.c_str());
     reporter.AddRow()
         .Set("schema", slug)
         .Set("kind", "summarizable")
         .Set("query", target + " from {" + set + "}")
-        .Set("answer", std::string_view(TruthToString(answer.truth)))
+        .Set("answer", answer.summarizable ? "yes" : "no")
         .Set("ms", ms)
-        .Set("attempts", answer.attempts)
-        .Set("expand_calls", answer.work.expand_calls);
+        .Set("expand_calls", answer.stats.expand_calls);
   }
-  const Reasoner::Stats& stats = reasoner.stats();
-  std::printf("  total: %.3f ms (%llu queries, %llu cache hits)\n", total_ms,
-              static_cast<unsigned long long>(stats.queries),
-              static_cast<unsigned long long>(stats.hits));
+  std::printf("  total: %.3f ms (%zu queries)\n", total_ms,
+              implication_queries.size() + summarizability_queries.size());
 }
 
 void Run() {
-  BenchReporter reporter("reasoner");
+  BenchReporter reporter("practical");
   RunQueries(
       "E12a: retail (the paper's locationSch)", "location", reporter,
       Unwrap(LocationSchema()),

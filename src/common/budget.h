@@ -8,8 +8,8 @@
 // periodically. The per-run counters (max_expand_calls, path_limit,
 // max_frozen) stay in the procedure options; a Budget is about limits
 // shared across an entire request, possibly spanning many DIMSAT runs
-// (e.g. one Reasoner query = several iterative-deepening rungs under a
-// single deadline).
+// (e.g. one summarizability query = one implication test per bottom
+// category under a single deadline).
 //
 // A Budget is passed by const pointer and is safe to share across
 // threads: Check() only reads the deadline and the cancellation flag.

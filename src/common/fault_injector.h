@@ -3,8 +3,8 @@
 //
 // Production code sprinkles MaybeFail("module.site") probes at the
 // places where a real deployment can fail (budget exhaustion in DIMSAT,
-// parse failures at the I/O boundary, internal errors inside the
-// reasoner). Disarmed — the default — a probe costs one relaxed atomic
+// parse failures at the I/O boundary, failed syscalls in durable
+// writes). Disarmed — the default — a probe costs one relaxed atomic
 // load and returns OK. Tests arm the global injector with a seed and
 // configure, per site, a StatusCode and a probability; each site draws
 // from its own RNG stream seeded from (seed, site name), so the fault

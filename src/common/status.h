@@ -139,21 +139,6 @@ inline bool IsBudgetError(const Status& status) {
   return IsBudgetError(status.code());
 }
 
-/// True for statuses a client may sensibly retry after backing off: the
-/// budget errors (a larger budget may succeed) plus kUnavailable (the
-/// overload that shed the request is transient by definition).
-/// kCancelled is formally a budget error but retrying a request the
-/// caller abandoned is rarely wanted — callers that cancel know they
-/// did.
-inline bool IsRetryableError(StatusCode code) {
-  return code == StatusCode::kResourceExhausted ||
-         code == StatusCode::kDeadlineExceeded ||
-         code == StatusCode::kUnavailable;
-}
-inline bool IsRetryableError(const Status& status) {
-  return IsRetryableError(status.code());
-}
-
 }  // namespace olapdc
 
 /// Propagates a non-OK Status from an expression to the caller.

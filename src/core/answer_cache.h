@@ -1,18 +1,15 @@
-// AnswerCache: the shared implication-closure cache (ROADMAP item 2,
-// layer c). The Reasoner has always memoized definitive answers keyed
-// by the canonical rendering of the query — but per Reasoner instance,
-// so the closure died with the request. An AnswerCache is that same
-// canonical-key -> verdict map grown into a process-wide, thread-safe,
-// epoch-keyed store: callers prefix every key with the (schema, Σ)
-// content epoch (SchemaRegistry::Snapshot::epoch), so a theory edit
-// orphans the old closure atomically and identical questions against
-// an unchanged Σ are answered without any search, across requests,
-// connections, and Reasoner instances.
+// AnswerCache: the shared implication-closure cache (layer c of
+// docs/caching.md) and the one verdict memo of the query layer: a
+// process-wide, thread-safe canonical-key -> verdict map. Callers
+// prefix every key with the (schema, Σ) content epoch
+// (SchemaRegistry::Snapshot::epoch), so a theory edit orphans the old
+// closure atomically and identical questions against an unchanged Σ
+// are answered without any search, across requests and connections.
 //
-// Only definitive verdicts are stored (kUnknown is retried from
-// scratch, exactly as in the single-run cache), which is what makes
-// sharing sound: a definitive answer against an immutable schema
-// content is true forever under that epoch.
+// Only definitive verdicts are stored (a budget-truncated "unknown" is
+// recomputed on the next ask), which is what makes sharing sound: a
+// definitive answer against an immutable schema content is true
+// forever under that epoch.
 
 #ifndef OLAPDC_CORE_ANSWER_CACHE_H_
 #define OLAPDC_CORE_ANSWER_CACHE_H_

@@ -171,7 +171,7 @@ struct DimsatStats {
 };
 
 /// Accumulates `delta` into `total` (parallel-worker merges, the
-/// summarizability per-bottom sweep, the Reasoner retry ladder).
+/// summarizability per-bottom sweep).
 void AccumulateStats(DimsatStats* total, const DimsatStats& delta);
 
 /// Publishes one finished run's statistics into the global metrics
@@ -211,7 +211,7 @@ struct DimsatResult {
 
 /// Decides whether `root` is satisfiable in `ds` (Theorem 3 / Figure
 /// 6) — the one entry point every layer uses (implication,
-/// summarizability, Reasoner, service, CLI). options.num_threads <= 1
+/// summarizability, service, CLI). options.num_threads <= 1
 /// searches on the calling thread; > 1 runs on the work-stealing pool
 /// unless a trace or a checkpoint capture is requested, which pin the
 /// sequential search. A parallel run is semantically identical to the

@@ -1,5 +1,6 @@
 #include "core/summarizability.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -18,9 +19,16 @@ Result<DimensionConstraint> SummarizabilityConstraint(
   }
   std::vector<ExprPtr> through;
   through.reserve(s.size());
-  for (CategoryId ci : s) {
+  for (size_t i = 0; i < s.size(); ++i) {
+    const CategoryId ci = s[i];
     if (ci < 0 || ci >= schema.num_categories()) {
       return Status::InvalidArgument("category id out of range in S");
+    }
+    // Theorem 1's S is a set: a repeated ci would turn ⊙ into one(a, a),
+    // which is never true, so the question would not be the paper's.
+    if (std::find(s.begin(), s.begin() + i, ci) != s.begin() + i) {
+      return Status::InvalidArgument("category '" + schema.CategoryName(ci) +
+                                     "' appears more than once in S");
     }
     through.push_back(MakeThroughAtom(bottom, ci, c));
   }

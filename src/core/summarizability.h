@@ -22,6 +22,7 @@ namespace olapdc {
 
 /// Builds the Theorem 1 test constraint for one bottom category:
 ///   cb.c ⊃ ⊙_{ci in S} cb.ci.c
+/// S is a set: an out-of-range or repeated id is InvalidArgument.
 Result<DimensionConstraint> SummarizabilityConstraint(
     const HierarchySchema& schema, CategoryId bottom, CategoryId c,
     const std::vector<CategoryId>& s);

@@ -7,7 +7,7 @@
 // retry-after-ms hint instead of degrading everyone. kUnavailable is
 // deliberately distinct from the budget errors: a shed request has done
 // no work, carries no partial result, and is safe to retry verbatim
-// after backing off (RetryPolicy parses the hint).
+// after backing off for the hinted interval.
 //
 // The retry-after hint adapts to the observed drain rate: the gate
 // keeps an EWMA of the interval between Release() calls, so the hint
@@ -16,8 +16,8 @@
 // too lazy under light ones). Options::retry_after_ms is the floor and
 // the fallback before any release has been observed. The hint has one
 // source of truth — RetryAfterMsHint() — embedded in the kUnavailable
-// message for CLI/RetryPolicy consumers and parsed back out by the
-// HTTP layer for the Retry-After header.
+// message the CLI prints and parsed back out by the HTTP layer for
+// the Retry-After header.
 //
 // Drain: BeginDrain() flips the gate into shedding everything (new
 // work is refused during shutdown) while in-flight requests keep their

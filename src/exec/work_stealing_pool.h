@@ -1,7 +1,7 @@
 // Work-stealing thread pool: the execution layer under the parallel
-// DIMSAT driver, the summarizability sweep, and the Reasoner ladder
-// (DESIGN.md §8). Each worker owns a Chase–Lev deque (task_deque.h);
-// external threads submit through a mutex-protected injector queue.
+// DIMSAT driver and the summarizability sweep (DESIGN.md §8). Each
+// worker owns a Chase–Lev deque (task_deque.h); external threads
+// submit through a mutex-protected injector queue.
 // Idle workers scan own-deque -> random victims -> injector, then park
 // on a condition variable; a pending-work hint plus a sleepers counter
 // close the missed-wakeup race.
@@ -146,7 +146,7 @@ class WorkStealingPool {
 };
 
 /// Lazily constructed process-wide pool shared by every parallel
-/// caller (CLI, Reasoner, summarizability). Sized by
+/// caller (CLI, service, summarizability). Sized by
 /// SetProcessPoolThreads() if called before first use, else the
 /// OLAPDC_THREADS environment variable, else hardware_concurrency.
 /// Never destroyed (workers park when idle), so exit order is a

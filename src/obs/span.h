@@ -1,10 +1,10 @@
 // ObsSpan: structured trace spans for the search procedures.
 //
-// A span brackets one logical operation (a DIMSAT run, a Reasoner
+// A span brackets one logical operation (a DIMSAT run, an implication
 // query, a parse) and records its wall-clock extent, its process-unique
-// id, its parent span, its nesting depth (a Reasoner query *contains*
-// the DIMSAT runs of its ladder rungs), and a small set of key/value
-// stats attached by the operation (expand calls, cache hit, root
+// id, its parent span, its nesting depth (an implication query
+// *contains* its DIMSAT run), and a small set of key/value
+// stats attached by the operation (expand calls, outcome, root
 // category, ...). Completed spans are appended to the global TraceSink
 // as one JSON object per line (JSONL) — the `--trace=<path>` CLI output
 // — so search behavior can be replayed and diffed offline without a

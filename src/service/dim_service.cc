@@ -468,7 +468,7 @@ HttpResponse DimService::DoSummarizable(const JsonValue& body,
 
   // Canonical form: target id plus the source ids sorted (ExactlyOne
   // over the through-atoms is order-independent, so sorting is
-  // semantics-preserving; duplicates are kept — one(x, x) != one(x)).
+  // semantics-preserving).
   ServiceCaches* const caches = options_.caches;
   std::string closure_key, response_key;
   uint64_t theory_salt = 0;

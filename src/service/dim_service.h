@@ -7,8 +7,8 @@
 //   admission  — an AdmissionGate ticket is taken before any work;
 //                overload (or drain) sheds with 503 and a Retry-After
 //                header derived from the gate's adaptive hint (the
-//                same "retry-after-ms=" hint the CLI/RetryPolicy
-//                parse — one source of truth).
+//                same "retry-after-ms=" hint the CLI prints — one
+//                source of truth).
 //   budgets    — every request runs under its own Budget: a clamped
 //                deadline, the service-wide drain cancellation token,
 //                and a fresh per-request MemoryBudget, so one greedy

@@ -17,8 +17,7 @@
 //   layer c — the shared implication-closure cache
 //             (core/answer_cache.h): canonical-key -> verdict, keyed
 //             under an "e<epoch>/" scope. Survives response-cache
-//             eviction (a verdict is ~100 bytes, a body ~300) and
-//             feeds both DimService and any Reasoner given the scope.
+//             eviction (a verdict is ~100 bytes, a body ~300).
 //
 // Invalidation is the registry's epoch model: a replaced theory gets a
 // new content fingerprint, every key under the old epoch goes
@@ -107,14 +106,14 @@ class ServiceCaches {
   /// by DimService; cheap (a handful of uncontended shard locks).
   void PublishGauges() const;
 
-  /// Persistence for warm restarts (`olapdcd --nogood-file` and the
-  /// snapshot plane): `olapdc-nogood-stores v1` — each live store
-  /// serialized with its epoch, so a reload only ever re-attaches
-  /// learned pruning to the byte-identical theory it was learned
-  /// against. LoadNoGoods is all-or-nothing: the text is parsed into
-  /// staging stores first and committed only if every store parses,
-  /// so truncated or corrupted input returns ParseError and loads
-  /// nothing (tests/snapshot_test.cc's adversarial corpus).
+  /// Persistence for warm restarts (the `section nogoods` of the
+  /// olapdcd snapshot, service/snapshot.h): `olapdc-nogood-stores v1`
+  /// — each live store serialized with its epoch, so a reload only
+  /// ever re-attaches learned pruning to the byte-identical theory it
+  /// was learned against. LoadNoGoods is all-or-nothing: the text is
+  /// parsed into staging stores first and committed only if every
+  /// store parses, so truncated or corrupted input returns ParseError
+  /// and loads nothing (tests/snapshot_test.cc's adversarial corpus).
   std::string SerializeNoGoods() const;
   Status LoadNoGoods(std::string_view text);
 

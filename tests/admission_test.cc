@@ -1,15 +1,14 @@
 // AdmissionGate: shed-don't-queue semantics (kUnavailable with a
 // retry-after-ms hint, no partial work), the Ticket RAII, the hint
-// parser RetryPolicy consumes, and the end-to-end property — a
-// parallel RunDimsat request arriving beyond the gate's high-water mark is
-// shed before doing any work, and runs normally once the gate drains.
+// parser, and the end-to-end property — a parallel RunDimsat request
+// arriving beyond the gate's high-water mark is shed before doing any
+// work, and runs normally once the gate drains.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 
-#include "common/retry.h"
 #include "common/status.h"
 #include "core/dimsat.h"
 #include "core/location_example.h"
@@ -70,11 +69,6 @@ TEST(AdmissionGateTest, RetryAfterHintRoundTrips) {
 
   EXPECT_EQ(exec::RetryAfterMsFromStatus(Status::OK()), 0);
   EXPECT_EQ(exec::RetryAfterMsFromStatus(Status::Unavailable("no hint")), 0);
-  // A shed is transient by design: the retry policy classifies it as
-  // retryable, unlike a hard error.
-  RetryPolicy policy;
-  EXPECT_TRUE(policy.ShouldRetry(shed, 0));
-  EXPECT_FALSE(policy.ShouldRetry(Status::Internal("boom"), 0));
 }
 
 TEST(AdmissionGateTest, AdaptiveHintTracksObservedDrainRate) {

@@ -19,7 +19,6 @@
 #include "core/checkpoint.h"
 #include "core/dimsat.h"
 #include "core/location_example.h"
-#include "core/reasoner.h"
 #include "tests/test_util.h"
 #include "workload/schema_generator.h"
 
@@ -293,39 +292,6 @@ TEST(CheckpointTest, DeserializeRejectsGarbage) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-}
-
-// The Reasoner's iterative-deepening ladder carries the frontier across
-// rungs: with a tiny first rung the query still answers correctly, and
-// the resumed rungs are visible in the stats.
-TEST(CheckpointTest, ReasonerLadderResumesAcrossRungs) {
-  DimensionSchema ds = RandomSchema(3);
-  CategoryId base = ds.hierarchy().FindCategory("Base");
-  DimsatResult truth = RunDimsat(ds, base, {});
-  ASSERT_OK(truth.status);
-
-  ReasonerOptions options;
-  options.initial_expand_budget = 2;
-  options.expand_budget_growth = 2;
-  options.max_attempts = 40;
-  Reasoner resuming(ds, options);
-  ReasonerAnswer answer = resuming.QuerySatisfiable(base);
-  ASSERT_TRUE(answer.definitive()) << answer.reason.ToString();
-  EXPECT_EQ(answer.yes(), truth.satisfiable);
-
-  options.resume_from_checkpoint = false;
-  Reasoner restarting(ds, options);
-  ReasonerAnswer baseline = restarting.QuerySatisfiable(base);
-  ASSERT_TRUE(baseline.definitive()) << baseline.reason.ToString();
-  EXPECT_EQ(baseline.yes(), answer.yes());
-  EXPECT_EQ(restarting.stats().checkpoint_resumes, 0u);
-
-  if (answer.attempts > 1) {
-    EXPECT_GT(resuming.stats().checkpoint_resumes, 0u);
-    // Continuing beats restarting: the resuming ladder never re-expands
-    // a node, so its total work is bounded by the restarting ladder's.
-    EXPECT_LE(answer.work.expand_calls, baseline.work.expand_calls);
-  }
 }
 
 }  // namespace

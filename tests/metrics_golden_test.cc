@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 
 #include "common/budget.h"
@@ -14,7 +15,6 @@
 #include "core/dimsat.h"
 #include "core/implication.h"
 #include "core/location_example.h"
-#include "core/reasoner.h"
 #include "exec/admission.h"
 #include "exec/work_stealing_pool.h"
 #include "obs/metrics.h"
@@ -283,20 +283,33 @@ TEST_F(MetricsGoldenTest, PrometheusExpositionCoversEveryFamily) {
   EXPECT_NE(text.find("olapdc_dimsat_prune_shortcut"), std::string::npos);
 }
 
-TEST_F(MetricsGoldenTest, ImplicationAndReasonerCountersFlow) {
-  Reasoner reasoner(*ds_);
-  ReasonerAnswer first = reasoner.QuerySatisfiable(store_);
-  EXPECT_EQ(first.truth, Truth::kYes);
-  ReasonerAnswer second = reasoner.QuerySatisfiable(store_);
-  EXPECT_TRUE(second.from_cache);
+TEST_F(MetricsGoldenTest, ImplicationCountersFlow) {
+  const HierarchySchema& schema = ds_->hierarchy();
+  ASSERT_OK_AND_ASSIGN(
+      ImplicationResult implied,
+      Implies(*ds_, testing_util::ParseC(schema, "Store.Country")));
+  EXPECT_TRUE(implied.implied);
+  ASSERT_OK_AND_ASSIGN(
+      ImplicationResult refuted,
+      Implies(*ds_, testing_util::ParseC(schema, "Store.State")));
+  EXPECT_FALSE(refuted.implied);
+  EXPECT_TRUE(refuted.counterexample.has_value());
+  Budget expired = Budget::WithDeadline(std::chrono::milliseconds(-1));
+  DimsatOptions options;
+  options.budget = &expired;
+  ASSERT_OK_AND_ASSIGN(
+      ImplicationResult unknown,
+      Implies(*ds_, testing_util::ParseC(schema, "Store.Country"), options));
+  EXPECT_EQ(unknown.status.code(), StatusCode::kDeadlineExceeded);
 
   obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-  EXPECT_EQ(snapshot.counter("olapdc.reasoner.queries"), 2u);
-  EXPECT_EQ(snapshot.counter("olapdc.reasoner.cache_hits"), 1u);
-  EXPECT_EQ(snapshot.counter("olapdc.reasoner.cache_misses"), 1u);
-  EXPECT_EQ(snapshot.counter("olapdc.reasoner.unknown"), 0u);
-  // The miss ran DIMSAT underneath; its run counter flows too.
-  EXPECT_GE(snapshot.counter("olapdc.dimsat.runs"), 1u);
+  EXPECT_EQ(snapshot.counter("olapdc.implication.queries"), 3u);
+  EXPECT_EQ(snapshot.counter("olapdc.implication.implied"), 1u);
+  EXPECT_EQ(snapshot.counter("olapdc.implication.not_implied"), 1u);
+  EXPECT_EQ(snapshot.counter("olapdc.implication.counterexamples"), 1u);
+  EXPECT_EQ(snapshot.counter("olapdc.implication.unknown"), 1u);
+  // Each query ran DIMSAT underneath; its run counter flows too.
+  EXPECT_EQ(snapshot.counter("olapdc.dimsat.runs"), 3u);
 }
 
 }  // namespace

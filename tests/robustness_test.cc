@@ -1,9 +1,10 @@
 // Robustness tests: every resource-exhaustion path (expand-call cap,
 // path limit, frozen cap, wall-clock deadline, cancellation) must stop
 // the procedures early with the right status code and the partial
-// statistics accumulated so far; the Reasoner ladder must degrade to
-// kUnknown instead of erroring; and each degradation path must be
-// reproducible deterministically through the fault injector.
+// statistics accumulated so far; an implication query must degrade to
+// "unknown" (a budget status on its result) instead of erroring; and
+// each degradation path must be reproducible deterministically through
+// the fault injector.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 #include "core/implication.h"
 #include "core/location_example.h"
 #include "core/naive_sat.h"
-#include "core/reasoner.h"
 #include "core/summarizability.h"
 #include "io/instance_io.h"
 #include "io/schema_io.h"
@@ -119,21 +119,22 @@ TEST_F(AdversarialTest, CancellationStopsSearchWithPartialStats) {
   EXPECT_TRUE(r.stats.Any());
 }
 
-TEST_F(AdversarialTest, ReasonerDeadlineDegradesToUnknown) {
-  Reasoner reasoner(*ds_);
+TEST_F(AdversarialTest, ImpliesDeadlineDegradesToUnknown) {
   Budget budget = Budget::WithDeadlineMs(50);
+  DimsatOptions options;
+  options.budget = &budget;
   // Frozen-dimension existence is quick here; force the hard direction
   // (an implication that must close the whole search space).
   DimensionConstraint alpha = ParseC(ds_->hierarchy(), "Base.L1C0");
-  ReasonerAnswer answer = reasoner.QueryImplies(alpha, &budget);
-  if (answer.truth == Truth::kUnknown) {
-    EXPECT_EQ(answer.reason.code(), StatusCode::kDeadlineExceeded);
-    EXPECT_GT(answer.work.expand_calls, 0u);
-    EXPECT_EQ(reasoner.stats().unknown, 1u);
+  ASSERT_OK_AND_ASSIGN(ImplicationResult answer,
+                       Implies(*ds_, alpha, options));
+  if (!answer.status.ok()) {
+    EXPECT_EQ(answer.status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_GT(answer.stats.expand_calls, 0u);
   } else {
-    // Machine fast enough to finish under the deadline: the answer must
-    // then be definitive with no error.
-    EXPECT_OK(answer.reason);
+    // Machine fast enough to finish under the deadline: the answer is
+    // then definitive, and a refutation carries its counterexample.
+    EXPECT_EQ(answer.implied, !answer.counterexample.has_value());
   }
 }
 
@@ -156,8 +157,8 @@ TEST(ResourceExhaustionTest, PathLimitFailsBeforeSearching) {
   options.path_limit = 0;
   DimsatResult r = RunDimsat(ds, store, options);
   EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted);
-  // Exhausted during constraint preparation: no search work yet. This
-  // distinction is what stops the Reasoner ladder from retrying it.
+  // Exhausted during constraint preparation: no search work yet, which
+  // tells it apart from a search its expand cap cut short.
   EXPECT_FALSE(r.stats.Any());
 }
 
@@ -239,87 +240,6 @@ TEST(ResourceExhaustionTest, SummarizabilityReturnsPartialDetails) {
   EXPECT_FALSE(r.summarizable);  // conservatively not proved
 }
 
-TEST(ReasonerLadderTest, GrowsBudgetUntilTheQueryFits) {
-  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  CategoryId store = ds.hierarchy().FindCategory("Store");
-  ReasonerOptions options;
-  options.initial_expand_budget = 1;  // guaranteed too small
-  options.expand_budget_growth = 4;
-  options.max_attempts = 8;
-  Reasoner reasoner(ds, options);
-  ReasonerAnswer answer = reasoner.QuerySatisfiable(store);
-  EXPECT_EQ(answer.truth, Truth::kYes);
-  EXPECT_OK(answer.reason);
-  EXPECT_GT(answer.attempts, 1);
-  EXPECT_GT(reasoner.stats().retries, 0u);
-  // The ladder work includes the abandoned rungs.
-  EXPECT_GT(answer.work.expand_calls, 1u);
-}
-
-TEST(ReasonerLadderTest, OverallCapBoundsTheLadder) {
-  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  CategoryId store = ds.hierarchy().FindCategory("Store");
-  ReasonerOptions options;
-  options.initial_expand_budget = 1;
-  options.expand_budget_growth = 8;
-  options.max_attempts = 10;
-  options.dimsat.max_expand_calls = 2;  // overall cap below what's needed
-  Reasoner reasoner(ds, options);
-  ReasonerAnswer answer = reasoner.QuerySatisfiable(store);
-  EXPECT_EQ(answer.truth, Truth::kUnknown);
-  EXPECT_EQ(answer.reason.code(), StatusCode::kResourceExhausted);
-  // Rung 2 already reaches the overall cap; the ladder must stop there
-  // instead of burning all ten attempts on an unwinnable budget.
-  EXPECT_LE(answer.attempts, 2);
-  EXPECT_EQ(reasoner.stats().unknown, 1u);
-}
-
-TEST(ReasonerLadderTest, DeadlineFailureIsNotRetried) {
-  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  CategoryId store = ds.hierarchy().FindCategory("Store");
-  Budget budget = ExpiredBudget();
-  Reasoner reasoner(ds);
-  ReasonerAnswer answer = reasoner.QuerySatisfiable(store, &budget);
-  EXPECT_EQ(answer.truth, Truth::kUnknown);
-  EXPECT_EQ(answer.reason.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(answer.attempts, 1);  // retrying an expired clock is futile
-}
-
-TEST(ReasonerLadderTest, DefinitiveAnswersAreCachedUnknownIsNot) {
-  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  CategoryId store = ds.hierarchy().FindCategory("Store");
-  Reasoner reasoner(ds);
-
-  // Unknown (expired budget) must not be cached...
-  Budget expired = ExpiredBudget();
-  ReasonerAnswer unknown = reasoner.QuerySatisfiable(store, &expired);
-  EXPECT_EQ(unknown.truth, Truth::kUnknown);
-  // ...so the same query without the budget gets a real answer.
-  ReasonerAnswer fresh = reasoner.QuerySatisfiable(store);
-  EXPECT_EQ(fresh.truth, Truth::kYes);
-  EXPECT_FALSE(fresh.from_cache);
-  // A definitive answer is served from cache, even under a budget that
-  // would fail any new search.
-  Budget expired_again = ExpiredBudget();
-  ReasonerAnswer cached = reasoner.QuerySatisfiable(store, &expired_again);
-  EXPECT_EQ(cached.truth, Truth::kYes);
-  EXPECT_TRUE(cached.from_cache);
-  EXPECT_EQ(reasoner.stats().hits, 1u);
-}
-
-TEST(ReasonerLadderTest, LegacyFacadeSurfacesUnknownAsStatus) {
-  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  CategoryId store = ds.hierarchy().FindCategory("Store");
-  ReasonerOptions options;
-  options.initial_expand_budget = 1;
-  options.max_attempts = 1;
-  options.dimsat.max_expand_calls = 1;
-  Reasoner reasoner(ds, options);
-  Result<bool> r = reasoner.IsSatisfiable(store);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-}
-
 // --- Fault-injection degradation drills. Each path is forced
 // deterministically from a fixed seed; none of them can fire in
 // production because the injector ships disarmed. ---
@@ -335,12 +255,6 @@ TEST(FaultDegradationTest, ForcedBudgetExhaustionInDimsat) {
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(r.status.message(), "injected deadline");
   EXPECT_GE(FaultInjector::Global().failures("dimsat.expand"), 1u);
-
-  // The Reasoner sees the forced exhaustion and degrades to kUnknown.
-  Reasoner reasoner(ds);
-  ReasonerAnswer answer = reasoner.QuerySatisfiable(store);
-  EXPECT_EQ(answer.truth, Truth::kUnknown);
-  EXPECT_EQ(answer.reason.code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(FaultDegradationTest, ForcedInternalErrorStaysHard) {
@@ -354,19 +268,6 @@ TEST(FaultDegradationTest, ForcedInternalErrorStaysHard) {
   Result<bool> r = IsCategorySatisfiable(ds, store);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
-}
-
-TEST(FaultDegradationTest, ForcedReasonerFaultYieldsUnknown) {
-  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  CategoryId store = ds.hierarchy().FindCategory("Store");
-  ScopedFaultInjection guard(/*seed=*/103);
-  FaultInjector::Global().SetFault("reasoner.query", StatusCode::kInternal,
-                                   1.0, "injected reasoner fault");
-  Reasoner reasoner(ds);
-  ReasonerAnswer answer = reasoner.QuerySatisfiable(store);
-  EXPECT_EQ(answer.truth, Truth::kUnknown);
-  EXPECT_EQ(answer.reason.code(), StatusCode::kInternal);
-  EXPECT_EQ(answer.work.expand_calls, 0u);  // failed before any search
 }
 
 TEST(FaultDegradationTest, ForcedParseFailures) {

@@ -361,6 +361,32 @@ TEST_F(ServiceTest, TooWideCategoryIs400AndTheServiceSurvives) {
       << next.body;
 }
 
+// Theorem 1's S is a set: a repeated source is a 400 naming the
+// category, with or without the cache plane in front, and the service
+// keeps answering.
+TEST_F(ServiceTest, RepeatedSummarizabilitySourceIs400) {
+  ServiceCaches caches;
+  for (ServiceCaches* plane : {static_cast<ServiceCaches*>(nullptr), &caches}) {
+    options_.caches = plane;
+    DimService service(options_);
+    HttpResponse repeated = service.HandleRequest(Post(
+        "/v1/summarizable",
+        "{\"schema\": \"loc\", \"category\": \"All\", "
+        "\"sources\": [\"Country\", \"Country\"]}"));
+    EXPECT_EQ(repeated.status, 400) << repeated.body;
+    EXPECT_NE(repeated.body.find("Country"), std::string::npos)
+        << repeated.body;
+
+    HttpResponse next = service.HandleRequest(Post(
+        "/v1/summarizable",
+        "{\"schema\": \"loc\", \"category\": \"All\", "
+        "\"sources\": [\"Country\"]}"));
+    EXPECT_EQ(next.status, 200) << next.body;
+    EXPECT_NE(next.body.find("\"summarizable\": true"), std::string::npos)
+        << next.body;
+  }
+}
+
 TEST_F(ServiceTest, BatchCapsFanOutAndEmbedsPerItemErrors) {
   options_.max_batch = 2;
   DimService service(options_);

@@ -89,6 +89,33 @@ TEST_F(SummarizabilityTest, DetailsIdentifyCounterexample) {
   EXPECT_TRUE(r.details[0].counterexample->g.HasEdge(city_, country_));
 }
 
+// Theorem 1's S is a set. A repeated source is malformed input, not a
+// question with an answer (⊙(a, a) would never hold), at the schema
+// level and at the instance level alike.
+TEST_F(SummarizabilityTest, RepeatedSourceIsInvalidArgument) {
+  const CategoryId all = ds_->hierarchy().all();
+  Result<SummarizabilityResult> schema_level =
+      IsSummarizable(*ds_, all, {country_, country_});
+  ASSERT_FALSE(schema_level.ok());
+  EXPECT_EQ(schema_level.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(schema_level.status().message().find("Country"),
+            std::string::npos);
+  Result<bool> instance_level =
+      IsSummarizableInInstance(*instance_, all, {country_, country_});
+  ASSERT_FALSE(instance_level.ok());
+  EXPECT_EQ(instance_level.status().code(), StatusCode::kInvalidArgument);
+  // The same check guards the violator listing and the parallel sweep.
+  EXPECT_EQ(SummarizabilityViolators(*instance_, all, {city_, country_, city_})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  DimsatOptions parallel;
+  parallel.num_threads = 2;
+  EXPECT_EQ(
+      IsSummarizable(*ds_, all, {country_, country_}, parallel).status().code(),
+      StatusCode::kInvalidArgument);
+}
+
 TEST_F(SummarizabilityTest, ViolatorsPinpointWashingtonStores) {
   ASSERT_OK_AND_ASSIGN(
       std::vector<MemberId> violators,

@@ -3,8 +3,8 @@
 // Sweeps every registered fault-injection site × a probability grid ×
 // the budget configurations over generated workloads, driving the
 // request shapes a deployment actually runs (sequential DIMSAT with
-// checkpoint/resume, admission-gated parallel DIMSAT, the Reasoner
-// ladder, the parse boundary) and asserting the crash-proof-lifecycle
+// checkpoint/resume, admission-gated parallel DIMSAT, nested parallel
+// DIMSAT, the parse boundary) and asserting the crash-proof-lifecycle
 // invariants on every run:
 //
 //   1. no crash / no hang (the harness itself finishing is the check;
@@ -30,7 +30,7 @@
 //   --out <path>          JSON report path (default BENCH_robustness.json;
 //                         daemon mode: chaos_daemon_report.json)
 //   --quick               CI smoke grid: prob 0.5 only, two budget
-//                         configs, two runs per cell
+//                         configs, one run of each request shape
 //
 // Live-daemon soak (--daemon): instead of the in-process sweep, stand
 // up the full olapdcd stack (SchemaRegistry + AdmissionGate +
@@ -113,7 +113,6 @@
 #include "common/memory_budget.h"
 #include "core/dimsat.h"
 #include "core/location_example.h"
-#include "core/reasoner.h"
 #include "exec/admission.h"
 #include "exec/work_stealing_pool.h"
 #include "io/instance_io.h"
@@ -241,23 +240,6 @@ RunOutcome RunParallelAdmitted(const Workload& w, DimsatOptions options,
   out.status = r.status;
   out.reported_satisfiable = r.satisfiable;
   for (FrozenDimension& f : r.frozen) out.frozen.push_back(std::move(f));
-  return out;
-}
-
-RunOutcome RunReasonerLadder(const Workload& w, const DimsatOptions& base,
-                             const Budget* budget) {
-  RunOutcome out;
-  ReasonerOptions options;
-  options.dimsat = base;
-  options.dimsat.num_threads = 1;
-  options.initial_expand_budget = 16;
-  options.max_attempts = 6;
-  options.retry.max_retries = 2;
-  options.retry.initial_backoff_ms = 0.1;
-  Reasoner reasoner(w.ds, options);
-  ReasonerAnswer answer = reasoner.QuerySatisfiable(w.root, budget);
-  out.status = answer.reason;
-  out.reported_satisfiable = answer.truth == Truth::kYes;
   return out;
 }
 
@@ -1448,7 +1430,7 @@ int Main(int argc, char** argv) {
     return RunDaemonSoak(daemon_cfg);
   }
   if (quick) {
-    runs_per_cell = 5;  // one run of every request shape
+    runs_per_cell = 4;  // one run of every request shape
     seeds = 2;
   }
   if (runs_per_cell < 1 || seeds < 1) {
@@ -1534,7 +1516,7 @@ int Main(int argc, char** argv) {
 
           exec::AdmissionGate gate;
           RunOutcome outcome;
-          switch (run % 5) {
+          switch (run % 4) {
             case 0:
               outcome = RunSequentialWithResume(w, options);
               break;
@@ -1542,9 +1524,6 @@ int Main(int argc, char** argv) {
               outcome = RunParallelAdmitted(w, options, &pool, &gate);
               break;
             case 2:
-              outcome = RunReasonerLadder(w, options, options.budget);
-              break;
-            case 3:
               outcome = RunNestedParallel(w, options, &pool);
               break;
             default:

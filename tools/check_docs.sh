@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Documentation lint, run by the CI `docs` job and locally via
 #   tools/check_docs.sh
-# from the repository root. Four checks:
+# from the repository root. Five checks:
 #   1. Every relative markdown link in README.md, DESIGN.md,
 #      EXPERIMENTS.md and docs/*.md resolves to a file in the repo.
 #   2. Every src/<subsystem>/ directory is mentioned in DESIGN.md's
@@ -12,6 +12,10 @@
 #   4. Every /v1/* endpoint in the DimService route table
 #      (src/service/dim_service.cc) appears in docs/service.md, so a
 #      new endpoint cannot ship without its reference entry.
+#   5. The fault sites registered under src/ (RegisterFaultSite("…"))
+#      are exactly the sites in the Site column of docs/robustness.md's
+#      fault-site table, so no site ships undocumented and no row
+#      outlives its site.
 set -u
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -72,6 +76,31 @@ else
   done < <(grep -oE '"/v1/[a-z_]+"' src/service/dim_service.cc |
            tr -d '"' | sort -u)
 fi
+
+# --- 5. Fault-site inventory matches docs/robustness.md ------------------
+registered_sites="$(grep -rhoE 'RegisterFaultSite\("[^"]+"\)' src |
+  sed -E 's/^RegisterFaultSite\("(.*)"\)$/\1/' | sort -u)"
+# The table starts at its "| Site | Forces |" header and ends at the
+# first line that is not a table row; its first column holds one or
+# more backticked site names.
+documented_sites="$(awk '/^\| Site \| Forces \|/ { t = 1; next }
+                         t && /^\|/ { print; next }
+                         t { exit }' docs/robustness.md |
+  cut -d'|' -f2 | grep -oE '`[^`]+`' | tr -d '`' | sort -u)"
+if [ -z "$documented_sites" ]; then
+  echo "MISSING FAULT-SITE TABLE: no '| Site | Forces |' table in docs/robustness.md"
+  fail=1
+fi
+while IFS= read -r site; do
+  [ -n "$site" ] || continue
+  echo "UNDOCUMENTED FAULT SITE: $site is registered under src/ but missing from docs/robustness.md"
+  fail=1
+done < <(comm -23 <(echo "$registered_sites") <(echo "$documented_sites"))
+while IFS= read -r site; do
+  [ -n "$site" ] || continue
+  echo "STALE FAULT SITE: $site is in docs/robustness.md but no code under src/ registers it"
+  fail=1
+done < <(comm -13 <(echo "$registered_sites") <(echo "$documented_sites"))
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"

@@ -28,10 +28,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -84,8 +82,6 @@ int Usage() {
       "  --no-register            disable POST /v1/schemas\n"
       "  --cache-budget-mb N      cross-request cache envelope (default "
       "32; 0 disables caching)\n"
-      "  --nogood-file PATH       load learned DIMSAT pruning on start, "
-      "save it on drain\n"
       "  --snapshot-file PATH     durable cache snapshot: recovered on "
       "start, rewritten on drain\n"
       "  --snapshot-interval-ms N also rewrite the snapshot every N ms off "
@@ -162,7 +158,6 @@ int Main(int argc, char** argv) {
   int64_t max_batch = 64;
   bool allow_register = true;
   int64_t cache_budget_mb = 32;
-  std::string nogood_file;
   std::string snapshot_file;
   int64_t snapshot_interval_ms = 0;
   std::vector<std::string> fault_sites;
@@ -256,8 +251,6 @@ int Main(int argc, char** argv) {
                           &cache_budget_mb)) {
         return Usage();
       }
-    } else if (arg == "--nogood-file") {
-      nogood_file = next();
     } else if (arg == "--snapshot-file") {
       snapshot_file = next();
     } else if (arg == "--snapshot-interval-ms") {
@@ -339,9 +332,7 @@ int Main(int argc, char** argv) {
   service_options.allow_register = allow_register;
 
   // The cross-request cache plane (docs/caching.md). A warm restart
-  // against byte-identical schemas reloads the learned DIMSAT pruning;
-  // the epoch inside the file makes a stale load harmless (the store
-  // just stays cold).
+  // reloads it from --snapshot-file below.
   std::unique_ptr<service::ServiceCaches> caches;
   if (cache_budget_mb > 0) {
     service::ServiceCaches::Options cache_options;
@@ -349,26 +340,6 @@ int Main(int argc, char** argv) {
         static_cast<uint64_t>(cache_budget_mb) << 20;
     caches = std::make_unique<service::ServiceCaches>(cache_options);
     service_options.caches = caches.get();
-    if (!nogood_file.empty()) {
-      std::ifstream in(nogood_file);
-      if (in) {
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        const Status loaded = caches->LoadNoGoods(buffer.str());
-        if (loaded.ok()) {
-          std::fprintf(stderr, "olapdcd: loaded no-good stores from %s\n",
-                       nogood_file.c_str());
-        } else {
-          std::fprintf(stderr,
-                       "olapdcd: ignoring no-good file %s: %s\n",
-                       nogood_file.c_str(), loaded.ToString().c_str());
-        }
-      }
-    }
-  } else if (!nogood_file.empty()) {
-    std::fprintf(stderr,
-                 "error: --nogood-file needs --cache-budget-mb > 0\n");
-    return 2;
   }
 
   // Crash recovery (docs/robustness.md "Crash durability & recovery"):
@@ -539,12 +510,12 @@ int Main(int argc, char** argv) {
   stop_snapshots.store(true, std::memory_order_relaxed);
   if (snapshot_thread.joinable()) snapshot_thread.join();
 
-  // Disarm *before* the final persists: a clean shutdown's durable
+  // Disarm *before* the final persist: a clean shutdown's durable
   // state must not be lost to the daemon's own injected faults (the
   // chaos soaks arm every registered site, including durable.*).
   if (!fault_sites.empty()) FaultInjector::Global().Disarm();
 
-  // Final persists. A failed persist on a clean drain is a real error:
+  // Final persist. A failed persist on a clean drain is a real error:
   // the operator asked for durable state and is not getting it, so say
   // so and exit nonzero (tier-1 covers this path with an unwritable
   // target).
@@ -563,21 +534,6 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "olapdcd: cannot write snapshot %s: %s\n",
                    snapshot_file.c_str(), status.ToString().c_str());
       persist_failed = true;
-    }
-  }
-  if (caches != nullptr && !nogood_file.empty()) {
-    std::ofstream out(nogood_file, std::ios::trunc);
-    out << caches->SerializeNoGoods();
-    out.close();
-    // The stream state after close() covers open, write, and flush
-    // failures alike; "saved" is only claimed when all three held.
-    if (out.fail()) {
-      std::fprintf(stderr, "olapdcd: cannot write no-good file %s\n",
-                   nogood_file.c_str());
-      persist_failed = true;
-    } else {
-      std::fprintf(stderr, "olapdcd: saved no-good stores to %s\n",
-                   nogood_file.c_str());
     }
   }
 
