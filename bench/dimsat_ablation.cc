@@ -1,10 +1,11 @@
 // Per-technique ablation for the DIMSAT speed work: component
 // decomposition (DimsatOptions::decompose) and most-constrained-first
 // branching (DimsatOptions::branch_heuristic). Each technique runs
-// alone and combined over the location suite (where decomposition
-// falls back to the monolithic search) and a family of generated
-// multi-component schemas (where it bites), with every run's frozen
-// set checked equal to the baseline's.
+// alone and combined over the location suite and a generated layered
+// schema (where decomposition falls back to the monolithic search, and
+// on the layered one branching multiplies EXPANDs and CHECKs) and a
+// family of generated multi-component schemas (where both bite), with
+// every run's frozen set checked equal to the baseline's.
 //
 // The committed BENCH_dimsat_ablation.json carries two derived fields
 // that CI holds floors on (tools/bench_gate --floor):
@@ -13,7 +14,9 @@
 //                                    over the multi-component suite;
 //   branching_further_reduction_pct — EXPAND calls the branching order
 //                                    saves *on top of* decomposition.
-// Both are deterministic node counts (host-independent).
+// Both are deterministic node counts (host-independent), and both
+// aggregate the multi-component rows only: they say nothing about
+// layered schemas, whose rows are reported beside them.
 
 #include <cstdio>
 #include <algorithm>
@@ -70,6 +73,25 @@ std::vector<Workload> BuildWorkloads() {
   DimensionSchema location = Unwrap(LocationSchema());
   const CategoryId store = location.hierarchy().FindCategory("Store");
   workloads.push_back({"location", std::move(location), store, false});
+
+  // The layered shape of the perfbench CLI corpus (2,900 models from
+  // Base at this seed).
+  SchemaGenOptions shape;
+  shape.num_levels = 4;
+  shape.categories_per_level = 4;
+  shape.extra_edge_prob = 0.4;
+  shape.max_level_jump = 2;
+  shape.seed = 37;
+  ConstraintGenOptions constraints;
+  constraints.into_fraction = 0.7;
+  constraints.num_choice_constraints = 3;
+  constraints.num_equality_constraints = 2;
+  constraints.num_constants = 2;
+  constraints.seed = 37;
+  DimensionSchema layered = Unwrap(GenerateConstrainedSchema(
+      Unwrap(GenerateLayeredHierarchy(shape)), constraints));
+  const CategoryId layered_base = layered.hierarchy().FindCategory("Base");
+  workloads.push_back({"layered", std::move(layered), layered_base, false});
 
   struct McSpec {
     const char* name;

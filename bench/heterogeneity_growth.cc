@@ -53,7 +53,7 @@ Sample Measure(double edge_prob, int choice_constraints, uint64_t seed) {
   std::set<std::string> structures;
   for (const FrozenDimension& f : r.frozen) {
     std::string key;
-    for (auto [u, v] : f.g.Edges()) {
+    for (auto [u, v] : f.edges) {
       key += std::to_string(u) + ">" + std::to_string(v) + ";";
     }
     structures.insert(std::move(key));

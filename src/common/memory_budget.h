@@ -83,7 +83,10 @@ class MemoryBudget {
 /// the destructor returns every byte this holder reserved, so transient
 /// search state (a DIMSAT run's frozen list, a parser's line buffer)
 /// cannot leak accounting on any exit path. Null budget = every Reserve
-/// succeeds and holds nothing. Not thread-safe; one holder per worker.
+/// succeeds and holds nothing. Reserve() is thread-safe, so one holder
+/// can collect the charges of many workers (a parallel DIMSAT run
+/// charges every collected model to one run-wide holder); ReleaseAll()
+/// runs once they are done.
 class MemoryReservation {
  public:
   explicit MemoryReservation(MemoryBudget* budget) : budget_(budget) {}
@@ -95,21 +98,21 @@ class MemoryReservation {
   Status Reserve(uint64_t bytes, std::string_view site) {
     if (budget_ == nullptr) return Status::OK();
     OLAPDC_RETURN_NOT_OK(budget_->Reserve(bytes, site));
-    held_ += bytes;
+    held_.fetch_add(bytes, std::memory_order_relaxed);
     return Status::OK();
   }
 
   void ReleaseAll() {
-    if (budget_ != nullptr && held_ > 0) budget_->Release(held_);
-    held_ = 0;
+    const uint64_t held = held_.exchange(0, std::memory_order_relaxed);
+    if (budget_ != nullptr && held > 0) budget_->Release(held);
   }
 
-  uint64_t held() const { return held_; }
+  uint64_t held() const { return held_.load(std::memory_order_relaxed); }
   MemoryBudget* budget() const { return budget_; }
 
  private:
   MemoryBudget* budget_;
-  uint64_t held_ = 0;
+  std::atomic<uint64_t> held_{0};
 };
 
 }  // namespace olapdc

@@ -37,9 +37,16 @@ CheckOutcome CheckSubhierarchy(
   AssignmentSearchResult search =
       FindAssignments(g, circled, options.assignment);
   outcome.assignments_tried = search.tried;
+  if (search.assignments.empty()) return outcome;
+  // One edge list per successful CHECK; every assignment's model gets
+  // an exact-size copy, the last one takes the original.
+  std::vector<std::pair<CategoryId, CategoryId>> edges = g.Edges();
   outcome.frozen.reserve(search.assignments.size());
-  for (CAssignment& ca : search.assignments) {
-    outcome.frozen.push_back(FrozenDimension{g, std::move(ca)});
+  for (size_t i = 0; i < search.assignments.size(); ++i) {
+    const bool last = i + 1 == search.assignments.size();
+    outcome.frozen.push_back(
+        FrozenDimension{g.root(), last ? std::move(edges) : edges,
+                        std::move(search.assignments[i])});
   }
   return outcome;
 }

@@ -100,7 +100,7 @@ std::string DimsatCheckpoint::Serialize() const {
     out << "solved " << comp.component << " " << comp.models.size() << "\n";
     for (const FrozenDimension& model : comp.models) {
       out << "model ";
-      WriteEdges(out, model.g.Edges());
+      WriteEdges(out, model.edges);
       size_t assigned = 0;
       for (const auto& name : model.names) {
         if (name.has_value()) ++assigned;
@@ -199,6 +199,8 @@ Result<DimsatCheckpoint> DimsatCheckpoint::Deserialize(
           !ReadEdges(in, &edges)) {
         return Status::ParseError("malformed component model record");
       }
+      // The same validation as a frame's, and the canonical (sorted,
+      // duplicate-free) edge order a stored model keeps.
       std::optional<Subhierarchy> g =
           Subhierarchy::FromPartialEdges(cp.num_categories, cp.root, edges);
       if (!g.has_value()) {
@@ -206,7 +208,7 @@ Result<DimsatCheckpoint> DimsatCheckpoint::Deserialize(
             "component model is not a root-reachable subhierarchy");
       }
       FrozenDimension model{
-          std::move(*g),
+          cp.root, g->Edges(),
           CAssignment(static_cast<size_t>(cp.num_categories), std::nullopt)};
       size_t assigned = 0;
       if (!(in >> assigned) ||

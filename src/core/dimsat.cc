@@ -124,9 +124,9 @@ Result<std::vector<DimensionConstraint>> PrepareRelevantConstraints(
 
 /// Heap-byte estimate of one Subhierarchy over n categories (three
 /// n-vectors of n-bit sets plus the top-level sets) — the unit of the
-/// memory-budget accounting for search state, parallel task seeds, and
-/// collected frozen dimensions. A governor estimate, not an rlimit
-/// (see common/memory_budget.h).
+/// memory-budget accounting for search state and parallel task seeds.
+/// A governor estimate, not an rlimit (see common/memory_budget.h).
+/// Collected models are charged their own size (FrozenDimensionBytes).
 uint64_t ApproxSubhierarchyBytes(int num_categories) {
   const uint64_t n = static_cast<uint64_t>(num_categories);
   const uint64_t bitset_bytes = 16 + ((n + 63) / 64) * 8;
@@ -203,9 +203,14 @@ class DimsatSearch {
  public:
   /// `relevant` is borrowed: the caller keeps it alive for the lifetime
   /// of the search (parallel tasks share one prepared vector).
+  /// `frozen_charge` is the run's holder of model charges: the models a
+  /// search collects outlive it (merged by a work-stealing run,
+  /// composed by a decomposed one), so they stay charged until the
+  /// run returns. Not owned.
   DimsatSearch(const DimensionSchema& ds, CategoryId root,
                const DimsatOptions& options,
-               const std::vector<DimensionConstraint>& relevant)
+               const std::vector<DimensionConstraint>& relevant,
+               MemoryReservation* frozen_charge)
       : ds_(ds),
         schema_(ds.hierarchy()),
         root_(root),
@@ -215,6 +220,7 @@ class DimsatSearch {
                         "dimsat.expand"),
         checkpoint_(options.checkpoint),
         mem_(options.budget != nullptr ? options.budget->memory() : nullptr),
+        frozen_charge_(frozen_charge),
         g_(schema_.num_categories(), root),
         nogood_(options, schema_.num_categories(), root) {
     check_options_.assignment.require_injective =
@@ -227,8 +233,6 @@ class DimsatSearch {
     // One undo frame journals the expanded category's Below snapshots —
     // a handful of bitsets in the common case.
     frame_bytes_ = 4 * bitset_bytes + 96;
-    // A frozen dimension is a subhierarchy plus its name assignment.
-    frozen_bytes_ = subhierarchy_bytes_ + n * 24;
     // The explain gate is cached once per search (like the metrics
     // enabled bit) so the disabled hot path pays one pointer test.
     if (obs::SearchTreeRecorder::Global().enabled()) {
@@ -479,10 +483,9 @@ class DimsatSearch {
   /// dimension is ever emitted twice across an interrupt/resume pair).
   bool RunCheck(const Subhierarchy& g, int depth) {
     CheckOutcome outcome = CheckSubhierarchy(relevant_, g, check_options_);
-    if (!outcome.frozen.empty()) {
-      Status reserve = mem_.Reserve(
-          static_cast<uint64_t>(outcome.frozen.size()) * frozen_bytes_,
-          "dimsat.frozen");
+    if (!outcome.frozen.empty() && frozen_charge_->budget() != nullptr) {
+      Status reserve = frozen_charge_->Reserve(
+          FrozenDimensionBytes(outcome.frozen), "dimsat.frozen");
       if (!reserve.ok()) {
         result_.status = std::move(reserve);
         return false;
@@ -766,13 +769,14 @@ class DimsatSearch {
   BudgetChecker budget_checker_;
   /// Checkpoint sink (null = no capture); sequential runs only.
   DimsatCheckpoint* checkpoint_;
-  /// Memory-budget accounting scoped to this search; every byte is
-  /// returned when the search dies, on every exit path.
+  /// Memory-budget accounting of this search's working state; every
+  /// byte is returned when the search dies, on every exit path.
   MemoryReservation mem_;
+  /// The run's charge for collected models (see the constructor).
+  MemoryReservation* const frozen_charge_;
   uint64_t undo_charged_depth_ = 0;
   uint64_t subhierarchy_bytes_ = 0;
   uint64_t frame_bytes_ = 0;
-  uint64_t frozen_bytes_ = 0;
   Subhierarchy g_;
   SubhierarchyUndoLog undo_;
   /// Explain recorder, cached at construction (null = --explain off).
@@ -838,14 +842,18 @@ std::vector<int> ComputeBranchRank(const DimensionSchema& ds) {
 /// (enumerate mode): every combination picking one model per
 /// component — or "absent" for components whose constraints allow it —
 /// yields one frozen dimension, except the all-absent combination
-/// (the root must expand somewhere). Each composed model is charged
-/// against the memory reservation; a non-OK return means the budget
-/// could not cover it (out->truncated at that point).
+/// (the root must expand somewhere). Composition is budgeted like the
+/// searches: each composed model is charged its size against the run's
+/// model charge, and the deadline and cancellation are probed at the
+/// search's stride. A non-OK return is the budget error that stopped it
+/// (out->truncated at that point).
 Status ComposeFrozen(const ComponentSplit& split,
                      const std::vector<std::vector<FrozenDimension>>& models,
-                     size_t max_frozen, uint64_t frozen_bytes,
-                     MemoryReservation* mem,
+                     const DimsatOptions& options,
+                     MemoryReservation* frozen_charge,
                      std::vector<FrozenDimension>* out) {
+  BudgetChecker budget_checker(options.budget, options.budget_check_stride,
+                               "dimsat.compose");
   const int w = static_cast<int>(split.num_components());
   // A component that must be present but has no model kills every
   // combination.
@@ -865,11 +873,15 @@ Status ComposeFrozen(const ComponentSplit& split,
       }
     }
     if (first_present >= 0) {  // skip the all-absent combination
-      if (out->size() >= max_frozen) return Status::OK();
-      OLAPDC_RETURN_NOT_OK(mem->Reserve(frozen_bytes, "dimsat.frozen"));
+      if (out->size() >= options.max_frozen) return Status::OK();
+      OLAPDC_RETURN_NOT_OK(budget_checker.Check());
       FrozenDimension fd = models[first_present][choice[first_present]];
       for (int k = first_present + 1; k < w; ++k) {
         if (choice[k] >= 0) MergeDisjointInto(models[k][choice[k]], &fd);
+      }
+      if (frozen_charge->budget() != nullptr) {
+        OLAPDC_RETURN_NOT_OK(frozen_charge->Reserve(FrozenDimensionBytes(fd),
+                                                    "dimsat.frozen"));
       }
       out->push_back(std::move(fd));
     }
@@ -994,6 +1006,10 @@ struct RunContext {
   /// for uncapped runs, which then pay nothing for the cap.
   std::atomic<uint64_t>* const expand_counter;
   Spawner& spawner;
+  /// Every model the run collects — per search, per component, and
+  /// composed — is charged here until the run returns, at every
+  /// thread count.
+  MemoryReservation& frozen_charge;
 };
 
 /// The monolithic work-stealing search: the root is one pool task, and
@@ -1029,7 +1045,8 @@ void SpawnSubtree(WorkStealingRun* ws, Subhierarchy&& child, int depth) {
 void RunSubtreeTask(WorkStealingRun* ws, Subhierarchy seed, int depth) {
   if (ws->stop.load(std::memory_order_acquire)) return;
   const RunContext& run = ws->run;
-  DimsatSearch search(run.ds, run.root, run.options, run.relevant);
+  DimsatSearch search(run.ds, run.root, run.options, run.relevant,
+                      &run.frozen_charge);
   search.set_branch_rank(run.branch_rank);
   search.set_expand_counter(run.expand_counter);
   search.set_external_stop(&ws->stop);
@@ -1163,7 +1180,8 @@ DimsatResult RunDecomposed(const RunContext& run, const ComponentSplit& split,
       comp_opts.nogood_salt = split.salts[k];
       comp_opts.checkpoint =
           options.checkpoint != nullptr ? &captured[k] : nullptr;
-      DimsatSearch search(run.ds, run.root, comp_opts, comp_relevant[k]);
+      DimsatSearch search(run.ds, run.root, comp_opts, comp_relevant[k],
+                          &run.frozen_charge);
       search.set_universe(&split.universes[k]);
       search.set_branch_rank(run.branch_rank);
       search.set_expand_counter(run.expand_counter);
@@ -1257,18 +1275,14 @@ DimsatResult RunDecomposed(const RunContext& run, const ComponentSplit& split,
   // Verdict / composition.
   if (!options.enumerate_all) {
     if (!scan_mode && !decided.load()) {
-      FrozenDimension fd{Subhierarchy(n, run.root),
+      FrozenDimension fd{run.root, {},
                          CAssignment(static_cast<size_t>(n), std::nullopt)};
       for (int k : to_search) MergeDisjointInto(models[k][0], &fd);
       result.frozen.push_back(std::move(fd));
     }
   } else {
-    MemoryReservation mem(options.budget != nullptr ? options.budget->memory()
-                                                    : nullptr);
-    const uint64_t frozen_bytes =
-        ApproxSubhierarchyBytes(n) + static_cast<uint64_t>(n) * 24;
-    Status composed = ComposeFrozen(split, models, options.max_frozen,
-                                    frozen_bytes, &mem, &result.frozen);
+    Status composed = ComposeFrozen(split, models, options,
+                                    &run.frozen_charge, &result.frozen);
     if (!composed.ok()) {
       result.status = std::move(composed);
       result.frozen.clear();
@@ -1363,9 +1377,11 @@ DimsatResult SolveDimsat(const DimensionSchema& ds, CategoryId root,
       }
     }
   }
-  Spawner spawner(pool, options.budget != nullptr ? options.budget->memory()
-                                                  : nullptr);
+  MemoryBudget* const memory =
+      options.budget != nullptr ? options.budget->memory() : nullptr;
+  Spawner spawner(pool, memory);
   std::atomic<uint64_t> expand_count{0};
+  MemoryReservation frozen_charge(memory);
   const RunContext run{
       ds,
       root,
@@ -1373,14 +1389,15 @@ DimsatResult SolveDimsat(const DimensionSchema& ds, CategoryId root,
       relevant,
       options.branch_heuristic ? &rank : nullptr,
       options.max_expand_calls != UINT64_MAX ? &expand_count : nullptr,
-      spawner};
+      spawner,
+      frozen_charge};
 
   if (decomposed) {
     result = RunDecomposed(run, split, resume_from);
   } else if (parallel) {
     result = RunWorkStealing(run);
   } else {
-    DimsatSearch search(ds, root, options, relevant);
+    DimsatSearch search(ds, root, options, relevant, &frozen_charge);
     search.set_branch_rank(run.branch_rank);
     search.set_expand_counter(run.expand_counter);
     result = resume_from != nullptr ? search.RunResume(std::move(*resume_from))

@@ -57,7 +57,9 @@ struct DimsatOptions {
   /// root->All edge, a cycle through the root, or a constraint whose
   /// atoms couple only root/All) and under collect_trace (the Figure 7
   /// harness pins the exact monolithic trace). The frozen-dimension
-  /// set is always equal to the monolithic search's.
+  /// set is always equal to the monolithic search's. Off by default
+  /// (perfbench screens its inputs by their monolithic EXPAND counts);
+  /// `olapdc frozen` turns it on, the daemon does not (DESIGN.md §8).
   bool decompose = false;
   /// Most-constrained-first branching: expand the pending category
   /// with the fewest free successor choices (out-degree minus forced
@@ -65,8 +67,12 @@ struct DimsatOptions {
   /// of the lowest category id. The ordering is a pure function of
   /// (schema, root, options), computed once per solve and recomputed
   /// identically on checkpoint resume, so interrupted ≡ uninterrupted
-  /// still holds. Off by default: the ablation bench and the
-  /// per-technique floors own the evidence that it helps.
+  /// still holds. Off by default, and no production caller turns it
+  /// on: it cuts EXPANDs on multi-component schemas (the only rows
+  /// the CI floors aggregate), but on layered schemas it can multiply
+  /// them — bench/dimsat_ablation's layered rows list 2,900 models in
+  /// 139,815 EXPANDs and 120,960 CHECKs with it, against 51,621 and
+  /// 8,040 without (DESIGN.md §8).
   bool branch_heuristic = false;
   /// Collect every frozen dimension instead of stopping at the first.
   bool enumerate_all = false;

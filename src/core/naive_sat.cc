@@ -72,14 +72,9 @@ Result<DimsatResult> NaiveSat(const DimensionSchema& ds, CategoryId root,
                                "naive_sat.enumerate");
   // Memory governor: the collected frozen dimensions are the only
   // allocation here that grows with the answer, so they carry the
-  // charge — same per-dimension estimate as DIMSAT's dimsat.frozen
-  // site (a subhierarchy plus its name assignment).
+  // charge — each its own size, as at DIMSAT's dimsat.frozen site.
   MemoryReservation mem(options.budget != nullptr ? options.budget->memory()
                                                   : nullptr);
-  const uint64_t n = static_cast<uint64_t>(schema.num_categories());
-  const uint64_t bitset_bytes = 16 + ((n + 63) / 64) * 8;
-  const uint64_t frozen_bytes =
-      3 * n * bitset_bytes + 3 * bitset_bytes + 128 + n * 24;
   const uint64_t subsets = uint64_t{1} << edges.size();
   for (uint64_t mask = 0; mask < subsets; ++mask) {
     Status budget = budget_checker.Check();
@@ -101,10 +96,9 @@ Result<DimsatResult> NaiveSat(const DimensionSchema& ds, CategoryId root,
     CheckOutcome outcome = CheckSubhierarchy(relevant, *g, check_options);
     result.stats.assignments_tried += outcome.assignments_tried;
     if (outcome.structurally_rejected) ++result.stats.structural_rejections;
-    if (!outcome.frozen.empty()) {
-      Status reserve = mem.Reserve(
-          static_cast<uint64_t>(outcome.frozen.size()) * frozen_bytes,
-          "naive_sat.frozen");
+    if (!outcome.frozen.empty() && mem.budget() != nullptr) {
+      Status reserve = mem.Reserve(FrozenDimensionBytes(outcome.frozen),
+                                   "naive_sat.frozen");
       if (!reserve.ok()) {
         result.status = std::move(reserve);
         break;

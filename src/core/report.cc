@@ -17,9 +17,7 @@ namespace {
 /// The edge set of a frozen dimension as a canonical string (structure
 /// identity, ignoring the constant assignment).
 std::string StructureKey(const FrozenDimension& f) {
-  auto edges = f.g.Edges();
-  std::sort(edges.begin(), edges.end());
-  return JoinMapped(edges, ";", [](const std::pair<int, int>& e) {
+  return JoinMapped(f.edges, ";", [](const std::pair<int, int>& e) {
     return std::to_string(e.first) + ">" + std::to_string(e.second);
   });
 }

@@ -176,6 +176,7 @@ std::vector<DynamicBitset> Subhierarchy::ComputeReach() const {
 
 std::vector<std::pair<CategoryId, CategoryId>> Subhierarchy::Edges() const {
   std::vector<std::pair<CategoryId, CategoryId>> edges;
+  edges.reserve(num_edges());
   cats_.ForEach([&](int u) {
     out_[u].ForEach([&](int v) { edges.emplace_back(u, v); });
   });
@@ -221,21 +222,6 @@ bool Subhierarchy::HasShortcut(
     });
   });
   return found;
-}
-
-void Subhierarchy::UnionWith(const Subhierarchy& other) {
-  OLAPDC_DCHECK(n_ == other.n_);
-  OLAPDC_DCHECK(root_ == other.root_);
-  cats_ |= other.cats_;
-  for (int c = 0; c < n_; ++c) {
-    out_[c] |= other.out_[c];
-    in_[c] |= other.in_[c];
-    below_[c] |= other.below_[c];
-  }
-  top_.clear();
-  cats_.ForEach([&](int c) {
-    if (!out_[c].any()) top_.set(c);
-  });
 }
 
 std::optional<Subhierarchy> Subhierarchy::FromPartialEdges(

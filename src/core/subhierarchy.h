@@ -165,17 +165,6 @@ class Subhierarchy {
   /// Same, with a caller-supplied ComputeReach() table (see above).
   bool HasShortcut(const std::vector<DynamicBitset>& reach) const;
 
-  /// Merges `other` (over the same category universe) into this
-  /// subhierarchy: categories, edges, and Below sets union
-  /// elementwise; top() is recomputed. Used to compose per-component
-  /// models of a decomposed DIMSAT run. Below stays exact when the
-  /// two operands share only categories that no cross-operand path
-  /// enters or leaves except trivially — for component composition the
-  /// shared categories are the query root (no in-edges in either
-  /// operand) and All (no out-edges), so In* of the union is the
-  /// elementwise union of the operands' In*.
-  void UnionWith(const Subhierarchy& other);
-
  private:
   int n_;
   CategoryId root_;

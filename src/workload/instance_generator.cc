@@ -12,25 +12,21 @@ namespace olapdc {
 namespace {
 
 /// Longest-path-to-All depth of every category within a frozen
-/// structure (g is acyclic; absent categories get -1).
-std::vector<int> StructureDepths(const Subhierarchy& g, CategoryId all) {
-  std::vector<int> depth(g.num_categories(), -1);
-  // Repeated relaxation (structures are tiny).
+/// structure (acyclic; absent categories get -1).
+std::vector<int> StructureDepths(const FrozenDimension& f, int num_categories,
+                                 CategoryId all) {
+  std::vector<int> depth(num_categories, -1);
+  // Repeated relaxation over the edges (structures are tiny).
   depth[all] = 0;
   bool changed = true;
   while (changed) {
     changed = false;
-    g.categories().ForEach([&](int c) {
-      int best = -1;
-      g.Out(c).ForEach([&](int p) {
-        if (depth[p] >= 0) best = std::max(best, depth[p] + 1);
-      });
-      if (c == all) best = 0;
-      if (best > depth[c]) {
-        depth[c] = best;
+    for (const auto& [c, p] : f.edges) {
+      if (c != all && depth[p] >= 0 && depth[p] + 1 > depth[c]) {
+        depth[c] = depth[p] + 1;
         changed = true;
       }
-    });
+    }
   }
   return depth;
 }
@@ -61,7 +57,8 @@ Result<DimensionInstance> GenerateInstanceFromFrozen(
 
     for (size_t s = 0; s < frozen.frozen.size(); ++s) {
       const FrozenDimension& f = frozen.frozen[s];
-      std::vector<int> depth = StructureDepths(f.g, schema.all());
+      std::vector<int> depth =
+          StructureDepths(f, schema.num_categories(), schema.all());
       for (int copy = 0; copy < options.copies; ++copy) {
         const std::string prefix = "b" + std::to_string(bottom) + "s" +
                                    std::to_string(s) + "c" +
@@ -74,8 +71,8 @@ Result<DimensionInstance> GenerateInstanceFromFrozen(
         };
 
         // Members.
-        f.g.categories().ForEach([&](int c) {
-          if (c == schema.all()) return;
+        for (CategoryId c : f.Categories()) {
+          if (c == schema.all()) continue;
           const int64_t count = IntPow(options.branching, capped_depth(c));
           const bool has_constant =
               c < static_cast<int>(f.names.size()) && f.names[c].has_value();
@@ -85,10 +82,10 @@ Result<DimensionInstance> GenerateInstanceFromFrozen(
                               has_constant ? *f.names[c] : key);
             any_member = true;
           }
-        });
+        }
 
         // Edges, divisibility-consistent.
-        for (const auto& [c, p] : f.g.Edges()) {
+        for (const auto& [c, p] : f.edges) {
           const int64_t count = IntPow(options.branching, capped_depth(c));
           const int64_t ratio =
               IntPow(options.branching, capped_depth(c) - capped_depth(p));

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "common/budget.h"
+#include "common/memory_budget.h"
 #include "core/decompose.h"
 #include "core/dimsat.h"
 #include "core/location_example.h"
@@ -298,6 +300,51 @@ TEST(DecomposeCheckpointTest, DecomposedCheckpointNeedsMatchingOptions) {
   plain.enumerate_all = true;
   const DimsatResult rejected = ResumeDimsat(ds, base, plain, checkpoint);
   EXPECT_FALSE(rejected.status.ok());
+}
+
+// Composition is budgeted like the searches. A byte cap that the
+// component searches fit under stops the run while it composes, with
+// every component solved; resuming that checkpoint past its deadline
+// has nothing left to search, so only the composition can notice.
+TEST(DecomposeCheckpointTest, CompositionHonorsTheBudget) {
+  const DimensionSchema ds = MultiComponentSchema(2, 3);
+  const CategoryId base = ds.hierarchy().FindCategory("Base");
+  DimsatOptions options;
+  options.enumerate_all = true;
+  options.decompose = true;
+  const DimsatResult full = RunDimsat(ds, base, options);
+  ASSERT_OK(full.status);
+  MemoryBudget memory(FrozenDimensionBytes(full.frozen) / 2);
+  Budget capped;
+  capped.SetMemory(&memory);
+  DimsatCheckpoint solved;
+  DimsatOptions capped_options = options;
+  capped_options.budget = &capped;
+  capped_options.checkpoint = &solved;
+  const DimsatResult stopped = RunDimsat(ds, base, capped_options);
+  ASSERT_EQ(stopped.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(stopped.frozen.empty());
+  EXPECT_EQ(stopped.stats.expand_calls, full.stats.expand_calls);
+  ASSERT_FALSE(solved.empty());
+  ASSERT_TRUE(solved.frames.empty());
+
+  Budget expired = Budget::WithDeadlineMs(0);
+  DimsatCheckpoint recompose;
+  DimsatOptions late_options = options;
+  late_options.budget = &expired;
+  late_options.checkpoint = &recompose;
+  const DimsatResult late =
+      ResumeDimsat(ds, base, late_options, std::move(solved));
+  EXPECT_EQ(late.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(late.frozen.empty());
+  EXPECT_EQ(late.stats.expand_calls, 0u);
+  ASSERT_TRUE(recompose.frames.empty());
+
+  const DimsatResult resumed =
+      ResumeDimsat(ds, base, options, std::move(recompose));
+  ASSERT_OK(resumed.status);
+  EXPECT_EQ(Canonical(resumed.frozen, ds.hierarchy()),
+            Canonical(full.frozen, ds.hierarchy()));
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ TEST(FrozenTest, MaterializationNamesNkDistinctly) {
   FrozenDimension f = SampleFrozen(*ds);
   ASSERT_OK_AND_ASSIGN(DimensionInstance inst, f.ToInstance(*ds));
   // One member per category of g; keys are the category names.
-  EXPECT_EQ(inst.num_members(), f.g.categories().count());
+  EXPECT_EQ(inst.num_members(), f.Categories().size());
   ASSERT_OK_AND_ASSIGN(MemberId store, inst.MemberIdOf("Store"));
   // Store has no constant: its Name carries the nk prefix, which never
   // collides with a Sigma constant.

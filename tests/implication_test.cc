@@ -51,7 +51,7 @@ TEST_F(ImplicationTest, Example2WithoutConstraintsFails) {
   EXPECT_FALSE(r.implied);
   // The counterexample is a frozen dimension avoiding City.
   ASSERT_TRUE(r.counterexample.has_value());
-  EXPECT_FALSE(r.counterexample->g.Contains(
+  EXPECT_FALSE(r.counterexample->Contains(
       ds_->hierarchy().FindCategory("City")));
 }
 

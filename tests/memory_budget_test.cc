@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "common/budget.h"
 #include "common/fault_injector.h"
@@ -15,6 +16,7 @@
 #include "core/dimsat.h"
 #include "core/location_example.h"
 #include "tests/test_util.h"
+#include "workload/schema_generator.h"
 
 namespace olapdc {
 namespace {
@@ -133,6 +135,49 @@ TEST(MemoryBudgetTest, DimsatEnumerationDegradesUnderByteCap) {
       }
     }
     EXPECT_TRUE(found) << "capped run invented a frozen dimension";
+  }
+}
+
+// Collected models stay charged until the run returns, at every thread
+// count: work-stealing tasks hand their models to the run, and a
+// decomposed run keeps its component lists and composed models
+// charged. So a cap that stops the sequential enumeration stops the
+// parallel ones too, and no run returns more models than the cap
+// covers. On this schema no single work-stealing task collects half
+// the models, so a cap released per task lets a parallel run list all
+// of them.
+TEST(MemoryBudgetTest, ModelCapHoldsAtEveryThreadCount) {
+  MultiComponentGenOptions gen;
+  gen.num_components = 3;
+  gen.levels_per_component = 2;
+  gen.categories_per_level = 3;
+  gen.seed = 54;
+  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, GenerateMultiComponentSchema(gen));
+  const CategoryId base = ds.hierarchy().FindCategory("Base");
+
+  DimsatOptions options;
+  options.enumerate_all = true;
+  DimsatResult uncapped = RunDimsat(ds, base, options);
+  ASSERT_OK(uncapped.status);
+  ASSERT_GT(uncapped.frozen.size(), 1000u);
+  const uint64_t cap = FrozenDimensionBytes(uncapped.frozen) / 2;
+
+  for (bool decompose : {false, true}) {
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(decompose ? "decomposed" : "monolithic") +
+                   ", " + std::to_string(threads) + " thread(s)");
+      MemoryBudget memory(cap);
+      Budget budget;
+      budget.SetMemory(&memory);
+      options.budget = &budget;
+      options.decompose = decompose;
+      options.num_threads = threads;
+      DimsatResult capped = RunDimsat(ds, base, options);
+      EXPECT_EQ(capped.status.code(), StatusCode::kResourceExhausted);
+      EXPECT_LT(capped.frozen.size(), uncapped.frozen.size());
+      EXPECT_LE(FrozenDimensionBytes(capped.frozen), cap);
+      EXPECT_EQ(memory.reserved(), 0u);
+    }
   }
 }
 

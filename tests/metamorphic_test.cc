@@ -147,7 +147,7 @@ TEST(IsomorphismTest, M3LocationUnderReversedInsertion) {
     std::multiset<std::string> out;
     for (const FrozenDimension& f : frozen) {
       std::multiset<std::string> edge_names;
-      for (auto [u, v] : f.g.Edges()) {
+      for (auto [u, v] : f.edges) {
         edge_names.insert(schema.CategoryName(u) + ">" +
                           schema.CategoryName(v));
       }

@@ -46,7 +46,7 @@ TEST(MiningTest, SplitsReflectObservedStructures) {
   // Every frozen structure's store has a City parent (all observed
   // stores do).
   for (const FrozenDimension& f : frozen.frozen) {
-    EXPECT_TRUE(f.g.HasEdge(schema.FindCategory("Store"),
+    EXPECT_TRUE(f.HasEdge(schema.FindCategory("Store"),
                             schema.FindCategory("City")));
   }
 }

@@ -120,7 +120,7 @@ TEST(OrderAtomTest, DimsatRegionAbstraction) {
   // >= 100 region (the < 100 region is contradictory); a non-numeric
   // (nk) band name is also fine — it never satisfies "< 100".
   for (const FrozenDimension& f : r.frozen) {
-    if (f.g.HasEdge(product, luxury) && f.names[price_band].has_value()) {
+    if (f.HasEdge(product, luxury) && f.names[price_band].has_value()) {
       std::optional<double> price = ParseNumericName(*f.names[price_band]);
       ASSERT_TRUE(price.has_value());
       EXPECT_GE(*price, 100.0) << *f.names[price_band];
@@ -129,7 +129,7 @@ TEST(OrderAtomTest, DimsatRegionAbstraction) {
   // And at least one Luxury structure exists (price >= 100 works).
   bool has_luxury_structure = false;
   for (const FrozenDimension& f : r.frozen) {
-    has_luxury_structure |= f.g.HasEdge(product, luxury);
+    has_luxury_structure |= f.HasEdge(product, luxury);
   }
   EXPECT_TRUE(has_luxury_structure);
 

@@ -32,7 +32,7 @@ TEST(SatReductionTest, WitnessEncodesModel) {
   ASSERT_TRUE(result.satisfiable);
   const HierarchySchema& schema = r.schema.hierarchy();
   CategoryId x2 = schema.FindCategory("X2");
-  EXPECT_TRUE(result.frozen[0].g.HasEdge(r.query, x2));
+  EXPECT_TRUE(result.frozen[0].HasEdge(r.query, x2));
 }
 
 TEST(SatReductionTest, EvalAndBruteForce) {
@@ -87,7 +87,7 @@ TEST_P(SatDifferentialTest, DimsatAgreesWithBruteForce) {
     const HierarchySchema& schema = r.schema.hierarchy();
     for (int i = 1; i <= num_variables; ++i) {
       CategoryId xi = schema.FindCategory("X" + std::to_string(i));
-      assignment[i - 1] = result.frozen[0].g.HasEdge(r.query, xi);
+      assignment[i - 1] = result.frozen[0].HasEdge(r.query, xi);
     }
     EXPECT_TRUE(EvalCnf(cnf, assignment));
   }

@@ -86,7 +86,7 @@ TEST_F(SummarizabilityTest, DetailsIdentifyCounterexample) {
   EXPECT_FALSE(r.details[0].implied);
   // The counterexample is the Washington structure: City -> Country.
   ASSERT_TRUE(r.details[0].counterexample.has_value());
-  EXPECT_TRUE(r.details[0].counterexample->g.HasEdge(city_, country_));
+  EXPECT_TRUE(r.details[0].counterexample->HasEdge(city_, country_));
 }
 
 // Theorem 1's S is a set. A repeated source is malformed input, not a

@@ -189,8 +189,8 @@ TEST(SplitConstraintTest, DrivesDimsatLikeAnyConstraint) {
   ASSERT_OK(r.status);
   EXPECT_TRUE(r.satisfiable);
   for (const FrozenDimension& f : r.frozen) {
-    EXPECT_TRUE(f.g.HasEdge(store, city));
-    EXPECT_FALSE(f.g.HasEdge(store, sale_region));
+    EXPECT_TRUE(f.HasEdge(store, city));
+    EXPECT_FALSE(f.HasEdge(store, sale_region));
   }
 }
 

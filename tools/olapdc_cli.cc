@@ -6,7 +6,8 @@
 //       for unsatisfiable categories, print a minimal conflicting
 //       constraint core.
 //   olapdc frozen <schema-file> <root-category>
-//       Enumerate the frozen dimensions with the given root.
+//       Enumerate the frozen dimensions with the given root (component
+//       decomposed when the root's split is eligible).
 //   olapdc implies <schema-file> <constraint...>
 //       Decide ds |= alpha; print a counterexample structure if not.
 //   olapdc summarizable <schema-file> <target> <source>...
@@ -218,6 +219,11 @@ int Frozen(const DimensionSchema& ds, const std::string& root_name,
   if (!root.ok()) return Fail(root.status());
   DimsatOptions options;
   budget.Apply(&options);
+  // Listing every model is where decomposition pays: a multi-component
+  // schema costs the sum of its component searches plus composition
+  // instead of their product, with the same model set. Branching stays
+  // off; it multiplies EXPANDs on layered schemas (DESIGN.md §8).
+  options.decompose = true;
   DimsatResult r = EnumerateFrozenDimensions(ds, *root, options);
   if (!r.status.ok() && !IsBudgetError(r.status)) return Fail(r.status);
   std::printf("%zu frozen dimension(s) with root %s%s:\n", r.frozen.size(),
