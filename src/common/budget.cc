@@ -1,18 +1,8 @@
 #include "common/budget.h"
 
-#include <limits>
-
 #include "common/memory_budget.h"
 
 namespace olapdc {
-
-double Budget::RemainingMs() const {
-  if (!deadline_.has_value()) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return std::chrono::duration<double, std::milli>(*deadline_ - Clock::now())
-      .count();
-}
 
 Status Budget::Check() const {
   if (cancel_.cancelled()) {

@@ -123,10 +123,6 @@ class Budget {
            memory_ == nullptr;
   }
 
-  /// Milliseconds until the deadline (negative once past); +infinity
-  /// when no deadline is set.
-  double RemainingMs() const;
-
   /// Full probe: samples the cancellation flag, then the memory
   /// exhausted flag, then the clock. Returns OK, kCancelled,
   /// kResourceExhausted (memory), or kDeadlineExceeded. Cancellation

@@ -14,7 +14,6 @@
 
 #include "common/fault_injector.h"
 #include "common/memory_budget.h"
-#include "common/string_util.h"
 #include "constraint/normalize.h"
 #include "core/check_subhierarchy.h"
 #include "core/decompose.h"
@@ -38,8 +37,6 @@ namespace {
 /// under-split skewed trees; large ones drown the pool in tiny tasks
 /// (DESIGN.md §8 discusses the trade-off).
 constexpr int kParallelSplitDepth = 3;
-/// Cap on recorded Figure 7 trace events.
-constexpr size_t kMaxTraceEvents = 100000;
 /// EXPAND walks the subsets of a category's free successor choices as
 /// a 32-bit mask, so it accepts at most this many.
 constexpr int kMaxFreeChoices = 30;
@@ -83,27 +80,6 @@ void FlushDimsatMetrics(const DimsatStats& stats, const Status& status,
   obs::LatencyUs("olapdc.dimsat.latency_us", elapsed_us);
 }
 
-std::string DimsatTraceEvent::ToString(const HierarchySchema& schema) const {
-  std::string out;
-  switch (kind) {
-    case Kind::kExpand: out = "EXPAND "; break;
-    case Kind::kCheckFail: out = "CHECK(fail) "; break;
-    case Kind::kCheckSuccess: out = "CHECK(ok) "; break;
-    case Kind::kPruned: out = "PRUNE "; break;
-    case Kind::kDeadEnd: out = "DEADEND "; break;
-  }
-  out += "g={";
-  out += JoinMapped(edges, ", ", [&](const std::pair<int, int>& e) {
-    return schema.CategoryName(e.first) + "->" +
-           schema.CategoryName(e.second);
-  });
-  out += "} top={";
-  out += JoinMapped(top, ", ",
-                    [&](CategoryId c) { return schema.CategoryName(c); });
-  out += "}";
-  return out;
-}
-
 namespace {
 
 /// Sigma(ds, root) with composed/through shorthands expanded into plain
@@ -135,14 +111,11 @@ uint64_t ApproxSubhierarchyBytes(int num_categories) {
 
 /// The no-good identity of one search (core/nogood.h): the store, the
 /// semantic option bits and theory salt mixed into every signature,
-/// and the marker of the search key. Learned pruning changes which
-/// nodes are visited, so it is incompatible with the exact-trace
-/// contract of the Figure 7 harness: a trace-collecting run has no
-/// store.
+/// and the marker of the search key.
 struct NoGoodKey {
   NoGoodKey(const DimsatOptions& options, int num_categories,
             CategoryId root) {
-    if (options.nogoods == nullptr || options.collect_trace) return;
+    if (options.nogoods == nullptr) return;
     store = options.nogoods;
     bits = (options.prune_shortcuts ? 1u : 0u) |
            (options.prune_cycles ? 2u : 0u) |
@@ -380,28 +353,6 @@ class DimsatSearch {
     barren_masks_.resize(base);
   }
 
-  void Trace(DimsatTraceEvent::Kind kind, const Subhierarchy& g) {
-    if (!options_.collect_trace ||
-        result_.trace.size() >= kMaxTraceEvents) {
-      return;
-    }
-    // Under a memory budget the trace degrades by silent truncation —
-    // the same contract as the kMaxTraceEvents cap — rather than tripping
-    // the whole search over an advisory artifact.
-    MemoryBudget* mb = mem_.budget();
-    if (mb != nullptr) {
-      const uint64_t est =
-          96 + 16 * (static_cast<uint64_t>(g.num_edges()) + g.top().count());
-      if (mb->limit() > 0 && mb->reserved() + est > mb->limit()) return;
-      if (!mem_.Reserve(est, "dimsat.trace").ok()) return;
-    }
-    DimsatTraceEvent event;
-    event.kind = kind;
-    event.edges = g.Edges();
-    g.top().ForEach([&](int c) { event.top.push_back(c); });
-    result_.trace.push_back(std::move(event));
-  }
-
   /// Reserves undo-log headroom up to recursion level `depth` (a
   /// high-water charge: backtracking reuses frame storage, so the
   /// estimate only ever grows). Charged at EXPAND entry — before the
@@ -497,11 +448,9 @@ class DimsatSearch {
       ++result_.stats.structural_rejections;
     }
     if (outcome.frozen.empty()) {
-      Trace(DimsatTraceEvent::Kind::kCheckFail, g);
       RecordExplain(obs::ExplainEvent::Kind::kCheckFail, depth);
       return true;
     }
-    Trace(DimsatTraceEvent::Kind::kCheckSuccess, g);
     RecordExplain(obs::ExplainEvent::Kind::kCheckOk, depth, -1, -1, -1,
                   outcome.frozen.size());
     for (FrozenDimension& f : outcome.frozen) {
@@ -521,8 +470,8 @@ class DimsatSearch {
   ///
   /// `start_mask` > 0 replays a checkpointed node from its first
   /// unprocessed successor subset. Such a node is *not fresh*: its
-  /// entry-side accounting (the expand_calls increment, the trace
-  /// event, the prune counters of the deterministic successor scan)
+  /// entry-side accounting (the expand_calls increment, the explain
+  /// events, the prune counters of the deterministic successor scan)
   /// already happened in the interrupted run, so the replay recomputes
   /// the derived state silently — that is what keeps interrupted +
   /// resumed statistics exactly equal to an uninterrupted run's.
@@ -564,6 +513,7 @@ class DimsatSearch {
         nogood_.store->Probe(
             NoGoodStore::Signature(g_, nogood_.bits, nogood_.salt))) {
       ++result_.stats.nogood_prunes;
+      RecordExplain(obs::ExplainEvent::Kind::kPruneNogood, depth);
       return false;
     }
     // Only a fresh node of a search with a store joins the frontier.
@@ -583,7 +533,6 @@ class DimsatSearch {
         return false;
       }
       ++result_.stats.expand_calls;
-      Trace(DimsatTraceEvent::Kind::kExpand, g_);
     }
 
     // Line (6): g complete once only All awaits expansion.
@@ -667,7 +616,6 @@ class DimsatSearch {
       if (into.AndNotAny(allowed)) {
         if (fresh) {
           ++result_.stats.into_prunes;
-          Trace(DimsatTraceEvent::Kind::kPruned, g_);
           if (recorder_ != nullptr) {
             // Name every blocked into-target: each is an edge the
             // constraint forces but a structural rule forbids.
@@ -688,7 +636,6 @@ class DimsatSearch {
     if (allowed.none()) {
       if (fresh) {
         ++result_.stats.dead_ends;
-        Trace(DimsatTraceEvent::Kind::kDeadEnd, g_);
         RecordExplain(obs::ExplainEvent::Kind::kDeadEnd, depth, ctop);
       }
       return learnable;
@@ -728,6 +675,15 @@ class DimsatSearch {
       }
       const DynamicBitset r = ChildChoice(into, free, num_free, mask);
       if (r.none()) continue;
+      if (recorder_ != nullptr) {
+        // The child's edges ctop -> R, each tagged |R| so a replay can
+        // tell where its set ends and a sibling's begins.
+        const uint64_t size = static_cast<uint64_t>(r.count());
+        r.ForEach([&](int c) {
+          RecordExplain(obs::ExplainEvent::Kind::kEdge, depth + 1, -1, ctop,
+                        c, size);
+        });
+      }
       if (split) {
         Subhierarchy child = g_;
         child.Expand(ctop, r);
@@ -781,8 +737,7 @@ class DimsatSearch {
   SubhierarchyUndoLog undo_;
   /// Explain recorder, cached at construction (null = --explain off).
   obs::SearchTreeRecorder* recorder_ = nullptr;
-  /// Learned pruning (store null = off; forced off under
-  /// collect_trace).
+  /// Learned pruning (store null = off).
   const NoGoodKey nogood_;
   /// Whether this search signs and probes its nodes (DecideGate).
   bool probe_ = false;
@@ -1306,9 +1261,9 @@ DimsatResult SolveDimsat(const DimensionSchema& ds, CategoryId root,
                          const DimsatOptions& options,
                          DimsatCheckpoint* resume_from) {
   OLAPDC_CHECK(0 <= root && root < ds.hierarchy().num_categories());
-  // The Figure 7 trace, checkpoint capture, and resume are properties
-  // of one depth-first traversal: they pin the sequential path.
-  const bool parallel = options.num_threads > 1 && !options.collect_trace &&
+  // Checkpoint capture and resume are properties of one depth-first
+  // traversal: they pin the sequential path.
+  const bool parallel = options.num_threads > 1 &&
                         options.checkpoint == nullptr &&
                         resume_from == nullptr;
   DimsatResult result;
@@ -1338,8 +1293,7 @@ DimsatResult SolveDimsat(const DimensionSchema& ds, CategoryId root,
   std::vector<int> rank;
   if (options.branch_heuristic) rank = ComputeBranchRank(ds);
   ComponentSplit split;
-  if (options.decompose && !options.collect_trace &&
-      !options.require_injective_names) {
+  if (options.decompose && !options.require_injective_names) {
     split = ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
   }
   // A resume continues whatever the interrupted run was: decomposed iff

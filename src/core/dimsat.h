@@ -15,8 +15,6 @@
 #define OLAPDC_CORE_DIMSAT_H_
 
 #include <cstdint>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/budget.h"
@@ -55,9 +53,8 @@ struct DimsatOptions {
   /// the monolithic search whenever a static soundness gate trips
   /// (fewer than two components, injective-names mode, a direct
   /// root->All edge, a cycle through the root, or a constraint whose
-  /// atoms couple only root/All) and under collect_trace (the Figure 7
-  /// harness pins the exact monolithic trace). The frozen-dimension
-  /// set is always equal to the monolithic search's. Off by default
+  /// atoms couple only root/All). The frozen-dimension set is always
+  /// equal to the monolithic search's. Off by default
   /// (perfbench screens its inputs by their monolithic EXPAND counts);
   /// `olapdc frozen` turns it on, the daemon does not (DESIGN.md §8).
   bool decompose = false;
@@ -83,9 +80,6 @@ struct DimsatOptions {
   /// decomposed; exceeding it aborts with ResourceExhausted in
   /// DimsatResult::status, and stats.expand_calls never exceeds it.
   uint64_t max_expand_calls = UINT64_MAX;
-  /// Record the EXPAND/CHECK event sequence (Figure 7 harness; the
-  /// first 100000 events). Forces the sequential engine.
-  bool collect_trace = false;
   /// Bound on simple paths enumerated when expanding composed atoms.
   size_t path_limit = 1 << 20;
   /// Wall-clock / cancellation budget; not owned, may be null
@@ -125,15 +119,14 @@ struct DimsatOptions {
   exec::AdmissionGate* admission = nullptr;
   /// Learned-pruning store (core/nogood.h); not owned, may be shared
   /// across runs and threads. Null (the default) disables the feature
-  /// entirely — existing stats/trace/explain contracts are unchanged.
-  /// When set, each search records its maximal barren subtrees when it
-  /// ends, and a later search with the same root, salt and pruning
-  /// options skips them on sight (counted as stats.nogood_prunes).
+  /// entirely. When set, each search records its maximal barren
+  /// subtrees when it ends, and a later search with the same root,
+  /// salt and pruning options skips them on sight (counted as
+  /// stats.nogood_prunes, and a PRUNE[nogood] explain event each).
   /// The frozen-dimension *set* is unaffected; per-node statistics
-  /// and traces differ from an uncached run, so the store is ignored
-  /// while collect_trace is on (the Figure 7 harness pins exact
-  /// traces). The caller owns epoch discipline: one store must
-  /// only ever see one schema content epoch.
+  /// and explain streams differ from an uncached run. The caller owns
+  /// epoch discipline: one store must only ever see one schema
+  /// content epoch.
   NoGoodStore* nogoods = nullptr;
   /// Mixed into every no-good signature. A subtree is barren relative
   /// to the *effective* constraint theory, so runs against different
@@ -188,24 +181,11 @@ void AccumulateStats(DimsatStats* total, const DimsatStats& delta);
 void FlushDimsatMetrics(const DimsatStats& stats, const Status& status,
                         double elapsed_us);
 
-/// One step of the Figure 7 execution trace.
-struct DimsatTraceEvent {
-  enum class Kind { kExpand, kCheckFail, kCheckSuccess, kPruned, kDeadEnd };
-  Kind kind;
-  /// Snapshot of g's edges at the event.
-  std::vector<std::pair<CategoryId, CategoryId>> edges;
-  /// Snapshot of g.Top.
-  std::vector<CategoryId> top;
-
-  std::string ToString(const HierarchySchema& schema) const;
-};
-
 struct DimsatResult {
   bool satisfiable = false;
   /// A witness (or all frozen dimensions in enumerate_all mode).
   std::vector<FrozenDimension> frozen;
   DimsatStats stats;
-  std::vector<DimsatTraceEvent> trace;
   /// OK, or a budget error (kResourceExhausted for the expand-call cap,
   /// kDeadlineExceeded / kCancelled for the wall-clock budget) when the
   /// search stopped early — `satisfiable` is then only a lower bound
@@ -219,8 +199,8 @@ struct DimsatResult {
 /// 6) — the one entry point every layer uses (implication,
 /// summarizability, service, CLI). options.num_threads <= 1
 /// searches on the calling thread; > 1 runs on the work-stealing pool
-/// unless a trace or a checkpoint capture is requested, which pin the
-/// sequential search. A parallel run is semantically identical to the
+/// unless a checkpoint capture is requested, which pins the sequential
+/// search. A parallel run is semantically identical to the
 /// sequential one: the frozen-dimension *set* is equal (enumeration
 /// order may differ, and in decision mode a different — equally valid
 /// — witness may be returned). Its shared stop flag propagates the

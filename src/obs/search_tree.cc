@@ -1,6 +1,7 @@
 #include "obs/search_tree.h"
 
 #include <algorithm>
+#include <set>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -23,15 +24,23 @@ std::string NameOf(const std::function<std::string(int)>& category_name,
   return "#" + std::to_string(id);
 }
 
+std::string EdgeOf(const std::function<std::string(int)>& category_name,
+                   const ExplainEvent& e) {
+  return NameOf(category_name, e.edge_from) + "->" +
+         NameOf(category_name, e.edge_to);
+}
+
 }  // namespace
 
 const char* ExplainKindName(ExplainEvent::Kind kind) {
   switch (kind) {
     case ExplainEvent::Kind::kExpandBegin: return "EXPAND";
     case ExplainEvent::Kind::kExpandEnd: return "EXPAND-END";
+    case ExplainEvent::Kind::kEdge: return "EDGE";
     case ExplainEvent::Kind::kPruneInto: return "PRUNE[into]";
     case ExplainEvent::Kind::kPruneShortcut: return "PRUNE[Ss]";
     case ExplainEvent::Kind::kPruneCycle: return "PRUNE[Sc]";
+    case ExplainEvent::Kind::kPruneNogood: return "PRUNE[nogood]";
     case ExplainEvent::Kind::kDeadEnd: return "DEADEND";
     case ExplainEvent::Kind::kCheckOk: return "CHECK(ok)";
     case ExplainEvent::Kind::kCheckFail: return "CHECK(fail)";
@@ -122,43 +131,76 @@ std::string RenderExplainReport(
     const std::function<std::string(int)>& category_name) {
   std::string out;
   for (const ExplainEvent& e : events) {
-    out.append(static_cast<size_t>(e.depth) * 2, ' ');
-    out += ExplainKindName(e.kind);
+    // Each line: indent, kind, subject, depth, count.
+    std::string subject, count;
     switch (e.kind) {
       case ExplainEvent::Kind::kExpandBegin:
+        count = " expand_calls=" + std::to_string(e.aux);
+        [[fallthrough]];
       case ExplainEvent::Kind::kExpandEnd:
-        out += " " + NameOf(category_name, e.category) + " depth=" +
-               std::to_string(e.depth);
-        if (e.kind == ExplainEvent::Kind::kExpandBegin) {
-          out += " expand_calls=" + std::to_string(e.aux);
-        }
+        subject = " " + NameOf(category_name, e.category);
+        break;
+      case ExplainEvent::Kind::kEdge:
+        subject = " " + EdgeOf(category_name, e);
+        count = " |R|=" + std::to_string(e.aux);
         break;
       case ExplainEvent::Kind::kPruneInto:
       case ExplainEvent::Kind::kPruneShortcut:
       case ExplainEvent::Kind::kPruneCycle:
-        out += " edge " + NameOf(category_name, e.edge_from) + "->" +
-               NameOf(category_name, e.edge_to) + " depth=" +
-               std::to_string(e.depth);
+        subject = " edge " + EdgeOf(category_name, e);
         break;
       case ExplainEvent::Kind::kDeadEnd:
-        out += " at " + NameOf(category_name, e.category) + " depth=" +
-               std::to_string(e.depth);
+        subject = " at " + NameOf(category_name, e.category);
         break;
       case ExplainEvent::Kind::kCheckOk:
-        out += " frozen=" + std::to_string(e.aux) + " depth=" +
-               std::to_string(e.depth);
-        break;
-      case ExplainEvent::Kind::kCheckFail:
-        out += " depth=" + std::to_string(e.depth);
+        subject = " frozen=" + std::to_string(e.aux);
         break;
       case ExplainEvent::Kind::kBudgetStop:
-        out += " depth=" + std::to_string(e.depth) + " expand_calls=" +
-               std::to_string(e.aux);
+        count = " expand_calls=" + std::to_string(e.aux);
+        break;
+      case ExplainEvent::Kind::kPruneNogood:
+      case ExplainEvent::Kind::kCheckFail:
         break;
     }
-    out += "\n";
+    out.append(static_cast<size_t>(e.depth) * 2, ' ');
+    out += ExplainKindName(e.kind) + subject + " depth=" +
+           std::to_string(e.depth) + count + "\n";
   }
   return out;
+}
+
+void SubhierarchyReplay::Apply(const ExplainEvent& event) {
+  depth_ = event.depth;
+  if (event.kind != ExplainEvent::Kind::kEdge) return;
+  if (owed_ == 0) {
+    // A new child: drop the path of its previous sibling.
+    while (!path_.empty() && path_.back().depth >= depth_) path_.pop_back();
+    owed_ = event.aux;
+  }
+  path_.push_back(event);
+  if (owed_ > 0) --owed_;
+}
+
+std::vector<std::pair<int, int>> SubhierarchyReplay::Edges() const {
+  std::vector<std::pair<int, int>> edges;
+  for (const ExplainEvent& e : path_) {
+    if (e.depth <= depth_) edges.emplace_back(e.edge_from, e.edge_to);
+  }
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+std::vector<int> SubhierarchyReplay::Top() const {
+  // Every expanded category has an out-edge; only the root can be in
+  // g without an in-edge.
+  std::set<int> top = {root_};
+  std::set<int> expanded;
+  for (const auto& [from, to] : Edges()) {
+    expanded.insert(from);
+    top.insert(to);
+  }
+  for (int c : expanded) top.erase(c);
+  return {top.begin(), top.end()};
 }
 
 namespace {
@@ -189,7 +231,7 @@ std::string RenderChromeTrace(
     std::string args = "\"depth\": " + std::to_string(e.depth) +
                        ", \"seq\": " + std::to_string(e.seq);
     const char* phase = "i";
-    std::string name;
+    std::string name = ExplainKindName(e.kind);
     switch (e.kind) {
       case ExplainEvent::Kind::kExpandBegin:
         phase = "B";
@@ -200,26 +242,26 @@ std::string RenderChromeTrace(
         phase = "E";
         name = "EXPAND " + NameOf(category_name, e.category);
         break;
+      case ExplainEvent::Kind::kEdge:
+        name += " " + EdgeOf(category_name, e);
+        args += ", \"r\": " + std::to_string(e.aux);
+        break;
       case ExplainEvent::Kind::kPruneInto:
       case ExplainEvent::Kind::kPruneShortcut:
       case ExplainEvent::Kind::kPruneCycle:
-        name = std::string(ExplainKindName(e.kind)) + " " +
-               NameOf(category_name, e.edge_from) + "->" +
-               NameOf(category_name, e.edge_to);
-        break;
-      case ExplainEvent::Kind::kCheckOk:
-        name = "CHECK(ok)";
-        args += ", \"frozen\": " + std::to_string(e.aux);
-        break;
-      case ExplainEvent::Kind::kCheckFail:
-        name = "CHECK(fail)";
+        name += " " + EdgeOf(category_name, e);
         break;
       case ExplainEvent::Kind::kDeadEnd:
-        name = "DEADEND " + NameOf(category_name, e.category);
+        name += " " + NameOf(category_name, e.category);
+        break;
+      case ExplainEvent::Kind::kCheckOk:
+        args += ", \"frozen\": " + std::to_string(e.aux);
         break;
       case ExplainEvent::Kind::kBudgetStop:
-        name = "BUDGET-STOP";
         args += ", \"expand_calls\": " + std::to_string(e.aux);
+        break;
+      case ExplainEvent::Kind::kPruneNogood:
+      case ExplainEvent::Kind::kCheckFail:
         break;
     }
     if (!first) out += ", ";

@@ -1,14 +1,16 @@
 // SearchTreeRecorder: the DIMSAT explain/profile event stream.
 //
 // Under `--explain` the search records every EXPAND decision — node
-// entry/exit, each successor edge a prune rule (into / Ss shortcut /
-// Sc cycle) blocked, dead ends, CHECK verdicts, and budget stops —
-// with its recursion depth, the candidate edge, and the budget state
+// entry/exit, the successor edges each child takes, each successor
+// edge a prune rule (into / Ss shortcut / Sc cycle) blocked, subtrees
+// the no-good store skipped, dead ends, CHECK verdicts, and budget
+// stops — with its recursion depth, the edge, and the budget state
 // (expand calls so far). Two renderers turn the drained stream into a
 // human-readable explain report (every prune-rule firing named with
-// its depth — the Figure 7 walkthrough, live) and Chrome trace_event
-// JSON loadable in Perfetto (EXPAND nesting as B/E duration events,
-// prunes as instants).
+// its depth) and Chrome trace_event JSON loadable in Perfetto (EXPAND
+// nesting as B/E duration events, edges and prunes as instants), and
+// SubhierarchyReplay rebuilds each node's subhierarchy g from it —
+// the Figure 7 trace (bench/fig7_dimsat_trace) is rendered that way.
 //
 // Recording follows the MetricsRegistry pattern: a relaxed atomic
 // enabled gate (one load + branch when off — the search additionally
@@ -34,6 +36,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace olapdc {
@@ -44,9 +47,11 @@ struct ExplainEvent {
   enum class Kind : uint8_t {
     kExpandBegin,    // EXPAND picked `category` at `depth`
     kExpandEnd,      // that node finished (all successor subsets done)
+    kEdge,           // the child at `depth` takes edge_from -> edge_to
     kPruneInto,      // into rule: edge_from -> edge_to blocked => branch cut
     kPruneShortcut,  // Ss: edge_from -> edge_to would complete a shortcut
     kPruneCycle,     // Sc: edge_from -> edge_to would close a cycle
+    kPruneNogood,    // the no-good store skipped this node's subtree
     kDeadEnd,        // no structurally allowed successor remained
     kCheckOk,        // CHECK found `aux` frozen dimensions
     kCheckFail,      // CHECK rejected the completed subhierarchy
@@ -58,11 +63,14 @@ struct ExplainEvent {
   /// The expanded category (kExpandBegin/End, kPruneInto, kDeadEnd) or
   /// -1 when the node had no pending category (CHECK events).
   int category = -1;
-  /// The candidate edge a prune rule blocked; -1/-1 otherwise.
+  /// The edge a child takes (kEdge) or a prune rule blocked; -1/-1
+  /// otherwise.
   int edge_from = -1;
   int edge_to = -1;
   /// Budget state: expand calls so far at the event — except kCheckOk,
-  /// where it is the number of frozen dimensions found.
+  /// where it is the number of frozen dimensions found, and kEdge,
+  /// where it is |R|, the size of the child's successor set (a child
+  /// records one kEdge per member of R, in a row).
   uint64_t aux = 0;
   /// Microseconds since the recorder was enabled.
   double ts_us = 0;
@@ -126,10 +134,35 @@ std::string RenderExplainReport(
     const std::vector<ExplainEvent>& events,
     const std::function<std::string(int)>& category_name);
 
+/// Rebuilds the subhierarchy g (Definition 7) of each node of one
+/// sequential search from its complete stream: a node's g is the root
+/// plus the kEdge events on its path. After Apply() of each event in
+/// order, Edges()/Top() describe g at that event's node. Streams with
+/// dropped events, or of work-stealing or resumed runs, do not replay.
+class SubhierarchyReplay {
+ public:
+  explicit SubhierarchyReplay(int root) : root_(root) {}
+
+  void Apply(const ExplainEvent& event);
+  /// g's (child, parent) edges ascending, as Subhierarchy::Edges().
+  std::vector<std::pair<int, int>> Edges() const;
+  /// The categories of g with no out-edge in g, ascending.
+  std::vector<int> Top() const;
+
+ private:
+  const int root_;
+  int depth_ = 0;
+  /// The kEdge events on the current path, shallowest first.
+  std::vector<ExplainEvent> path_;
+  /// kEdge events the current child still owes.
+  uint64_t owed_ = 0;
+};
+
 /// Renders the drained stream as Chrome trace_event JSON
 /// ({"traceEvents": [...]}): EXPAND nodes as B/E duration events per
-/// recording thread, prunes/checks/stops as instants. Load the output
-/// in Perfetto (ui.perfetto.dev) for a flame graph of the search.
+/// recording thread, edges/prunes/checks/stops as instants. Load the
+/// output in Perfetto (ui.perfetto.dev) for a flame graph of the
+/// search.
 std::string RenderChromeTrace(
     const std::vector<ExplainEvent>& events,
     const std::function<std::string(int)>& category_name);

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -21,7 +20,6 @@ TEST(BudgetTest, DefaultIsUnbounded) {
   EXPECT_TRUE(b.unbounded());
   EXPECT_FALSE(b.has_deadline());
   EXPECT_OK(b.Check());
-  EXPECT_EQ(b.RemainingMs(), std::numeric_limits<double>::infinity());
 }
 
 TEST(BudgetTest, FutureDeadlinePasses) {
@@ -29,14 +27,12 @@ TEST(BudgetTest, FutureDeadlinePasses) {
   EXPECT_TRUE(b.has_deadline());
   EXPECT_FALSE(b.unbounded());
   EXPECT_OK(b.Check());
-  EXPECT_GT(b.RemainingMs(), 0.0);
 }
 
 TEST(BudgetTest, ExpiredDeadlineFails) {
   Budget b = Budget::WithDeadline(std::chrono::milliseconds(-1));
   Status s = b.Check();
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(b.RemainingMs(), 0.0);
 }
 
 TEST(BudgetTest, CancellationTrips) {

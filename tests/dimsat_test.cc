@@ -1,6 +1,7 @@
 // Tests for the DIMSAT algorithm: Figure 4 (frozen dimensions of
 // locationSch), Example 11 (unsatisfiable category), pruning ablations,
-// budgets and the execution trace (Figure 7).
+// budgets and the execution trace (Figure 7) as the explain stream
+// records it.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "core/dimsat.h"
 #include "core/location_example.h"
 #include "graph/algorithms.h"
+#include "obs/search_tree.h"
 #include "tests/test_util.h"
 
 namespace olapdc {
@@ -149,19 +151,34 @@ TEST_F(DimsatLocationTest, PruningReducesWork) {
 }
 
 TEST_F(DimsatLocationTest, TraceRecordsExpansionAndChecks) {
-  DimsatOptions options;
-  options.collect_trace = true;
-  DimsatResult r = RunDimsat(*ds_, store_, options);
-  ASSERT_FALSE(r.trace.empty());
-  EXPECT_EQ(r.trace.front().kind, DimsatTraceEvent::Kind::kExpand);
+  obs::SearchTreeRecorder& recorder = obs::SearchTreeRecorder::Global();
+  recorder.Enable();
+  DimsatResult r = RunDimsat(*ds_, store_);
+  const std::vector<obs::ExplainEvent> events = recorder.Drain();
+  recorder.Disable();
+  ASSERT_OK(r.status);
+  ASSERT_EQ(r.frozen.size(), 1u);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.front().kind, obs::ExplainEvent::Kind::kExpandBegin);
   bool has_success = false;
-  for (const auto& event : r.trace) {
-    has_success |= (event.kind == DimsatTraceEvent::Kind::kCheckSuccess);
-    // Events render with category names.
-    std::string s = event.ToString(ds_->hierarchy());
-    EXPECT_NE(s.find("g={"), std::string::npos);
+  obs::SubhierarchyReplay g(store_);
+  for (const obs::ExplainEvent& event : events) {
+    g.Apply(event);
+    if (event.kind == obs::ExplainEvent::Kind::kCheckOk) {
+      has_success = true;
+      // The g rebuilt at the successful CHECK is the witness's, with
+      // only All left to expand.
+      EXPECT_EQ(g.Edges(), r.frozen[0].edges);
+      EXPECT_EQ(g.Top(), std::vector<int>{ds_->hierarchy().all()});
+    }
   }
   EXPECT_TRUE(has_success);
+  // Events render with category names.
+  const std::string report =
+      obs::RenderExplainReport(events, [this](int id) {
+        return ds_->hierarchy().CategoryName(static_cast<CategoryId>(id));
+      });
+  EXPECT_NE(report.find("EDGE Store->City depth=1"), std::string::npos);
 }
 
 TEST_F(DimsatLocationTest, ExpandBudgetExhaustion) {

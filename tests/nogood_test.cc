@@ -28,6 +28,7 @@
 #include "core/subhierarchy.h"
 #include "exec/work_stealing_pool.h"
 #include "gtest/gtest.h"
+#include "obs/search_tree.h"
 #include "tests/test_util.h"
 #include "workload/schema_generator.h"
 
@@ -154,7 +155,8 @@ TEST(NoGoodStoreTest, MarkersAreNoNodeSignaturesAndLearnFlushesOnce) {
 TEST(NoGoodDimsatTest, WarmEnumerationPrunesAndMatchesColdExactly) {
   ASSERT_OK_AND_ASSIGN(DimensionSchema ds, CorpusSchema(4));
   NoGoodStore store;
-  uint64_t cold_expands = 0, warm_expands = 0, prunes = 0;
+  obs::SearchTreeRecorder& recorder = obs::SearchTreeRecorder::Global();
+  uint64_t cold_expands = 0, warm_expands = 0, prunes = 0, skip_events = 0;
   for (CategoryId c = 0; c < ds.hierarchy().num_categories(); ++c) {
     if (c == ds.hierarchy().all()) continue;
     DimsatOptions plain;
@@ -166,9 +168,19 @@ TEST(NoGoodDimsatTest, WarmEnumerationPrunesAndMatchesColdExactly) {
     DimsatOptions learned = plain;
     learned.nogoods = &store;
     const DimsatResult fill = RunDimsat(ds, c, learned);
+    recorder.Enable();
     const DimsatResult warm = RunDimsat(ds, c, learned);
+    const std::vector<obs::ExplainEvent> events = recorder.Drain();
+    recorder.Disable();
     warm_expands += warm.stats.expand_calls;
     prunes += warm.stats.nogood_prunes;
+    // The explain stream names every subtree the store skipped.
+    const uint64_t skipped = static_cast<uint64_t>(std::count_if(
+        events.begin(), events.end(), [](const obs::ExplainEvent& e) {
+          return e.kind == obs::ExplainEvent::Kind::kPruneNogood;
+        }));
+    EXPECT_EQ(skipped, warm.stats.nogood_prunes) << "category " << c;
+    skip_events += skipped;
 
     // The store may reorder or skip exploration, never change answers.
     EXPECT_EQ(Canonical(fill.frozen, ds.hierarchy()),
@@ -181,6 +193,7 @@ TEST(NoGoodDimsatTest, WarmEnumerationPrunesAndMatchesColdExactly) {
   // The whole point: learned pruning actually fires and saves work.
   EXPECT_GT(store.size(), 0u);
   EXPECT_GT(prunes, 0u);
+  EXPECT_GT(skip_events, 0u);
   EXPECT_LT(warm_expands, cold_expands);
 }
 

@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dimsat.h"
@@ -384,9 +385,23 @@ TEST(ExplainRenderTest, ReportNamesEveryPruneRuleWithDepth) {
     prune.edge_to = 2;
     events.push_back(prune);
   }
+  ExplainEvent edge;
+  edge.kind = ExplainEvent::Kind::kEdge;
+  edge.depth = 1;
+  edge.edge_from = 0;
+  edge.edge_to = 1;
+  edge.aux = 2;
+  events.push_back(edge);
+  ExplainEvent nogood;
+  nogood.kind = ExplainEvent::Kind::kPruneNogood;
+  nogood.depth = 1;
+  events.push_back(nogood);
   const std::vector<std::string> names = {"Store", "City", "Country"};
   const std::string report = RenderExplainReport(
       events, [&names](int id) { return names[static_cast<size_t>(id)]; });
+  EXPECT_NE(report.find("  EDGE Store->City depth=1 |R|=2\n"),
+            std::string::npos);
+  EXPECT_NE(report.find("  PRUNE[nogood] depth=1\n"), std::string::npos);
   EXPECT_NE(report.find("EXPAND Store depth=0 expand_calls=1"),
             std::string::npos);
   EXPECT_NE(report.find("PRUNE[into] edge Store->Country depth=1"),
@@ -398,6 +413,56 @@ TEST(ExplainRenderTest, ReportNamesEveryPruneRuleWithDepth) {
   // Null resolver: ids render as "#<id>".
   const std::string anonymous = RenderExplainReport(events, nullptr);
   EXPECT_NE(anonymous.find("EXPAND #0"), std::string::npos);
+}
+
+// A node's g is the root plus the EDGE events on its path; |R| tags
+// each child's edges, so a child that recorded nothing else does not
+// merge into its sibling.
+TEST(ExplainRenderTest, ReplayRebuildsEachNodesSubhierarchy) {
+  std::vector<ExplainEvent> events;
+  const auto add = [&events](ExplainEvent::Kind kind, int depth, int from,
+                             int to, uint64_t aux) {
+    ExplainEvent event;
+    event.kind = kind;
+    event.depth = depth;
+    event.edge_from = from;
+    event.edge_to = to;
+    event.aux = aux;
+    events.push_back(event);
+  };
+  using Kind = ExplainEvent::Kind;
+  using Edges = std::vector<std::pair<int, int>>;
+  add(Kind::kExpandBegin, 0, -1, -1, 1);  // root 0
+  add(Kind::kEdge, 1, 0, 1, 1);           // child {0->1}: stopped at once
+  add(Kind::kEdge, 1, 0, 1, 2);           // child {0->1, 0->2}
+  add(Kind::kEdge, 1, 0, 2, 2);
+  add(Kind::kExpandBegin, 1, -1, -1, 2);
+  add(Kind::kEdge, 2, 1, 3, 1);
+  add(Kind::kCheckOk, 2, -1, -1, 1);
+  add(Kind::kExpandEnd, 1, -1, -1, 0);
+  add(Kind::kEdge, 1, 0, 2, 1);           // child {0->2}
+  add(Kind::kDeadEnd, 1, -1, -1, 0);
+  add(Kind::kExpandEnd, 0, -1, -1, 0);
+
+  SubhierarchyReplay g(0);
+  std::vector<Edges> edges;
+  std::vector<std::vector<int>> top;
+  for (const ExplainEvent& event : events) {
+    g.Apply(event);
+    edges.push_back(g.Edges());
+    top.push_back(g.Top());
+  }
+  EXPECT_EQ(edges[0], Edges{});
+  EXPECT_EQ(top[0], std::vector<int>{0});
+  EXPECT_EQ(edges[1], (Edges{{0, 1}}));
+  EXPECT_EQ(edges[4], (Edges{{0, 1}, {0, 2}}));
+  EXPECT_EQ(top[4], (std::vector<int>{1, 2}));
+  EXPECT_EQ(edges[6], (Edges{{0, 1}, {0, 2}, {1, 3}}));
+  EXPECT_EQ(top[6], (std::vector<int>{2, 3}));
+  EXPECT_EQ(edges[7], (Edges{{0, 1}, {0, 2}}));
+  EXPECT_EQ(edges[9], (Edges{{0, 2}}));
+  EXPECT_EQ(top[9], std::vector<int>{2});
+  EXPECT_EQ(edges[10], Edges{});
 }
 
 TEST(ExplainRenderTest, ChromeTraceBalancesBeginEndAndMarksInstants) {
@@ -475,6 +540,31 @@ TEST_F(TelemetryTest, ExplainStreamMatchesDimsatStatsOnLocationExample) {
   EXPECT_NE(report.find("EXPAND "), std::string::npos);
   EXPECT_NE(report.find("CHECK(ok) frozen="), std::string::npos);
   EXPECT_NE(report.find("depth="), std::string::npos);
+
+  // Figure 7 from the stream: in a sequential enumeration from every
+  // category, the g rebuilt at each CHECK(ok) is, in order, the
+  // subhierarchy of each frozen dimension that CHECK produced.
+  for (CategoryId c = 0; c < ds->hierarchy().num_categories(); ++c) {
+    if (c == ds->hierarchy().all()) continue;
+    recorder.Enable();
+    const DimsatResult run = EnumerateFrozenDimensions(*ds, c);
+    const std::vector<ExplainEvent> stream = recorder.Drain();
+    recorder.Disable();
+    ASSERT_OK(run.status);
+    const std::string name = ds->hierarchy().CategoryName(c);
+    SubhierarchyReplay g(c);
+    size_t next = 0;
+    for (const ExplainEvent& event : stream) {
+      g.Apply(event);
+      if (event.kind != ExplainEvent::Kind::kCheckOk) continue;
+      for (uint64_t k = 0; k < event.aux; ++k, ++next) {
+        ASSERT_LT(next, run.frozen.size()) << name;
+        EXPECT_EQ(g.Edges(), run.frozen[next].edges)
+            << name << " frozen dimension " << next;
+      }
+    }
+    EXPECT_EQ(next, run.frozen.size()) << name;
+  }
 }
 
 // An explain run under a budget records the stop decision.
