@@ -16,7 +16,10 @@
 //                                    saves *on top of* decomposition.
 // Both are deterministic node counts (host-independent), and both
 // aggregate the multi-component rows only: they say nothing about
-// layered schemas, whose rows are reported beside them.
+// layered schemas, whose rows are reported beside them. The ms
+// columns are single samples; each workload runs once untimed before
+// its configs so that the first config does not also pay the
+// workload's first-run costs.
 
 #include <cstdio>
 #include <algorithm>
@@ -135,6 +138,14 @@ void RunSuite(BenchReporter& reporter) {
 
   std::vector<Workload> workloads = BuildWorkloads();
   for (const Workload& workload : workloads) {
+    // Untimed warm-up in the `decomp` config, the cheapest on every
+    // workload but the multi-component ones (where decomp_branch's
+    // search is smaller and its composition the same).
+    DimsatOptions warm_up;
+    warm_up.enumerate_all = true;
+    warm_up.decompose = true;
+    OLAPDC_CHECK(RunDimsat(workload.ds, workload.root, warm_up).status.ok());
+
     std::vector<std::string> golden;
     for (size_t ci = 0; ci < std::size(kConfigs); ++ci) {
       const Config& config = kConfigs[ci];

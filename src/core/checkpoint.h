@@ -31,12 +31,9 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/frozen.h"
 #include "core/subhierarchy.h"
 
 namespace olapdc {
-
-class DimensionSchema;
 
 /// One partially processed EXPAND node of the interrupted search.
 struct DimsatCheckpointFrame {
@@ -48,71 +45,30 @@ struct DimsatCheckpointFrame {
   /// Recursion depth of the node (drives split-depth decisions and
   /// undo-log accounting on resume).
   int depth = 0;
-  /// Component this frame belongs to when the interrupted run was a
-  /// decomposed search (DimsatOptions::decompose); -1 for monolithic
-  /// frames. Component indices refer to the deterministic split the
-  /// resume recomputes from (schema, root, options).
-  int component = -1;
-};
-
-/// The complete model set of one already-solved component of an
-/// interrupted decomposed run. The composition step needs every
-/// per-component model, so solved components travel with the
-/// checkpoint (unlike monolithic frozen dimensions, which leave with
-/// the interrupted run's result and are never re-emitted). An entry
-/// with zero models records "solved, UNSAT" — without it the resume
-/// could not distinguish an unsatisfiable component from an
-/// unstarted one.
-struct DimsatSolvedComponent {
-  int component = -1;
-  std::vector<FrozenDimension> models;
 };
 
 struct DimsatCheckpoint {
   CategoryId root = 0;
   int num_categories = 0;
   /// Deepest-first: index 0 is the innermost interrupted node.
-  /// For decomposed checkpoints, frames of the same component keep
-  /// deepest-first order among themselves.
   std::vector<DimsatCheckpointFrame> frames;
-  /// Decomposed checkpoints only: number of components of the split
-  /// (0 = monolithic checkpoint), and the model sets of components
-  /// the interrupted run finished.
-  int num_components = 0;
-  std::vector<DimsatSolvedComponent> solved;
 
-  bool empty() const { return frames.empty() && solved.empty(); }
+  bool empty() const { return frames.empty(); }
 
-  /// Line-oriented text form, stable across runs. Monolithic
-  /// checkpoints keep the v1 format bit-for-bit:
+  /// Line-oriented text form, stable across runs:
   ///   dimsat-checkpoint v1
   ///   root <r> categories <n> frames <k>
   ///   frame <next_mask> <depth> <edges> <u1> <v1> ... <ue> <ve>
-  /// Decomposed checkpoints (num_components > 0) emit v2, which tags
-  /// every frame with its component and appends the solved-component
-  /// model sets (assignment names %-escaped):
-  ///   dimsat-checkpoint v2
-  ///   root <r> categories <n> frames <k> components <w> solved <s>
-  ///   frame <component> <next_mask> <depth> <edges> <u> <v> ...
-  ///   solved <component> <models>
-  ///   model <edges> <u> <v> ... <assigned> <cat> <name> ...
   std::string Serialize() const;
 
-  /// Inverse of Serialize(). Rejects malformed input, version
-  /// mismatches, and frames whose edges do not form a root-reachable
-  /// partial subhierarchy (kParseError / kInvalidArgument). Accepts
-  /// both v1 and v2.
+  /// Inverse of Serialize(). Rejects malformed input, any version but
+  /// v1, a token without frames (no run writes one: an interrupted
+  /// search leaves at least the node it stopped at), and frames whose
+  /// edges do not form a root-reachable partial subhierarchy
+  /// (kParseError / kInvalidArgument). The text names no schema, so
+  /// whether each edge is a schema edge is ResumeDimsat()'s check.
   static Result<DimsatCheckpoint> Deserialize(std::string_view text);
 };
-
-/// Resume hook for the request plane: deserializes `text` and
-/// validates it against (ds, root) up front, so a service can reject a
-/// stale or mismatched client checkpoint with kInvalidArgument before
-/// committing a request slot to the run (ResumeDimsat would reject it
-/// too, but only after the caller has built options and budgets).
-Result<DimsatCheckpoint> ParseCheckpointFor(const DimensionSchema& ds,
-                                            CategoryId root,
-                                            std::string_view text);
 
 }  // namespace olapdc
 

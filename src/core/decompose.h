@@ -50,8 +50,9 @@
 namespace olapdc {
 
 /// The deterministic component split of one (schema, root) query — a
-/// pure function of its inputs, so checkpoint resumes and parallel
-/// drivers recompute the identical split.
+/// pure function of its inputs. DIMSAT computes it only for an
+/// enumerate-all run without a checkpoint (DimsatOptions::decompose);
+/// every search of that run shares the one split.
 struct ComponentSplit {
   /// False when a soundness gate tripped; the caller must fall back to
   /// the monolithic search. The remaining fields are then empty.

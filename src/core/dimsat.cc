@@ -298,10 +298,6 @@ class DimsatSearch {
   /// of the smallest id. Not owned; must outlive the search.
   void set_branch_rank(const std::vector<int>* rank) { branch_rank_ = rank; }
 
-  /// Tags every captured checkpoint frame with a component id
-  /// (decomposed runs); -1 (the default) marks monolithic frames.
-  void set_component(int component) { component_ = component; }
-
   /// Fixes the no-good probe gate instead of looking the search key's
   /// marker up at start: work-stealing tasks share their run's key, so
   /// the run looks it up once for all of them.
@@ -385,7 +381,7 @@ class DimsatSearch {
     checkpoint_->root = root_;
     checkpoint_->num_categories = schema_.num_categories();
     checkpoint_->frames.push_back(
-        DimsatCheckpointFrame{g_, next_mask, depth, component_});
+        DimsatCheckpointFrame{g_, next_mask, depth});
   }
 
   /// Hands frames[start..] of an interrupted resume back to the new
@@ -756,8 +752,6 @@ class DimsatSearch {
   const DynamicBitset* universe_ = nullptr;
   /// Branching rank (options.branch_heuristic); null = id order.
   const std::vector<int>* branch_rank_ = nullptr;
-  /// Component tag for captured checkpoint frames (-1 = monolithic).
-  int component_ = -1;
 };
 
 /// Most-constrained-first branching rank: a static permutation of the
@@ -793,14 +787,14 @@ std::vector<int> ComputeBranchRank(const DimensionSchema& ds) {
   return rank;
 }
 
-/// Cross-product composition of the per-component model sets
-/// (enumerate mode): every combination picking one model per
-/// component — or "absent" for components whose constraints allow it —
-/// yields one frozen dimension, except the all-absent combination
-/// (the root must expand somewhere). Composition is budgeted like the
-/// searches: each composed model is charged its size against the run's
-/// model charge, and the deadline and cancellation are probed at the
-/// search's stride. A non-OK return is the budget error that stopped it
+/// Cross-product composition of the per-component model sets: every
+/// combination picking one model per component — or "absent" for
+/// components whose constraints allow it — yields one frozen
+/// dimension, except the all-absent combination (the root must expand
+/// somewhere). Composition is budgeted like the searches: each
+/// composed model is charged its size against the run's model charge,
+/// and the deadline and cancellation are probed at the search's
+/// stride. A non-OK return is the budget error that stopped it
 /// (out->truncated at that point).
 Status ComposeFrozen(const ComponentSplit& split,
                      const std::vector<std::vector<FrozenDimension>>& models,
@@ -1054,200 +1048,57 @@ DimsatResult RunWorkStealing(const RunContext& run) {
   return merged;
 }
 
-/// The decomposed driver: one restricted-universe DimsatSearch per
-/// component, spawned through run.spawner — inline in component order
-/// when sequential, one pool task per component when parallel (the
-/// component is then the steal granularity: components are
-/// independent, so no merge lock and no subtree respawning) — and the
-/// composition step on the caller's thread. Handles fresh runs and
-/// checkpoint resumes (`resume_from`). On a budget stop it captures a
-/// v2 checkpoint — frames of the interrupted component, models
-/// collected so far, and seed frames for components not yet started —
-/// and reports *no* frozen dimensions (partial per-component sets
-/// cannot compose; the resume emits the full composed set instead).
-DimsatResult RunDecomposed(const RunContext& run, const ComponentSplit& split,
-                           DimsatCheckpoint* resume_from) {
-  const DimsatOptions& options = run.options;
-  const int n = run.ds.hierarchy().num_categories();
+/// The decomposed enumeration: one restricted-universe DimsatSearch
+/// per component, spawned through run.spawner — inline in component
+/// order when sequential, one pool task per component when parallel
+/// (the component is then the steal granularity: components are
+/// independent, so no merge lock and no subtree respawning) — then
+/// ComposeFrozen on the caller's thread. A budget stop reports *no*
+/// frozen dimensions: partial per-component sets do not compose.
+DimsatResult RunDecomposed(const RunContext& run, const ComponentSplit& split) {
   const int w = static_cast<int>(split.num_components());
-
-  std::vector<std::vector<DimensionConstraint>> comp_relevant(w);
-  for (int k = 0; k < w; ++k) {
-    for (size_t i : split.constraint_indices[k]) {
-      comp_relevant[k].push_back(run.relevant[i]);
-    }
-  }
-
-  // Which components this run searches, in deterministic order.
-  // Enumerate mode needs every component's full model set. Decision
-  // mode with must-be-present components searches exactly those (a
-  // witness merges one model from each; the optional components stay
-  // absent). Decision mode where every component may be absent scans
-  // components in order until one yields a witness.
-  std::vector<int> to_search;
-  bool any_required = false;
-  for (int k = 0; k < w; ++k) {
-    if (!split.absent_valid[k]) any_required = true;
-  }
-  const bool scan_mode = !options.enumerate_all && !any_required;
-  for (int k = 0; k < w; ++k) {
-    if (options.enumerate_all || scan_mode || !split.absent_valid[k]) {
-      to_search.push_back(k);
-    }
-  }
-
-  // Resume bookkeeping: partition the interrupted run's checkpoint
-  // into per-component frontiers and already-collected model sets.
-  std::vector<std::vector<DimsatCheckpointFrame>> frames(w);
-  std::vector<std::vector<FrozenDimension>> models(w);
-  std::vector<char> done(w, 0);
-  if (resume_from != nullptr) {
-    std::vector<char> has_entry(w, 0);
-    for (DimsatCheckpointFrame& frame : resume_from->frames) {
-      OLAPDC_DCHECK(0 <= frame.component && frame.component < w);
-      frames[frame.component].push_back(std::move(frame));
-    }
-    for (DimsatSolvedComponent& comp : resume_from->solved) {
-      OLAPDC_DCHECK(0 <= comp.component && comp.component < w);
-      has_entry[comp.component] = 1;
-      models[comp.component] = std::move(comp.models);
-    }
-    for (int k = 0; k < w; ++k) {
-      done[k] = has_entry[k] && frames[k].empty();
-    }
-  }
-
   // Per-component slots: each task writes only its own.
+  std::vector<std::vector<FrozenDimension>> models(w);
   std::vector<DimsatStats> stats(w);
   std::vector<Status> errors(w);
-  std::vector<DimsatCheckpoint> captured(w);
-  std::vector<char> started(w, 0);
   std::atomic<bool> stop{false};
-  /// Set only by semantic verdicts (a scan-mode witness, a required
-  /// component proven UNSAT) — never by budget errors, so the
-  /// post-drain logic can tell "decided" from "interrupted".
-  std::atomic<bool> decided{false};
-  const auto solve = [&](int k) {
-    if (stop.load(std::memory_order_acquire)) return;
-    started[k] = 1;
-    if (!done[k]) {
-      DimsatOptions comp_opts = options;
-      comp_opts.nogood_salt = split.salts[k];
-      comp_opts.checkpoint =
-          options.checkpoint != nullptr ? &captured[k] : nullptr;
-      DimsatSearch search(run.ds, run.root, comp_opts, comp_relevant[k],
-                          &run.frozen_charge);
-      search.set_universe(&split.universes[k]);
-      search.set_branch_rank(run.branch_rank);
-      search.set_expand_counter(run.expand_counter);
-      search.set_component(k);
-      search.set_external_stop(&stop);
-      DimsatResult r;
-      if (!frames[k].empty()) {
-        DimsatCheckpoint sub;
-        sub.root = run.root;
-        sub.num_categories = n;
-        sub.frames = std::move(frames[k]);
-        frames[k].clear();
-        r = search.RunResume(std::move(sub));
-      } else {
-        r = search.Run();
-      }
-      stats[k] = r.stats;
-      errors[k] = r.status;
-      for (FrozenDimension& f : r.frozen) models[k].push_back(std::move(f));
-      done[k] = r.status.ok();
-    }
-    bool verdict = false;
-    if (errors[k].ok() && !options.enumerate_all &&
-        !stop.load(std::memory_order_acquire)) {
-      // Completed cleanly: a scan-mode witness or a required component
-      // with no model decides the whole run.
-      verdict = scan_mode ? !models[k].empty() : models[k].empty();
-    }
-    if (verdict) decided.store(true, std::memory_order_release);
-    if (verdict || !errors[k].ok()) {
-      stop.store(true, std::memory_order_release);
-    }
-  };
-  for (int k : to_search) {
-    run.spawner.Spawn([&solve, k] { solve(k); }, /*queued_bytes=*/0);
+  for (int k = 0; k < w; ++k) {
+    run.spawner.Spawn(
+        [&, k] {
+          if (stop.load(std::memory_order_acquire)) return;
+          std::vector<DimensionConstraint> relevant;
+          for (size_t i : split.constraint_indices[k]) {
+            relevant.push_back(run.relevant[i]);
+          }
+          DimsatOptions options = run.options;
+          options.nogood_salt = split.salts[k];
+          DimsatSearch search(run.ds, run.root, options, relevant,
+                              &run.frozen_charge);
+          search.set_universe(&split.universes[k]);
+          search.set_branch_rank(run.branch_rank);
+          search.set_expand_counter(run.expand_counter);
+          search.set_external_stop(&stop);
+          DimsatResult r = search.Run();
+          stats[k] = r.stats;
+          models[k] = std::move(r.frozen);
+          errors[k] = std::move(r.status);
+          // One component's budget stop dooms the composition.
+          if (!errors[k].ok()) stop.store(true, std::memory_order_release);
+        },
+        /*queued_bytes=*/0);
   }
   run.spawner.Wait();
 
   DimsatResult result;
-  Status first_err;
   for (int k = 0; k < w; ++k) {
     AccumulateStats(&result.stats, stats[k]);
-    if (!errors[k].ok() && first_err.ok()) first_err = errors[k];
+    if (result.status.ok()) result.status = errors[k];
   }
-
-  // Hands the unfinished work to options.checkpoint: the interrupted
-  // component's frames, then a carried-over or fresh seed frontier for
-  // every later unfinished component, plus every model set collected.
-  const auto capture = [&] {
-    DimsatCheckpoint* cp = options.checkpoint;
-    cp->root = run.root;
-    cp->num_categories = n;
-    cp->num_components = w;
-    for (int k : to_search) {
-      if (done[k]) continue;
-      if (!started[k] && frames[k].empty()) {
-        cp->frames.push_back(
-            DimsatCheckpointFrame{Subhierarchy(n, run.root), 0, 0, k});
-      }
-      // The interrupted component's fresh frontier, or an earlier
-      // interrupt's still-unreplayed frontier carried over verbatim.
-      for (DimsatCheckpointFrame& f :
-           started[k] ? captured[k].frames : frames[k]) {
-        cp->frames.push_back(std::move(f));
-      }
-    }
-    for (int k = 0; k < w; ++k) {
-      if (done[k] || !models[k].empty()) {
-        cp->solved.push_back(DimsatSolvedComponent{k, std::move(models[k])});
-      }
-    }
-  };
-
-  if (!options.enumerate_all && scan_mode) {
-    // A witness is a verdict even when another component errored.
-    for (int k : to_search) {
-      if (!models[k].empty()) {
-        result.frozen.push_back(std::move(models[k][0]));
-        break;
-      }
-    }
+  if (result.status.ok()) {
+    result.status = ComposeFrozen(split, models, run.options,
+                                  &run.frozen_charge, &result.frozen);
   }
-  if (result.frozen.empty() && !decided.load() && !first_err.ok()) {
-    result.status = first_err;
-    if (IsBudgetError(result.status) && options.checkpoint != nullptr) {
-      capture();
-    }
-    return result;
-  }
-
-  // Verdict / composition.
-  if (!options.enumerate_all) {
-    if (!scan_mode && !decided.load()) {
-      FrozenDimension fd{run.root, {},
-                         CAssignment(static_cast<size_t>(n), std::nullopt)};
-      for (int k : to_search) MergeDisjointInto(models[k][0], &fd);
-      result.frozen.push_back(std::move(fd));
-    }
-  } else {
-    Status composed = ComposeFrozen(split, models, options,
-                                    &run.frozen_charge, &result.frozen);
-    if (!composed.ok()) {
-      result.status = std::move(composed);
-      result.frozen.clear();
-      // Everything is solved; the resume only needs to recompose.
-      if (IsBudgetError(result.status) && options.checkpoint != nullptr) {
-        capture();
-      }
-      return result;
-    }
-  }
+  if (!result.status.ok()) result.frozen.clear();
   result.satisfiable = !result.frozen.empty();
   result.stats.frozen_found = result.frozen.size();
   return result;
@@ -1292,26 +1143,16 @@ DimsatResult SolveDimsat(const DimensionSchema& ds, CategoryId root,
   if (options.checkpoint != nullptr) *options.checkpoint = DimsatCheckpoint{};
   std::vector<int> rank;
   if (options.branch_heuristic) rank = ComputeBranchRank(ds);
+  // Decomposition pays only when every model is listed, and a
+  // checkpoint is the frontier of one monolithic traversal: only an
+  // enumerate-all run that neither captures nor resumes one splits.
   ComponentSplit split;
-  if (options.decompose && !options.require_injective_names) {
+  if (options.decompose && options.enumerate_all &&
+      options.checkpoint == nullptr && resume_from == nullptr &&
+      !options.require_injective_names) {
     split = ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
   }
-  // A resume continues whatever the interrupted run was: decomposed iff
-  // its checkpoint is, and then only under options that reproduce the
-  // interrupted run's exact split (a pure function of schema, root,
-  // and salt).
-  bool decomposed = split.eligible;
-  if (resume_from != nullptr) {
-    decomposed = resume_from->num_components > 0;
-    if (decomposed && (!split.eligible ||
-                       static_cast<int>(split.num_components()) !=
-                           resume_from->num_components)) {
-      result.status = Status::InvalidArgument(
-          "decomposed checkpoint does not match: the current options and "
-          "schema do not reproduce the interrupted run's component split");
-      return result;
-    }
-  }
+  const bool decomposed = split.eligible;
 
   // An explicit options.pool wins. Otherwise use the shared process
   // pool — unless it is smaller than the requested num_threads, in
@@ -1347,7 +1188,7 @@ DimsatResult SolveDimsat(const DimensionSchema& ds, CategoryId root,
       frozen_charge};
 
   if (decomposed) {
-    result = RunDecomposed(run, split, resume_from);
+    result = RunDecomposed(run, split);
   } else if (parallel) {
     result = RunWorkStealing(run);
   } else {
@@ -1361,11 +1202,8 @@ DimsatResult SolveDimsat(const DimensionSchema& ds, CategoryId root,
   result.stats.parallel_steals = spawner.steals.load();
 
   if (obs::MetricsEnabled()) {
-    if (resume_from != nullptr) {
-      obs::Count("olapdc.dimsat.resumes");
-    } else if (decomposed) {
-      obs::Count("olapdc.dimsat.decomposed_runs");
-    }
+    if (resume_from != nullptr) obs::Count("olapdc.dimsat.resumes");
+    if (decomposed) obs::Count("olapdc.dimsat.decomposed_runs");
     if (options.checkpoint != nullptr && !options.checkpoint->empty()) {
       obs::Count("olapdc.dimsat.checkpoints");
     }
@@ -1407,6 +1245,19 @@ DimsatResult ResumeDimsat(const DimensionSchema& ds, CategoryId root,
         ", categories " + std::to_string(checkpoint.num_categories) + "/" +
         std::to_string(ds.hierarchy().num_categories()) + ")");
     return result;
+  }
+  // A deserialized frame was only checked to hang from its root; a
+  // resume may replay nothing but subhierarchies of this schema.
+  const HierarchySchema& schema = ds.hierarchy();
+  for (const DimsatCheckpointFrame& frame : checkpoint.frames) {
+    for (const auto& [child, parent] : frame.g.Edges()) {
+      if (!schema.HasEdge(child, parent)) {
+        result.status = Status::InvalidArgument(
+            "checkpoint edge " + schema.CategoryName(child) + "->" +
+            schema.CategoryName(parent) + " is not an edge of the schema");
+        return result;
+      }
+    }
   }
   return SolveDimsat(ds, root, options, &checkpoint);
 }

@@ -43,20 +43,24 @@ struct DimsatOptions {
   bool prune_into = true;
   /// Enforce injective constant choices (literal Proposition 2).
   bool require_injective_names = false;
-  /// Connected-component decomposition (core/decompose.h): partition
-  /// the intermediate categories of UpSet(root) into weakly connected
-  /// components of the hierarchy DAG plus the constraint-coupling
-  /// edges of the effective theory, solve each component with its own
-  /// EXPAND over a restricted universe, and compose the per-component
-  /// model sets — a w-component schema then costs the *sum* of the
-  /// per-component searches instead of their product. Falls back to
-  /// the monolithic search whenever a static soundness gate trips
-  /// (fewer than two components, injective-names mode, a direct
-  /// root->All edge, a cycle through the root, or a constraint whose
-  /// atoms couple only root/All). The frozen-dimension set is always
-  /// equal to the monolithic search's. Off by default
-  /// (perfbench screens its inputs by their monolithic EXPAND counts);
-  /// `olapdc frozen` turns it on, the daemon does not (DESIGN.md §8).
+  /// Connected-component decomposition (core/decompose.h) of an
+  /// enumerate_all run that neither captures nor resumes a checkpoint:
+  /// partition the intermediate categories of UpSet(root) into weakly
+  /// connected components of the hierarchy DAG plus the
+  /// constraint-coupling edges of the effective theory, enumerate each
+  /// component with its own EXPAND over a restricted universe, and
+  /// compose the per-component model sets — a w-component schema then
+  /// costs the *sum* of the per-component searches instead of their
+  /// product. Every other run searches monolithically: decision mode
+  /// stops at its first witness, and a checkpoint is the frontier of
+  /// one monolithic traversal. Falls back to the monolithic search
+  /// whenever a static soundness gate trips (fewer than two
+  /// components, injective-names mode, a direct root->All edge, a
+  /// cycle through the root, or a constraint whose atoms couple only
+  /// root/All). The frozen-dimension set is always equal to the
+  /// monolithic search's. Off by default (perfbench screens its inputs
+  /// by their monolithic EXPAND counts); `olapdc frozen` turns it on
+  /// (DESIGN.md §8).
   bool decompose = false;
   /// Most-constrained-first branching: expand the pending category
   /// with the fewest free successor choices (out-degree minus forced
@@ -104,9 +108,9 @@ struct DimsatOptions {
   /// stops on a budget error (deadline, cancellation, memory pressure,
   /// or the expand-call cap), the live search frontier is captured here
   /// so ResumeDimsat() can continue the search instead of restarting
-  /// it. Cleared at the start of each run; forces the sequential engine
-  /// (frontier capture is inherently a property of one depth-first
-  /// traversal). The
+  /// it. Cleared at the start of each run; forces the sequential,
+  /// monolithic engine (frontier capture is inherently a property of
+  /// one depth-first traversal). The
   /// interrupted and resumed runs partition the search tree, so their
   /// combined verdict, frozen set, and statistics equal an
   /// uninterrupted run's.
@@ -216,7 +220,7 @@ DimsatResult EnumerateFrozenDimensions(const DimensionSchema& ds,
 
 /// Continues an interrupted search from `checkpoint` (captured by a
 /// previous run through DimsatOptions::checkpoint) in the same driver
-/// as RunDimsat(). Runs sequentially.
+/// as RunDimsat(). Runs sequentially and monolithically.
 /// The result reports only the *fresh* work performed after the
 /// interruption — callers accumulate it onto the interrupted run's
 /// partial result (AccumulateStats + appending frozen), which then
@@ -225,8 +229,10 @@ DimsatResult EnumerateFrozenDimensions(const DimensionSchema& ds,
 /// new checkpoint covering every still-unexplored frame is captured, so
 /// resume chains compose. An empty checkpoint returns immediately
 /// (the interrupted run had already covered the whole tree); a
-/// checkpoint whose root / num_categories disagree with (ds, root)
-/// yields kInvalidArgument.
+/// checkpoint whose root / num_categories disagree with (ds, root), or
+/// with a frame edge that is not an edge of ds's hierarchy (a token is
+/// client text, and DimsatCheckpoint::Deserialize cannot see the
+/// schema), yields kInvalidArgument.
 DimsatResult ResumeDimsat(const DimensionSchema& ds, CategoryId root,
                           const DimsatOptions& options,
                           DimsatCheckpoint checkpoint);

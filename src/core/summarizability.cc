@@ -49,75 +49,57 @@ Result<SummarizabilityResult> IsSummarizable(
   result.summarizable = true;
 
   std::vector<CategoryId> bottoms;
+  std::vector<DimensionConstraint> alphas;
   for (CategoryId bottom : schema.bottom_categories()) {
     if (bottom == schema.all()) continue;  // degenerate one-node schema
+    OLAPDC_ASSIGN_OR_RETURN(DimensionConstraint alpha,
+                            SummarizabilityConstraint(schema, bottom, c, s));
     bottoms.push_back(bottom);
+    alphas.push_back(std::move(alpha));
   }
 
+  // One implication test per bottom: pool tasks when parallel (each
+  // test's own DIMSAT search parallelizes further on the same pool),
+  // otherwise inline in bottom order, stopping after the first test
+  // that does not finish.
+  std::vector<std::optional<Result<ImplicationResult>>> tests(bottoms.size());
   if (options.num_threads > 1 && bottoms.size() > 1) {
-    // Parallel sweep: every per-bottom test becomes a pool task (and
-    // its DIMSAT search parallelizes further on the same pool). The
-    // constraints are built up front so construction errors stay
-    // deterministic; results merge in bottom order below.
-    std::vector<DimensionConstraint> alphas;
-    alphas.reserve(bottoms.size());
-    for (CategoryId bottom : bottoms) {
-      OLAPDC_ASSIGN_OR_RETURN(
-          DimensionConstraint alpha,
-          SummarizabilityConstraint(schema, bottom, c, s));
-      alphas.push_back(std::move(alpha));
-    }
-    exec::WorkStealingPool& pool =
-        options.pool != nullptr ? *options.pool : exec::ProcessPool();
-    std::vector<std::optional<Result<ImplicationResult>>> slots(
-        bottoms.size());
-    {
-      exec::TaskGroup group(&pool);
-      for (size_t i = 0; i < bottoms.size(); ++i) {
-        group.Spawn(
-            [&, i] { slots[i].emplace(Implies(ds, alphas[i], options)); });
-      }
-      group.Wait();
-    }
+    exec::TaskGroup group(options.pool != nullptr ? options.pool
+                                                  : &exec::ProcessPool());
     for (size_t i = 0; i < bottoms.size(); ++i) {
-      Result<ImplicationResult>& slot = *slots[i];
-      OLAPDC_RETURN_NOT_OK(slot.status());
-      ImplicationResult implication = std::move(slot).ValueOrDie();
-      AccumulateStats(&result.stats, implication.stats);
-      if (!implication.status.ok()) {
-        result.status = implication.status;
-        result.summarizable = false;
-        return result;
-      }
-      SummarizabilityResult::PerBottom detail;
-      detail.bottom = bottoms[i];
-      detail.implied = implication.implied;
-      detail.counterexample = std::move(implication.counterexample);
-      result.summarizable &= implication.implied;
-      result.details.push_back(std::move(detail));
+      group.Spawn([&, i] { tests[i].emplace(Implies(ds, alphas[i], options)); });
     }
-    return result;
+    group.Wait();
+  } else {
+    for (size_t i = 0; i < bottoms.size(); ++i) {
+      tests[i].emplace(Implies(ds, alphas[i], options));
+      if (!tests[i]->ok() || !(*tests[i])->status.ok()) break;
+    }
   }
 
-  for (CategoryId bottom : bottoms) {
-    OLAPDC_ASSIGN_OR_RETURN(
-        DimensionConstraint alpha,
-        SummarizabilityConstraint(schema, bottom, c, s));
-    OLAPDC_ASSIGN_OR_RETURN(ImplicationResult implication,
-                            Implies(ds, alpha, options));
-    AccumulateStats(&result.stats, implication.stats);
-    if (!implication.status.ok()) {
-      // Budget expired mid-test: stop, keep the bottoms already
-      // decided as a partial answer.
-      result.status = implication.status;
+  // Merge in bottom order. The verdict and the details stop at the
+  // first test that did not finish; the stats count every test that
+  // ran.
+  for (size_t i = 0; i < tests.size() && tests[i].has_value(); ++i) {
+    Result<ImplicationResult>& test = *tests[i];
+    if (!test.ok()) {
+      if (result.status.ok()) return test.status();
+      continue;
+    }
+    AccumulateStats(&result.stats, test->stats);
+    if (!result.status.ok()) continue;
+    if (!test->status.ok()) {
+      // Budget expired mid-test: the bottoms already decided stay as
+      // a partial answer.
+      result.status = test->status;
       result.summarizable = false;
-      return result;
+      continue;
     }
     SummarizabilityResult::PerBottom detail;
-    detail.bottom = bottom;
-    detail.implied = implication.implied;
-    detail.counterexample = std::move(implication.counterexample);
-    result.summarizable &= implication.implied;
+    detail.bottom = bottoms[i];
+    detail.implied = test->implied;
+    detail.counterexample = std::move(test->counterexample);
+    result.summarizable &= test->implied;
     result.details.push_back(std::move(detail));
   }
   return result;

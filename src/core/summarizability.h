@@ -38,8 +38,8 @@ struct SummarizabilityResult {
     std::optional<FrozenDimension> counterexample;
   };
   std::vector<PerBottom> details;
-  /// Aggregate DIMSAT work across every per-bottom implication test
-  /// (partial tests included).
+  /// Aggregate DIMSAT work of every per-bottom implication test that
+  /// ran (partial tests included).
   DimsatStats stats;
   /// OK for a definitive answer; a budget error (kResourceExhausted,
   /// kDeadlineExceeded, kCancelled) when some per-bottom test stopped
@@ -53,10 +53,11 @@ struct SummarizabilityResult {
 /// ds? (Theorem 1 + Theorem 2 + DIMSAT.) With options.num_threads > 1
 /// the per-bottom implication tests run as work-stealing pool tasks
 /// (and each test's own DIMSAT search parallelizes on the same pool);
-/// `details` stays in bottom-category order either way. One behavioral
-/// difference from the sequential sweep: on a budget error the parallel
-/// sweep may already have decided — and therefore reports stats for —
-/// bottoms *after* the first failing one.
+/// otherwise they run in bottom order and stop after the first that
+/// does not finish. `details` stays in bottom-category order either
+/// way and ends before the first unfinished test. On a budget error
+/// the parallel sweep has also run the bottoms after it, and `stats`
+/// includes their work.
 Result<SummarizabilityResult> IsSummarizable(
     const DimensionSchema& ds, CategoryId c,
     const std::vector<CategoryId>& s, const DimsatOptions& options = {});

@@ -327,7 +327,9 @@ HttpResponse DimService::DoCheck(const JsonValue& body, const Budget& budget) {
   DimsatCheckpoint captured;
   DimsatResult result;
   if (!resume->empty()) {
-    auto parsed = ParseCheckpointFor(*ctx->schema, *root, *resume);
+    // ResumeDimsat rejects a token for another root, category count or
+    // schema as kInvalidArgument, a 400 like a malformed one.
+    auto parsed = DimsatCheckpoint::Deserialize(*resume);
     if (!parsed.ok()) return ErrorResponse(parsed.status());
     dopt.checkpoint = &captured;
     dopt.num_threads = 1;  // resume is a property of one DFS

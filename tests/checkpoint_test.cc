@@ -19,7 +19,6 @@
 #include "core/checkpoint.h"
 #include "core/dimsat.h"
 #include "core/location_example.h"
-#include "io/schema_io.h"
 #include "tests/test_util.h"
 #include "workload/schema_generator.h"
 
@@ -274,7 +273,29 @@ TEST(CheckpointTest, MismatchedCheckpointIsRejected) {
   wrong_size.num_categories = cp.num_categories + 1;
   EXPECT_EQ(ResumeDimsat(ds, store, {}, std::move(wrong_size)).status.code(),
             StatusCode::kInvalidArgument);
+
+  // Root-reachable, but Store->All is not an edge of locationSch.
+  const std::string foreign_edge =
+      "dimsat-checkpoint v1\nroot " + std::to_string(store) +
+      " categories " + std::to_string(cp.num_categories) +
+      " frames 1\nframe 0 1 1 " + std::to_string(store) + " " +
+      std::to_string(ds.hierarchy().all()) + "\n";
+  ASSERT_OK_AND_ASSIGN(DimsatCheckpoint foreign,
+                       DimsatCheckpoint::Deserialize(foreign_edge));
+  EXPECT_EQ(ResumeDimsat(ds, store, {}, std::move(foreign)).status.code(),
+            StatusCode::kInvalidArgument);
 }
+
+// A token in the v2 format: two components, the first interrupted with
+// two models collected, the second not started.
+constexpr char kTwoComponentToken[] =
+    "dimsat-checkpoint v2\n"
+    "root 2 categories 7 frames 2 components 2 solved 1\n"
+    "frame 0 0 2 3 1 0 1 4 2 1\n"
+    "frame 1 0 0 0\n"
+    "solved 0 2\n"
+    "model 3 1 4 2 1 4 0 1 4 Acme\n"
+    "model 3 1 4 2 1 4 0 1 4 Bolt%sCo\n";
 
 TEST(CheckpointTest, DeserializeRejectsGarbage) {
   EXPECT_EQ(DimsatCheckpoint::Deserialize("").status().code(),
@@ -293,80 +314,16 @@ TEST(CheckpointTest, DeserializeRejectsGarbage) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-}
-
-// A two-component schema (Brand/Maker beside Shelf/Dept/Aisle under
-// Item) with named constants, one of them holding a space.
-constexpr char kTwoComponentSchema[] =
-    "edge Item Brand\n"
-    "edge Item Shelf\n"
-    "edge Brand Maker\n"
-    "edge Brand All\n"
-    "edge Maker All\n"
-    "edge Shelf Dept\n"
-    "edge Shelf Aisle\n"
-    "edge Dept All\n"
-    "edge Aisle All\n"
-    "constraint (a) Item/Brand\n"
-    "constraint (b) Item/Shelf\n"
-    "constraint (c) Brand.Maker = 'Acme' | Brand.Maker = 'Bolt Co'\n"
-    "constraint (d) Shelf = 'Fresh Food' <-> Shelf/Aisle\n";
-
-// A v2 token as written by the decomposed enumeration of Item capped at
-// 5 EXPANDs: component 0 interrupted with two models collected,
-// component 1 not started. Stored models are edge lists now, so this
-// pins the record format they must keep reading and writing.
-constexpr char kTwoComponentToken[] =
-    "dimsat-checkpoint v2\n"
-    "root 2 categories 7 frames 2 components 2 solved 1\n"
-    "frame 0 0 2 3 1 0 1 4 2 1\n"
-    "frame 1 0 0 0\n"
-    "solved 0 2\n"
-    "model 3 1 4 2 1 4 0 1 4 Acme\n"
-    "model 3 1 4 2 1 4 0 1 4 Bolt%sCo\n";
-
-TEST(CheckpointTest, StoredV2TokenRoundTripsAndResumes) {
-  ASSERT_OK_AND_ASSIGN(DimensionSchema ds,
-                       ParseSchemaText(kTwoComponentSchema));
-  const CategoryId item = ds.hierarchy().FindCategory("Item");
-  ASSERT_OK_AND_ASSIGN(DimsatCheckpoint cp,
-                       ParseCheckpointFor(ds, item, kTwoComponentToken));
-  EXPECT_EQ(cp.Serialize(), kTwoComponentToken);
-
-  DimsatOptions options;
-  options.enumerate_all = true;
-  options.decompose = true;
-  DimsatResult resumed = ResumeDimsat(ds, item, options, std::move(cp));
-  ASSERT_OK(resumed.status);
-  const std::vector<std::string> expected = {
-      "{Brand->Maker, Item->Brand, Item->Shelf, Shelf->Aisle, Maker->All, "
-      "Aisle->All} with Shelf=Fresh Food, Maker=Acme",
-      "{Brand->Maker, Item->Brand, Item->Shelf, Shelf->Aisle, Maker->All, "
-      "Aisle->All} with Shelf=Fresh Food, Maker=Bolt Co",
-      "{Brand->Maker, Item->Brand, Item->Shelf, Shelf->Dept, Maker->All, "
-      "Dept->All} with Maker=Acme",
-      "{Brand->Maker, Item->Brand, Item->Shelf, Shelf->Dept, Maker->All, "
-      "Dept->All} with Maker=Bolt Co",
-      "{Brand->Maker, Item->Brand, Item->Shelf, Shelf->Dept, Shelf->Aisle, "
-      "Maker->All, Dept->All, Aisle->All} with Shelf=Fresh Food, Maker=Acme",
-      "{Brand->Maker, Item->Brand, Item->Shelf, Shelf->Dept, Shelf->Aisle, "
-      "Maker->All, Dept->All, Aisle->All} with Shelf=Fresh Food, "
-      "Maker=Bolt Co",
-  };
-  EXPECT_EQ(Canonical(resumed.frozen, ds.hierarchy()), expected);
-}
-
-// Resume tokens are client input: a model record whose edges do not
-// hang from the root is rejected, not composed into a verdict.
-TEST(CheckpointTest, TamperedModelRecordIsRejected) {
-  std::string token = kTwoComponentToken;
-  const std::string model = "model 3 1 4 2 1 4 0 1 4 Acme";
-  const size_t at = token.find(model);
-  ASSERT_NE(at, std::string::npos);
-  // Drop Item->Brand: Brand and Maker no longer hang from the root.
-  token.replace(at, model.size(), "model 2 1 4 4 0 1 4 Acme");
-  EXPECT_EQ(DimsatCheckpoint::Deserialize(token).status().code(),
-            StatusCode::kInvalidArgument);
+  // Only v1 is read.
+  EXPECT_EQ(DimsatCheckpoint::Deserialize(kTwoComponentToken).status().code(),
+            StatusCode::kParseError);
+  // No run writes a token without frames; read as "nothing left to
+  // search" it would be a verdict the engine never computed.
+  EXPECT_EQ(DimsatCheckpoint::Deserialize(
+                "dimsat-checkpoint v1\nroot 2 categories 7 frames 0\n")
+                .status()
+                .code(),
+            StatusCode::kParseError);
 }
 
 }  // namespace

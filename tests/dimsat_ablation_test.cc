@@ -5,11 +5,13 @@
 // across the seeded random corpus, the multi-component workloads that
 // actually trigger decomposition, both witness and enumerate modes,
 // with and without no-good stores, and across checkpoint
-// interrupt/resume chains.
+// interrupt/resume chains. Only enumerate-all runs without a
+// checkpoint decompose; every other run is the monolithic search.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,21 @@ std::vector<std::string> Canonical(const std::vector<FrozenDimension>& fs,
   for (const FrozenDimension& f : fs) out.push_back(f.ToString(schema));
   std::sort(out.begin(), out.end());
   return out;
+}
+
+void ExpectSameStats(const DimsatStats& got, const DimsatStats& want) {
+  EXPECT_EQ(got.expand_calls, want.expand_calls);
+  EXPECT_EQ(got.check_calls, want.check_calls);
+  EXPECT_EQ(got.structural_rejections, want.structural_rejections);
+  EXPECT_EQ(got.assignments_tried, want.assignments_tried);
+  EXPECT_EQ(got.into_prunes, want.into_prunes);
+  EXPECT_EQ(got.shortcut_prunes, want.shortcut_prunes);
+  EXPECT_EQ(got.cycle_prunes, want.cycle_prunes);
+  EXPECT_EQ(got.dead_ends, want.dead_ends);
+  EXPECT_EQ(got.nogood_prunes, want.nogood_prunes);
+  EXPECT_EQ(got.frozen_found, want.frozen_found);
+  EXPECT_EQ(got.parallel_tasks, want.parallel_tasks);
+  EXPECT_EQ(got.parallel_steals, want.parallel_steals);
 }
 
 DimensionSchema RandomSchema(int seed) {
@@ -115,6 +132,12 @@ TEST_P(AblationCorpusTest, EveryTechniquePreservesTheModelSet) {
           ASSERT_EQ(got.frozen.size(), 1u) << t.name << " threads " << threads;
           EXPECT_TRUE(got.frozen[0].ToInstance(ds).ok())
               << t.name << " threads " << threads;
+        }
+        if (!enumerate && threads == 1 && !t.branch_heuristic) {
+          // Decision mode never decomposes: `decompose` alone is the
+          // baseline search, node for node.
+          SCOPED_TRACE(testing::Message() << "decision mode, seed " << seed);
+          ExpectSameStats(got.stats, baseline.stats);
         }
       }
     }
@@ -238,6 +261,9 @@ TEST(DecomposeParallelTest, ParallelDecomposedMatchesSequential) {
   }
 }
 
+// A checkpoint pins the monolithic search, so a decomposed enumeration
+// interrupted every few EXPANDs writes v1 tokens, and its chain lists
+// the uncapped decomposed run's model set.
 TEST(DecomposeCheckpointTest, InterruptedChainMatchesUninterrupted) {
   for (int seed : {2, 6, 12}) {
     const DimensionSchema ds = MultiComponentSchema(seed, 3);
@@ -250,101 +276,86 @@ TEST(DecomposeCheckpointTest, InterruptedChainMatchesUninterrupted) {
     const DimsatResult full = RunDimsat(ds, base, full_options);
     ASSERT_OK(full.status);
 
-    // Interrupt every few expand calls; resume until the chain runs to
-    // completion. The final resumed result must carry the whole
-    // composed model set.
     DimsatCheckpoint checkpoint;
     DimsatOptions chunk_options = full_options;
     chunk_options.max_expand_calls = 7;
     chunk_options.checkpoint = &checkpoint;
     DimsatResult result = RunDimsat(ds, base, chunk_options);
+    std::vector<FrozenDimension> listed = std::move(result.frozen);
     int resumes = 0;
     while (!checkpoint.empty()) {
       ASSERT_LT(resumes, 10000) << "resume chain does not converge";
-      // Round-trip through the text format so every resume exercises
-      // the v2 serialization.
-      ASSERT_OK_AND_ASSIGN(
-          DimsatCheckpoint reloaded,
-          DimsatCheckpoint::Deserialize(checkpoint.Serialize()));
+      // Round-trip through the text format, as a daemon client would.
+      const std::string token = checkpoint.Serialize();
+      ASSERT_EQ(token.rfind("dimsat-checkpoint v1\n", 0), 0u) << token;
+      ASSERT_OK_AND_ASSIGN(DimsatCheckpoint reloaded,
+                           DimsatCheckpoint::Deserialize(token));
       checkpoint = DimsatCheckpoint{};
       result = ResumeDimsat(ds, base, chunk_options, std::move(reloaded));
+      for (FrozenDimension& f : result.frozen) listed.push_back(std::move(f));
       ++resumes;
     }
     ASSERT_TRUE(result.status.ok())
         << "seed " << seed << ": " << result.status.ToString();
     EXPECT_GT(resumes, 0) << "seed " << seed
                           << ": workload too small to interrupt";
-    EXPECT_EQ(Canonical(result.frozen, ds.hierarchy()),
+    EXPECT_EQ(Canonical(listed, ds.hierarchy()),
               Canonical(full.frozen, ds.hierarchy()))
         << "seed " << seed;
   }
 }
 
-TEST(DecomposeCheckpointTest, DecomposedCheckpointNeedsMatchingOptions) {
-  const DimensionSchema ds = MultiComponentSchema(3, 3);
-  const CategoryId base = ds.hierarchy().FindCategory("Base");
-  DimsatCheckpoint checkpoint;
-  DimsatOptions options;
-  options.enumerate_all = true;
-  options.decompose = true;
-  options.max_expand_calls = 5;
-  options.checkpoint = &checkpoint;
-  const DimsatResult interrupted = RunDimsat(ds, base, options);
-  ASSERT_FALSE(interrupted.status.ok());
-  ASSERT_FALSE(checkpoint.empty());
-  ASSERT_GT(checkpoint.num_components, 0);
-
-  // Resuming without decomposition enabled cannot reproduce the
-  // component split and must be rejected, not silently misresumed.
-  DimsatOptions plain;
-  plain.enumerate_all = true;
-  const DimsatResult rejected = ResumeDimsat(ds, base, plain, checkpoint);
-  EXPECT_FALSE(rejected.status.ok());
-}
-
-// Composition is budgeted like the searches. A byte cap that the
-// component searches fit under stops the run while it composes, with
-// every component solved; resuming that checkpoint past its deadline
-// has nothing left to search, so only the composition can notice.
+// Composition is budgeted like the searches. Each half stops a run
+// whose component searches all finish (the EXPAND count is the
+// uncapped run's) while it composes, and lists nothing: partial model
+// sets do not compose.
 TEST(DecomposeCheckpointTest, CompositionHonorsTheBudget) {
-  const DimensionSchema ds = MultiComponentSchema(2, 3);
+  // 4 components, 419 EXPANDs, 28,898 composed models.
+  const DimensionSchema ds = MultiComponentSchema(3, 4);
   const CategoryId base = ds.hierarchy().FindCategory("Base");
   DimsatOptions options;
   options.enumerate_all = true;
   options.decompose = true;
+  const auto start = std::chrono::steady_clock::now();
   const DimsatResult full = RunDimsat(ds, base, options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_OK(full.status);
+
+  // A byte cap the component model lists fit under, half of what the
+  // composed list needs.
   MemoryBudget memory(FrozenDimensionBytes(full.frozen) / 2);
   Budget capped;
   capped.SetMemory(&memory);
-  DimsatCheckpoint solved;
   DimsatOptions capped_options = options;
   capped_options.budget = &capped;
-  capped_options.checkpoint = &solved;
-  const DimsatResult stopped = RunDimsat(ds, base, capped_options);
-  ASSERT_EQ(stopped.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(stopped.frozen.empty());
-  EXPECT_EQ(stopped.stats.expand_calls, full.stats.expand_calls);
-  ASSERT_FALSE(solved.empty());
-  ASSERT_TRUE(solved.frames.empty());
+  const DimsatResult over_bytes = RunDimsat(ds, base, capped_options);
+  EXPECT_EQ(over_bytes.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(over_bytes.frozen.empty());
+  EXPECT_EQ(over_bytes.stats.expand_calls, full.stats.expand_calls);
 
-  Budget expired = Budget::WithDeadlineMs(0);
-  DimsatCheckpoint recompose;
+  // A deadline at a sixth of the uncapped run. The component searches
+  // take about 1/50 of it (0.4 of 20 ms in a release build) and
+  // composition the rest. A loaded host can still stall the searches
+  // past the deadline, or speed this run past it, so a miss re-aims
+  // the deadline (later or earlier) and tries again.
+  auto deadline = elapsed / 6;
   DimsatOptions late_options = options;
-  late_options.budget = &expired;
-  late_options.checkpoint = &recompose;
-  const DimsatResult late =
-      ResumeDimsat(ds, base, late_options, std::move(solved));
-  EXPECT_EQ(late.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(late.frozen.empty());
-  EXPECT_EQ(late.stats.expand_calls, 0u);
-  ASSERT_TRUE(recompose.frames.empty());
-
-  const DimsatResult resumed =
-      ResumeDimsat(ds, base, options, std::move(recompose));
-  ASSERT_OK(resumed.status);
-  EXPECT_EQ(Canonical(resumed.frozen, ds.hierarchy()),
-            Canonical(full.frozen, ds.hierarchy()));
+  DimsatResult over_time;
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    Budget late = Budget::WithDeadline(deadline);
+    late_options.budget = &late;
+    over_time = RunDimsat(ds, base, late_options);
+    if (over_time.status.ok()) {
+      deadline /= 2;
+    } else if (over_time.stats.expand_calls < full.stats.expand_calls) {
+      deadline *= 2;
+    } else {
+      break;
+    }
+  }
+  EXPECT_EQ(over_time.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(over_time.frozen.empty());
+  EXPECT_EQ(over_time.stats.expand_calls, full.stats.expand_calls);
 }
 
 }  // namespace

@@ -310,6 +310,44 @@ TEST_F(ServiceTest, TinyDeadlineDegradesWithCheckpointAndResumesToTruth) {
   FAIL() << "resume chain did not converge in 512 hops";
 }
 
+// A resume token is client text. Tokens no run writes are a 400, not a
+// definitive verdict: a v2 token, a v1 token without frames, and one
+// whose frame holds an edge the schema lacks (Store->All; every
+// completion of it fails CHECK, so replaying it would answer
+// "unsatisfiable" for a satisfiable category).
+TEST_F(ServiceTest, ResumeTokensNoRunWritesAre400) {
+  std::shared_ptr<const DimensionSchema> loc = registry_.Find("loc");
+  ASSERT_NE(loc, nullptr);
+  const HierarchySchema& h = loc->hierarchy();
+  const std::string store = std::to_string(h.FindCategory("Store"));
+  const std::string header = "dimsat-checkpoint v1\nroot " + store +
+                             " categories " +
+                             std::to_string(h.num_categories()) + " frames ";
+  const std::string tokens[] = {
+      "dimsat-checkpoint v2\nroot " + store + " categories " +
+          std::to_string(h.num_categories()) +
+          " frames 1 components 2 solved 0\nframe 1 0 0 0\n",
+      header + "0\n",
+      header + "1\nframe 0 1 1 " + store + " " + std::to_string(h.all()) +
+          "\n",
+  };
+  DimService service(options_);
+  for (const std::string& token : tokens) {
+    HttpResponse response = service.HandleRequest(
+        Post("/v1/check", "{\"schema\": \"loc\", \"category\": \"Store\", "
+                          "\"resume\": " +
+                              obs::JsonString(token) + "}"));
+    EXPECT_EQ(response.status, 400) << token << "\n" << response.body;
+    EXPECT_EQ(response.body.find("\"definitive\""), std::string::npos)
+        << response.body;
+  }
+  HttpResponse fresh = service.HandleRequest(
+      Post("/v1/check", "{\"schema\": \"loc\", \"category\": \"Store\"}"));
+  EXPECT_EQ(fresh.status, 200) << fresh.body;
+  EXPECT_NE(fresh.body.find("\"satisfiable\": true"), std::string::npos)
+      << fresh.body;
+}
+
 TEST_F(ServiceTest, RegisterEndpointRoundTripsAndHonorsDisable) {
   DimService service(options_);
   HttpResponse registered = service.HandleRequest(Post(

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/location_example.h"
@@ -166,6 +167,48 @@ TEST_F(SummarizabilityTest, ParallelSweepMatchesSequential) {
       EXPECT_EQ(par.details[i].implied, seq.details[i].implied);
     }
   }
+}
+
+// The sweep's stats count every per-bottom test that ran. At 4 threads
+// every bottom's test runs; here the first bottom (Big, 255 ways up
+// to M) hits the expand cap and the second (Small) finishes.
+TEST_F(SummarizabilityTest, ParallelSweepStatsCountEveryTestThatRan) {
+  HierarchySchemaBuilder b;
+  for (int i = 0; i < 8; ++i) {
+    const std::string x = "X" + std::to_string(i);
+    b.AddEdge("Big", x).AddEdge(x, "M");
+  }
+  b.AddEdge("Small", "M").AddEdge("M", "Top").AddEdge("Top", "All");
+  ASSERT_OK_AND_ASSIGN(HierarchySchemaPtr g, b.BuildShared());
+  DimensionSchema ds(g, {});
+  const CategoryId big = g->FindCategory("Big");
+  const CategoryId small = g->FindCategory("Small");
+  const CategoryId top = g->FindCategory("Top");
+  const std::vector<CategoryId> sources = {g->FindCategory("M")};
+  ASSERT_EQ(g->bottom_categories(), (std::vector<CategoryId>{big, small}));
+
+  DimsatOptions options;
+  options.num_threads = 4;
+  options.max_expand_calls = 100;
+  ASSERT_OK_AND_ASSIGN(DimensionConstraint big_alpha,
+                       SummarizabilityConstraint(*g, big, top, sources));
+  ASSERT_OK_AND_ASSIGN(ImplicationResult big_test,
+                       Implies(ds, big_alpha, options));
+  ASSERT_EQ(big_test.status.code(), StatusCode::kResourceExhausted);
+  ASSERT_OK_AND_ASSIGN(DimensionConstraint small_alpha,
+                       SummarizabilityConstraint(*g, small, top, sources));
+  ASSERT_OK_AND_ASSIGN(ImplicationResult small_test,
+                       Implies(ds, small_alpha, options));
+  ASSERT_OK(small_test.status);
+  ASSERT_TRUE(small_test.implied);
+
+  ASSERT_OK_AND_ASSIGN(SummarizabilityResult sweep,
+                       IsSummarizable(ds, top, sources, options));
+  EXPECT_EQ(sweep.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_FALSE(sweep.summarizable);
+  EXPECT_TRUE(sweep.details.empty());
+  EXPECT_EQ(sweep.stats.expand_calls,
+            big_test.stats.expand_calls + small_test.stats.expand_calls);
 }
 
 TEST_F(SummarizabilityTest, InstanceMoreSummarizableThanSchema) {
