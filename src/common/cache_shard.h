@@ -73,6 +73,27 @@ struct Fingerprint128 {
     }
     return out;
   }
+
+  /// Inverse of ToHex(): exactly 32 lowercase hex digits, or false.
+  static bool FromHex(std::string_view hex, Fingerprint128* out) {
+    if (hex.size() != 32) return false;
+    uint64_t words[2] = {0, 0};
+    for (int i = 0; i < 32; ++i) {
+      const char c = hex[static_cast<size_t>(i)];
+      uint64_t nibble;
+      if (c >= '0' && c <= '9') {
+        nibble = static_cast<uint64_t>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        nibble = static_cast<uint64_t>(c - 'a' + 10);
+      } else {
+        return false;
+      }
+      words[i / 16] = (words[i / 16] << 4) | nibble;
+    }
+    out->hi = words[0];
+    out->lo = words[1];
+    return true;
+  }
 };
 
 struct Fingerprint128Hash {

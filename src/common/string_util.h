@@ -26,6 +26,10 @@ std::string JoinMapped(const Container& items, std::string_view sep, Fn&& fn) {
   return out;
 }
 
+/// Consumes the next line of `*rest`, without its newline; the last
+/// line need not end in one.
+std::string_view NextLine(std::string_view* rest);
+
 }  // namespace olapdc
 
 #endif  // OLAPDC_COMMON_STRING_UTIL_H_

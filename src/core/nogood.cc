@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "common/string_util.h"
+
 namespace olapdc {
 
 namespace {
@@ -71,44 +73,6 @@ std::string NoGoodStore::Serialize() const {
   return out;
 }
 
-namespace {
-
-bool ParseHex128(std::string_view hex, Fingerprint128* out) {
-  if (hex.size() != 32) return false;
-  uint64_t words[2] = {0, 0};
-  for (int i = 0; i < 32; ++i) {
-    const char c = hex[static_cast<size_t>(i)];
-    uint64_t nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-    words[i / 16] = (words[i / 16] << 4) | nibble;
-  }
-  out->hi = words[0];
-  out->lo = words[1];
-  return true;
-}
-
-/// Consumes the next line (without the newline) from `rest`.
-std::string_view NextLine(std::string_view* rest) {
-  const size_t eol = rest->find('\n');
-  std::string_view line;
-  if (eol == std::string_view::npos) {
-    line = *rest;
-    *rest = std::string_view();
-  } else {
-    line = rest->substr(0, eol);
-    *rest = rest->substr(eol + 1);
-  }
-  return line;
-}
-
-}  // namespace
-
 Status NoGoodStore::Load(std::string_view text, size_t* consumed) {
   std::string_view rest = text;
   if (consumed != nullptr) *consumed = 0;
@@ -141,7 +105,7 @@ Status NoGoodStore::Load(std::string_view text, size_t* consumed) {
   while (loaded < expected) {
     std::string_view line = NextLine(&rest);
     Fingerprint128 sig;
-    if (!ParseHex128(line, &sig)) {
+    if (!Fingerprint128::FromHex(line, &sig)) {
       return Status::ParseError("malformed signature at no-good entry " +
                                 std::to_string(loaded));
     }

@@ -1,8 +1,11 @@
 #include "service/dim_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -49,8 +52,10 @@ int HttpStatusForCode(StatusCode code) {
   }
 }
 
+/// An unframed reply: HandleRequest appends the body's newline once,
+/// so /v1/batch can embed an item's body as it is.
 HttpResponse JsonResponse(int status, std::string body) {
-  return HttpResponse{status, kJsonContentType, std::move(body) + "\n", {}};
+  return HttpResponse{status, kJsonContentType, std::move(body), {}};
 }
 
 HttpResponse ErrorResponse(const Status& status) {
@@ -94,28 +99,6 @@ bool ValidSchemaName(std::string_view name) {
 
 std::string BoolJson(bool value) { return value ? "true" : "false"; }
 
-/// Renders the shared tail of an engine response: either a definitive
-/// answer or the budget-expiry degradation (status name, optional
-/// checkpoint).
-struct EngineTail {
-  bool definitive = false;
-  std::string json;  // fragment starting with ", ..."
-  bool checkpointed = false;
-};
-
-EngineTail RenderBudgetTail(const Status& status,
-                            const DimsatCheckpoint* checkpoint) {
-  EngineTail tail;
-  tail.json = ", \"definitive\": false, \"status\": " +
-              obs::JsonString(StatusCodeToString(status.code()));
-  if (checkpoint != nullptr && !checkpoint->empty()) {
-    tail.json +=
-        ", \"checkpoint\": " + obs::JsonString(checkpoint->Serialize());
-    tail.checkpointed = true;
-  }
-  return tail;
-}
-
 /// The prefix every cache key carries: a theory replacement mints a new
 /// epoch, so every key under the old one goes permanently cold.
 std::string EpochScope(const Fingerprint128& epoch) {
@@ -151,6 +134,7 @@ HttpResponse DimService::HandleRequest(const HttpRequest& request) {
   if (obs::MetricsEnabled()) obs::Count("olapdc.service.requests");
 
   HttpResponse response = Route(request);
+  response.body += '\n';
 
   if (response.status == 503) {
     shed_.fetch_add(1, std::memory_order_relaxed);
@@ -174,10 +158,8 @@ HttpResponse DimService::HandleRequest(const HttpRequest& request) {
 
 HttpResponse DimService::Route(const HttpRequest& request) {
   if (request.method != "POST") {
-    return HttpResponse{405, kJsonContentType,
-                        "{\"error\": \"request plane endpoints are "
-                        "POST-only\"}\n",
-                        {}};
+    return JsonResponse(
+        405, "{\"error\": \"request plane endpoints are POST-only\"}");
   }
   const bool known_path =
       request.path == "/v1/check" || request.path == "/v1/implies" ||
@@ -239,220 +221,240 @@ HttpResponse DimService::Route(const HttpRequest& request) {
 
 namespace {
 
-/// Shared per-op context resolved from a request body.
-struct OpContext {
+/// One verdict question, as the answer routine sees it.
+/// ResolveQuestion fills in what every question has (schema snapshot,
+/// thread count, subject, echo); the handler adds the rest from its
+/// body.
+struct Question {
   std::shared_ptr<const DimensionSchema> schema;
-  std::string schema_name;
-  /// Content epoch of the snapshot — the cache-key scope for this op.
+  /// Content epoch of the snapshot: the scope of every cache key.
   Fingerprint128 epoch;
   int threads = 1;
+  /// What is asked about: a category name or a constraint's text.
+  std::string subject;
+  /// The reply's leading fields (schema and subject), rendered from its
+  /// opening brace.
+  std::string echo;
+  /// The name of the verdict field.
+  const char* verdict = "";
+  /// Keys of the response and closure layers. Without a response key
+  /// the request neither reads nor writes either layer.
+  std::string response_key;
+  std::string closure_key;
+  /// The salt the epoch's no-good store is attached under; without one
+  /// the engine runs storeless.
+  std::optional<uint64_t> nogood_salt;
+  /// Fields a closure-served body carries after the verdict.
+  std::string closure_fields;
 };
 
-Result<OpContext> ResolveOp(const SchemaRegistry& registry,
-                            const JsonValue& body, int max_threads) {
-  OpContext ctx;
-  OLAPDC_ASSIGN_OR_RETURN(ctx.schema_name, body.RequireString("schema"));
-  if (!ValidSchemaName(ctx.schema_name)) {
+/// What one engine call reports back to the answer routine.
+struct EngineAnswer {
+  Status status;
+  bool verdict = false;
+  /// Answer fields, rendered after the verdict (or after the status of
+  /// a degraded reply).
+  std::string fields{};
+  uint64_t expand_calls = 0;
+  /// The frontier an interrupted search stopped at, or null.
+  const DimsatCheckpoint* checkpoint = nullptr;
+};
+
+/// Reads what every verdict question has: the schema (resolved to its
+/// registry snapshot), the thread count and the `subject_field`.
+Result<Question> ResolveQuestion(const SchemaRegistry& registry,
+                                 const JsonValue& body, int max_threads,
+                                 const char* subject_field) {
+  OLAPDC_ASSIGN_OR_RETURN(std::string schema_name,
+                          body.RequireString("schema"));
+  if (!ValidSchemaName(schema_name)) {
     return Status::InvalidArgument(
         "field \"schema\" must be non-empty, valid UTF-8 without control "
         "characters, and at most 128 bytes");
   }
-  SchemaRegistry::Snapshot snapshot = registry.FindEntry(ctx.schema_name);
-  ctx.schema = snapshot.schema;
-  ctx.epoch = snapshot.epoch;
-  if (ctx.schema == nullptr) {
-    return Status::NotFound("schema \"" + ctx.schema_name +
+  SchemaRegistry::Snapshot snapshot = registry.FindEntry(schema_name);
+  if (snapshot.schema == nullptr) {
+    return Status::NotFound("schema \"" + schema_name +
                             "\" is not registered");
   }
+  Question q;
+  q.schema = std::move(snapshot.schema);
+  q.epoch = snapshot.epoch;
   OLAPDC_ASSIGN_OR_RETURN(int64_t threads, body.OptionalInt("threads", 1));
   if (threads < 1) threads = 1;
   if (threads > max_threads) threads = max_threads;
-  ctx.threads = static_cast<int>(threads);
-  return ctx;
+  q.threads = static_cast<int>(threads);
+  OLAPDC_ASSIGN_OR_RETURN(q.subject, body.RequireString(subject_field));
+  q.echo = "{\"schema\": " + obs::JsonString(schema_name) + ", \"" +
+           subject_field + "\": " + obs::JsonString(q.subject);
+  return q;
 }
 
-DimsatOptions EngineOptions(const DimService::Options& options,
-                            const Budget& budget, int threads) {
+/// The one answer path of /v1/check, /v1/implies and /v1/summarizable:
+/// response-layer read, closure-layer read (the body re-synthesized
+/// from the verdict), no-good store attach, `engine`, then the
+/// definitive, degraded or error reply, and for a definitive answer
+/// the closure and response inserts.
+template <typename Engine>
+HttpResponse Answer(const Question& q, const Budget& budget,
+                    ServiceCaches* caches,
+                    std::atomic<uint64_t>* checkpointed,
+                    const Engine& engine) {
+  const auto definitive = [&q](bool verdict) {
+    return q.echo + ", \"definitive\": true, \"" + q.verdict +
+           "\": " + BoolJson(verdict);
+  };
+  const bool cached = caches != nullptr && !q.response_key.empty();
+  if (cached) {
+    std::string body;
+    if (caches->LookupResponse(q.response_key, &body)) {
+      return CachedResponse(std::move(body), "response");
+    }
+    bool verdict = false;
+    if (caches->closure().Lookup(q.closure_key, &verdict)) {
+      return CachedResponse(
+          definitive(verdict) + q.closure_fields + ", \"expand_calls\": 0}",
+          "closure");
+    }
+  }
+
   DimsatOptions dopt;
   dopt.budget = &budget;
-  dopt.max_expand_calls = options.max_expand_calls;
-  dopt.num_threads = threads;
-  return dopt;
+  dopt.num_threads = q.threads;
+  std::shared_ptr<NoGoodStore> nogoods;
+  if (caches != nullptr && q.nogood_salt.has_value()) {
+    // Keep the store alive for the whole run even if its epoch is aged
+    // out of the LRU concurrently.
+    nogoods = caches->NoGoodsFor(q.epoch);
+    dopt.nogoods = nogoods.get();
+    dopt.nogood_salt = *q.nogood_salt;
+  }
+  const EngineAnswer answer = engine(dopt);
+
+  std::string out;
+  if (answer.status.ok()) {
+    out = definitive(answer.verdict);
+  } else if (IsBudgetError(answer.status)) {
+    out = q.echo + ", \"definitive\": false, \"status\": " +
+          obs::JsonString(StatusCodeToString(answer.status.code()));
+    if (answer.checkpoint != nullptr && !answer.checkpoint->empty()) {
+      out += ", \"checkpoint\": " +
+             obs::JsonString(answer.checkpoint->Serialize());
+      checkpointed->fetch_add(1, std::memory_order_relaxed);
+      if (obs::MetricsEnabled()) obs::Count("olapdc.service.checkpointed");
+    }
+  } else {
+    return ErrorResponse(answer.status);
+  }
+  out += answer.fields;
+  out += ", \"expand_calls\": " + std::to_string(answer.expand_calls) + "}";
+  // Only definitive answers are cached: a budget expiry is a property
+  // of this request's budget, not of the theory.
+  if (cached && answer.status.ok()) {
+    caches->closure().Insert(q.closure_key, answer.verdict);
+    caches->InsertResponse(q.response_key, out);
+  }
+  return JsonResponse(200, std::move(out));
 }
 
 }  // namespace
 
 HttpResponse DimService::DoCheck(const JsonValue& body, const Budget& budget) {
-  auto ctx = ResolveOp(*options_.registry, body, options_.max_threads);
-  if (!ctx.ok()) return ErrorResponse(ctx.status());
-  auto category = body.RequireString("category");
-  if (!category.ok()) return ErrorResponse(category.status());
-  auto root = ctx->schema->hierarchy().CategoryIdOf(*category);
+  auto resolved = ResolveQuestion(*options_.registry, body,
+                                  options_.max_threads, "category");
+  if (!resolved.ok()) return ErrorResponse(resolved.status());
+  Question& q = *resolved;
+  auto root = q.schema->hierarchy().CategoryIdOf(q.subject);
   if (!root.ok()) return ErrorResponse(root.status());
   auto resume = body.OptionalString("resume", "");
   if (!resume.ok()) return ErrorResponse(resume.status());
 
-  // Cache read path: response layer first (one hash lookup), then the
-  // closure layer (verdict known, body re-synthesized). Resume requests
-  // bypass reads — the client explicitly asked to continue a search —
-  // but still warm the no-good layer below.
-  ServiceCaches* const caches = options_.caches;
-  const bool cacheable = caches != nullptr && resume->empty();
-  std::string closure_key, response_key;
-  if (cacheable) {
-    closure_key = EpochScope(ctx->epoch) + "s/" + std::to_string(*root);
-    response_key = "check/" + closure_key;
-    std::string cached_body;
-    if (caches->LookupResponse(response_key, &cached_body)) {
-      return CachedResponse(std::move(cached_body), "response");
-    }
-    bool satisfiable = false;
-    if (caches->closure().Lookup(closure_key, &satisfiable)) {
-      std::string out = "{\"schema\": " + obs::JsonString(ctx->schema_name) +
-                        ", \"category\": " + obs::JsonString(*category) +
-                        ", \"definitive\": true, \"satisfiable\": " +
-                        BoolJson(satisfiable) + ", \"expand_calls\": 0}";
-      return CachedResponse(std::move(out), "closure");
-    }
-  }
-
-  DimsatOptions dopt = EngineOptions(options_, budget, ctx->threads);
-  std::shared_ptr<NoGoodStore> nogoods;
-  if (caches != nullptr) {
-    // Keep the store alive for the whole run even if its epoch is aged
-    // out of the LRU concurrently.
-    nogoods = caches->NoGoodsFor(ctx->epoch);
-    dopt.nogoods = nogoods.get();
+  q.verdict = "satisfiable";
+  // Resume requests bypass the verdict layers (the client explicitly
+  // asked to continue a search) but still warm the no-good layer.
+  q.nogood_salt = 0;
+  if (options_.caches != nullptr && resume->empty()) {
+    q.closure_key = EpochScope(q.epoch) + "s/" + std::to_string(*root);
+    q.response_key = "check/" + q.closure_key;
   }
   DimsatCheckpoint captured;
-  DimsatResult result;
-  if (!resume->empty()) {
-    // ResumeDimsat rejects a token for another root, category count or
-    // schema as kInvalidArgument, a 400 like a malformed one.
-    auto parsed = DimsatCheckpoint::Deserialize(*resume);
-    if (!parsed.ok()) return ErrorResponse(parsed.status());
-    dopt.checkpoint = &captured;
-    dopt.num_threads = 1;  // resume is a property of one DFS
-    result = ResumeDimsat(*ctx->schema, *root, dopt, std::move(*parsed));
-  } else {
-    if (ctx->threads <= 1) dopt.checkpoint = &captured;
-    result = RunDimsat(*ctx->schema, *root, dopt);
-  }
-
-  std::string out = "{\"schema\": " + obs::JsonString(ctx->schema_name) +
-                    ", \"category\": " + obs::JsonString(*category);
-  if (result.status.ok()) {
-    out += ", \"definitive\": true, \"satisfiable\": " +
-           BoolJson(result.satisfiable);
-    if (cacheable) caches->closure().Insert(closure_key, result.satisfiable);
-  } else if (IsBudgetError(result.status)) {
-    EngineTail tail = RenderBudgetTail(result.status, &captured);
-    out += tail.json;
-    if (tail.checkpointed) {
-      checkpointed_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::MetricsEnabled()) obs::Count("olapdc.service.checkpointed");
+  const auto engine = [&](DimsatOptions& dopt) {
+    DimsatResult result;
+    if (resume->empty()) {
+      if (dopt.num_threads <= 1) dopt.checkpoint = &captured;
+      result = RunDimsat(*q.schema, *root, dopt);
+    } else {
+      // ResumeDimsat rejects a token for another root, category count
+      // or schema as kInvalidArgument, a 400 like a malformed one.
+      auto parsed = DimsatCheckpoint::Deserialize(*resume);
+      if (!parsed.ok()) return EngineAnswer{.status = parsed.status()};
+      dopt.checkpoint = &captured;
+      dopt.num_threads = 1;  // resume is a property of one DFS
+      result = ResumeDimsat(*q.schema, *root, dopt, std::move(*parsed));
     }
-  } else {
-    return ErrorResponse(result.status);
-  }
-  out += ", \"expand_calls\": " +
-         std::to_string(result.stats.expand_calls) + "}";
-  // Only definitive answers are cached: a budget expiry is a property
-  // of this request's budget, not of the theory.
-  if (cacheable && result.status.ok()) {
-    caches->InsertResponse(response_key, out);
-  }
-  return JsonResponse(200, std::move(out));
+    return EngineAnswer{.status = result.status,
+                        .verdict = result.satisfiable,
+                        .expand_calls = result.stats.expand_calls,
+                        .checkpoint = &captured};
+  };
+  return Answer(q, budget, options_.caches, &checkpointed_, engine);
 }
 
 HttpResponse DimService::DoImplies(const JsonValue& body,
                                    const Budget& budget) {
-  auto ctx = ResolveOp(*options_.registry, body, options_.max_threads);
-  if (!ctx.ok()) return ErrorResponse(ctx.status());
-  auto constraint_text = body.RequireString("constraint");
-  if (!constraint_text.ok()) return ErrorResponse(constraint_text.status());
-  auto alpha = ParseConstraint(ctx->schema->hierarchy(), *constraint_text);
+  auto resolved = ResolveQuestion(*options_.registry, body,
+                                  options_.max_threads, "constraint");
+  if (!resolved.ok()) return ErrorResponse(resolved.status());
+  Question& q = *resolved;
+  auto alpha = ParseConstraint(q.schema->hierarchy(), q.subject);
   if (!alpha.ok()) return ErrorResponse(alpha.status());
 
+  q.verdict = "implied";
   // The closure layer keys on the *canonical* form (shorthands
   // expanded to plain path atoms, constants folded) so textually
   // different spellings of one constraint share a verdict. The
   // response layer keys on the raw text, because the body echoes it.
-  // An expansion failure (path_limit) just runs this request uncached.
-  ServiceCaches* const caches = options_.caches;
-  std::string closure_key, response_key;
-  uint64_t theory_salt = 0;
-  bool cacheable = false;
-  if (caches != nullptr) {
-    auto expanded = ExpandShorthands(ctx->schema->hierarchy(), alpha->expr);
+  // Implies() searches Σ ∪ {¬α}, a different theory than /v1/check's
+  // plain Σ: the salt keeps their no-good signatures apart while
+  // letting repeats of the *same* constraint share learned pruning.
+  // An expansion failure (path_limit) runs this request uncached and
+  // storeless.
+  if (options_.caches != nullptr) {
+    auto expanded = ExpandShorthands(q.schema->hierarchy(), alpha->expr);
     if (expanded.ok()) {
-      const std::string scope = EpochScope(ctx->epoch);
+      const std::string scope = EpochScope(q.epoch);
       const std::string canonical =
           std::to_string(alpha->root) + ":" +
-          ExprToString(ctx->schema->hierarchy(), Simplify(*expanded));
-      closure_key = scope + "i/" + canonical;
-      response_key =
-          "implies/" + scope + FingerprintBytes(*constraint_text).ToHex();
-      theory_salt = FingerprintBytes(canonical).lo;
-      cacheable = true;
-      std::string cached_body;
-      if (caches->LookupResponse(response_key, &cached_body)) {
-        return CachedResponse(std::move(cached_body), "response");
-      }
-      bool implied = false;
-      if (caches->closure().Lookup(closure_key, &implied)) {
-        // Verdict-only synthesis: no "counterexample" field (the
-        // closure layer keeps verdicts, not witnesses).
-        std::string out =
-            "{\"schema\": " + obs::JsonString(ctx->schema_name) +
-            ", \"constraint\": " + obs::JsonString(*constraint_text) +
-            ", \"definitive\": true, \"implied\": " + BoolJson(implied) +
-            ", \"expand_calls\": 0}";
-        return CachedResponse(std::move(out), "closure");
-      }
+          ExprToString(q.schema->hierarchy(), Simplify(*expanded));
+      q.closure_key = scope + "i/" + canonical;
+      q.response_key =
+          "implies/" + scope + FingerprintBytes(q.subject).ToHex();
+      q.nogood_salt = FingerprintBytes(canonical).lo;
     }
   }
-
-  DimsatOptions dopt = EngineOptions(options_, budget, ctx->threads);
-  std::shared_ptr<NoGoodStore> nogoods;
-  if (cacheable) {
-    // Implies() searches Σ ∪ {¬α}, a different theory than /v1/check's
-    // plain Σ — the salt keeps their no-good signatures apart while
-    // letting repeats of the *same* constraint share learned pruning.
-    nogoods = caches->NoGoodsFor(ctx->epoch);
-    dopt.nogoods = nogoods.get();
-    dopt.nogood_salt = theory_salt;
-  }
-  auto result = Implies(*ctx->schema, *alpha, dopt);
-  if (!result.ok()) return ErrorResponse(result.status());
-
-  std::string out = "{\"schema\": " + obs::JsonString(ctx->schema_name) +
-                    ", \"constraint\": " + obs::JsonString(*constraint_text);
-  if (result->status.ok()) {
-    out += ", \"definitive\": true, \"implied\": " + BoolJson(result->implied);
-    out += ", \"counterexample\": " +
-           BoolJson(result->counterexample.has_value());
-    if (cacheable) caches->closure().Insert(closure_key, result->implied);
-  } else if (IsBudgetError(result->status)) {
-    out += RenderBudgetTail(result->status, nullptr).json;
-  } else {
-    return ErrorResponse(result->status);
-  }
-  out += ", \"expand_calls\": " +
-         std::to_string(result->stats.expand_calls) + "}";
-  if (cacheable && result->status.ok()) {
-    caches->InsertResponse(response_key, out);
-  }
-  return JsonResponse(200, std::move(out));
+  const auto engine = [&](DimsatOptions& dopt) {
+    auto result = Implies(*q.schema, *alpha, dopt);
+    if (!result.ok()) return EngineAnswer{.status = result.status()};
+    EngineAnswer answer{.status = result->status,
+                        .verdict = result->implied,
+                        .expand_calls = result->stats.expand_calls};
+    if (result->status.ok()) {
+      answer.fields = ", \"counterexample\": " +
+                      BoolJson(result->counterexample.has_value());
+    }
+    return answer;
+  };
+  return Answer(q, budget, options_.caches, &checkpointed_, engine);
 }
 
 HttpResponse DimService::DoSummarizable(const JsonValue& body,
                                         const Budget& budget) {
-  auto ctx = ResolveOp(*options_.registry, body, options_.max_threads);
-  if (!ctx.ok()) return ErrorResponse(ctx.status());
-  auto category = body.RequireString("category");
-  if (!category.ok()) return ErrorResponse(category.status());
-  auto root = ctx->schema->hierarchy().CategoryIdOf(*category);
+  auto resolved = ResolveQuestion(*options_.registry, body,
+                                  options_.max_threads, "category");
+  if (!resolved.ok()) return ErrorResponse(resolved.status());
+  Question& q = *resolved;
+  const HierarchySchema& h = q.schema->hierarchy();
+  auto root = h.CategoryIdOf(q.subject);
   if (!root.ok()) return ErrorResponse(root.status());
   auto sources = body.RequireArray("sources");
   if (!sources.ok()) return ErrorResponse(sources.status());
@@ -463,83 +465,47 @@ HttpResponse DimService::DoSummarizable(const JsonValue& body,
       return ErrorResponse(Status::InvalidArgument(
           "field \"sources\" must be an array of category names"));
     }
-    auto id = ctx->schema->hierarchy().CategoryIdOf(item.string_value);
+    auto id = h.CategoryIdOf(item.string_value);
     if (!id.ok()) return ErrorResponse(id.status());
     s.push_back(*id);
   }
 
-  // Canonical form: target id plus the source ids sorted (ExactlyOne
-  // over the through-atoms is order-independent, so sorting is
-  // semantics-preserving).
-  ServiceCaches* const caches = options_.caches;
-  std::string closure_key, response_key;
-  uint64_t theory_salt = 0;
-  const bool cacheable = caches != nullptr;
-  if (cacheable) {
+  q.verdict = "summarizable";
+  if (options_.caches != nullptr) {
+    // Canonical form: target id plus the source ids sorted (ExactlyOne
+    // over the through-atoms is order-independent, so sorting is
+    // semantics-preserving).
     std::vector<CategoryId> sorted_sources = s;
     std::sort(sorted_sources.begin(), sorted_sources.end());
     std::string canonical = std::to_string(*root);
     for (CategoryId id : sorted_sources) {
       canonical += "," + std::to_string(id);
     }
-    closure_key = EpochScope(ctx->epoch) + "m/" + canonical;
-    response_key = "summarizable/" + closure_key;
-    theory_salt = FingerprintBytes(closure_key).lo;
-    std::string cached_body;
-    if (caches->LookupResponse(response_key, &cached_body)) {
-      return CachedResponse(std::move(cached_body), "response");
-    }
-    bool summarizable = false;
-    if (caches->closure().Lookup(closure_key, &summarizable)) {
-      // A cached definitive verdict always covered every bottom.
-      size_t bottoms = 0;
-      for (CategoryId bottom : ctx->schema->hierarchy().bottom_categories()) {
-        if (bottom != ctx->schema->hierarchy().all()) ++bottoms;
-      }
-      std::string out = "{\"schema\": " + obs::JsonString(ctx->schema_name) +
-                        ", \"category\": " + obs::JsonString(*category) +
-                        ", \"definitive\": true, \"summarizable\": " +
-                        BoolJson(summarizable) +
-                        ", \"bottoms_checked\": " + std::to_string(bottoms) +
-                        ", \"expand_calls\": 0}";
-      return CachedResponse(std::move(out), "closure");
-    }
-  }
-
-  DimsatOptions dopt = EngineOptions(options_, budget, ctx->threads);
-  std::shared_ptr<NoGoodStore> nogoods;
-  if (cacheable) {
+    q.closure_key = EpochScope(q.epoch) + "m/" + canonical;
+    q.response_key = "summarizable/" + q.closure_key;
     // Each per-bottom Implies() searches Σ ∪ {¬α_bottom}; α_bottom is
     // determined by (bottom, target, sources), the salt covers
     // (target, sources), and the bottom is the signature's root — so
     // (salt, root) pins the exact theory of every run.
-    nogoods = caches->NoGoodsFor(ctx->epoch);
-    dopt.nogoods = nogoods.get();
-    dopt.nogood_salt = theory_salt;
-  }
-  auto result = IsSummarizable(*ctx->schema, *root, s, dopt);
-  if (!result.ok()) return ErrorResponse(result.status());
-
-  std::string out = "{\"schema\": " + obs::JsonString(ctx->schema_name) +
-                    ", \"category\": " + obs::JsonString(*category);
-  if (result->status.ok()) {
-    out += ", \"definitive\": true, \"summarizable\": " +
-           BoolJson(result->summarizable);
-    if (cacheable) {
-      caches->closure().Insert(closure_key, result->summarizable);
+    q.nogood_salt = FingerprintBytes(q.closure_key).lo;
+    // A cached definitive verdict always covered every bottom.
+    size_t bottoms = 0;
+    for (CategoryId bottom : h.bottom_categories()) {
+      if (bottom != h.all()) ++bottoms;
     }
-  } else if (IsBudgetError(result->status)) {
-    out += RenderBudgetTail(result->status, nullptr).json;
-  } else {
-    return ErrorResponse(result->status);
+    q.closure_fields = ", \"bottoms_checked\": " + std::to_string(bottoms);
   }
-  out += ", \"bottoms_checked\": " + std::to_string(result->details.size());
-  out += ", \"expand_calls\": " +
-         std::to_string(result->stats.expand_calls) + "}";
-  if (cacheable && result->status.ok()) {
-    caches->InsertResponse(response_key, out);
-  }
-  return JsonResponse(200, std::move(out));
+  const auto engine = [&](DimsatOptions& dopt) {
+    auto result = IsSummarizable(*q.schema, *root, s, dopt);
+    if (!result.ok()) return EngineAnswer{.status = result.status()};
+    return EngineAnswer{
+        .status = result->status,
+        .verdict = result->summarizable,
+        .fields = ", \"bottoms_checked\": " +
+                  std::to_string(result->details.size()),
+        .expand_calls = result->stats.expand_calls};
+  };
+  return Answer(q, budget, options_.caches, &checkpointed_, engine);
 }
 
 HttpResponse DimService::DoBatch(const JsonValue& body, const Budget& budget) {
@@ -586,19 +552,13 @@ HttpResponse DimService::DoBatch(const JsonValue& body, const Budget& budget) {
              "}";
       continue;
     }
-    // Sub-responses are JSON objects either way (result or error
-    // body); embed them with their HTTP status attached.
-    std::string sub_body = std::move(sub.body);
-    while (!sub_body.empty() &&
-           (sub_body.back() == '\n' || sub_body.back() == ' ')) {
-      sub_body.pop_back();
+    // An item reply is a JSON object either way (answer or error); an
+    // error gains its HTTP status as the first field.
+    if (sub.status != 200) {
+      out += "{\"http_status\": " + std::to_string(sub.status) + ", ";
+      sub.body.erase(0, 1);
     }
-    if (sub.status == 200) {
-      out += sub_body;
-    } else {
-      out += "{\"http_status\": " + std::to_string(sub.status) +
-             ", \"detail\": " + sub_body.substr(1);
-    }
+    out += sub.body;
   }
   out += "], \"count\": " + std::to_string(items.size()) + "}";
   return JsonResponse(200, std::move(out));

@@ -34,11 +34,20 @@
 //   /v1/batch         {requests: [{op, ...}, ...], deadline_ms?}
 //   /v1/schemas       {name, text}   (registers/replaces a schema)
 //
+// The three verdict endpoints share one answer routine (Answer() in
+// dim_service.cc): each handler only turns its body into a question
+// (the echoed fields, the response and closure keys, the no-good salt)
+// plus an engine call, and the routine alone runs response read →
+// closure read → no-good store attach → engine → reply → closure and
+// response inserts. Handlers return unframed replies that
+// HandleRequest frames once, so /v1/batch embeds item replies as they
+// are, a per-item error as {"http_status": N, "error": …, "code": …}.
+//
 // Engine budget expiries are *data*, not transport errors: the
-// response is 200 with "definitive": false, the partial statistics,
-// and (sequential runs) a "checkpoint" to resume from. Only hard
-// errors (bad input 4xx, unknown schema 404, internal faults 500)
-// surface as HTTP error statuses.
+// response is 200 with "definitive": false, the status name, the
+// partial statistics, and (one-thread /v1/check runs) a "checkpoint"
+// to resume from. Only hard errors (bad input 4xx, unknown schema 404,
+// internal faults 500) surface as HTTP error statuses.
 //
 // The outcome accounting (requests == ok + errors + shed) is exact and
 // exposed via counters — the chaos soak's conservation invariant.
@@ -80,8 +89,6 @@ class DimService {
     int max_threads = 1;
     /// Ceiling on /v1/batch fan-out.
     size_t max_batch = 64;
-    /// EXPAND-call cap forwarded to every DIMSAT run.
-    uint64_t max_expand_calls = UINT64_MAX;
     /// Whether POST /v1/schemas may (re)register schemas.
     bool allow_register = true;
     /// Cross-request cache plane (service_caches.h); not owned, null
@@ -121,6 +128,8 @@ class DimService {
   uint64_t checkpointed() const { return checkpointed_.load(); }
 
  private:
+  /// Route and the handlers return unframed replies: the JSON body
+  /// without its trailing newline.
   obs::HttpResponse Route(const obs::HttpRequest& request);
   obs::HttpResponse DoCheck(const JsonValue& body, const Budget& budget);
   obs::HttpResponse DoImplies(const JsonValue& body, const Budget& budget);

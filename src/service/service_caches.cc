@@ -3,47 +3,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "obs/metrics.h"
 
 namespace olapdc::service {
-
-namespace {
-
-/// Parses a 32-hex-digit fingerprint (the ToHex form).
-bool ParseHex128(std::string_view hex, Fingerprint128* out) {
-  if (hex.size() != 32) return false;
-  uint64_t words[2] = {0, 0};
-  for (int i = 0; i < 32; ++i) {
-    const char c = hex[static_cast<size_t>(i)];
-    uint64_t nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-    words[i / 16] = (words[i / 16] << 4) | nibble;
-  }
-  out->hi = words[0];
-  out->lo = words[1];
-  return true;
-}
-
-std::string_view NextLine(std::string_view* rest) {
-  const size_t eol = rest->find('\n');
-  std::string_view line;
-  if (eol == std::string_view::npos) {
-    line = *rest;
-    *rest = std::string_view();
-  } else {
-    line = rest->substr(0, eol);
-    *rest = rest->substr(eol + 1);
-  }
-  return line;
-}
-
-}  // namespace
 
 ServiceCaches::ServiceCaches(Options options)
     : options_(options),
@@ -177,7 +140,7 @@ Status ServiceCaches::LoadNoGoods(std::string_view text) {
     constexpr std::string_view kEpoch = "epoch ";
     Fingerprint128 epoch;
     if (epoch_line.substr(0, kEpoch.size()) != kEpoch ||
-        !ParseHex128(epoch_line.substr(kEpoch.size()), &epoch)) {
+        !Fingerprint128::FromHex(epoch_line.substr(kEpoch.size()), &epoch)) {
       return Status::ParseError("malformed epoch at store " +
                                 std::to_string(i));
     }

@@ -2,42 +2,11 @@
 
 #include <utility>
 
+#include "common/string_util.h"
+
 namespace olapdc::service {
 
 namespace {
-
-bool ParseHex128(std::string_view hex, Fingerprint128* out) {
-  if (hex.size() != 32) return false;
-  uint64_t words[2] = {0, 0};
-  for (int i = 0; i < 32; ++i) {
-    const char c = hex[static_cast<size_t>(i)];
-    uint64_t nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-    words[i / 16] = (words[i / 16] << 4) | nibble;
-  }
-  out->hi = words[0];
-  out->lo = words[1];
-  return true;
-}
-
-std::string_view NextLine(std::string_view* rest) {
-  const size_t eol = rest->find('\n');
-  std::string_view line;
-  if (eol == std::string_view::npos) {
-    line = *rest;
-    *rest = std::string_view();
-  } else {
-    line = rest->substr(0, eol);
-    *rest = rest->substr(eol + 1);
-  }
-  return line;
-}
 
 bool ParseU64(std::string_view digits, uint64_t* out) {
   if (digits.empty() || digits.size() > 19) return false;
@@ -115,7 +84,7 @@ Result<SnapshotRestore> LoadSnapshotRecords(
         if (line.empty()) continue;
         Fingerprint128 epoch;
         if (line.size() < 34 || line[32] != ' ' ||
-            !ParseHex128(line.substr(0, 32), &epoch)) {
+            !Fingerprint128::FromHex(line.substr(0, 32), &epoch)) {
           ok = false;
           break;
         }

@@ -4,6 +4,7 @@
 // keys every layer, and the ServiceCaches envelope (layer isolation,
 // per-epoch no-good store aging, persistence container).
 
+#include <cctype>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,6 +51,18 @@ TEST(FingerprinterTest, ToHexIsStableAndInvertiblyOrdered) {
   EXPECT_EQ(hex.size(), 32u);
   EXPECT_EQ(hex, fp.ToHex());
   EXPECT_NE(hex, FingerprintBytes("hcope").ToHex());
+
+  Fingerprint128 parsed;
+  ASSERT_TRUE(Fingerprint128::FromHex(hex, &parsed));
+  EXPECT_EQ(parsed, fp);
+  std::string upper = hex;
+  for (char& c : upper) c = static_cast<char>(std::toupper(c));
+  ASSERT_NE(upper, hex);  // the digest has a letter digit to fold
+  std::string bad_digit = hex;
+  bad_digit[7] = 'g';
+  for (const std::string& rejected : {hex.substr(0, 31), upper, bad_digit}) {
+    EXPECT_FALSE(Fingerprint128::FromHex(rejected, &parsed)) << rejected;
+  }
 }
 
 // ---------------------------------------------------------------------------

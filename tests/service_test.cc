@@ -19,6 +19,7 @@
 #include "core/location_example.h"
 #include "exec/admission.h"
 #include "gtest/gtest.h"
+#include "io/json_parse.h"
 #include "io/schema_io.h"
 #include "obs/http_server.h"
 #include "obs/json.h"
@@ -105,6 +106,10 @@ TEST_F(ServiceTest, ImpliesAndSummarizableAndBatchAnswer) {
       "\"loc\", \"constraint\": \"Store/City\"}]}"));
   EXPECT_EQ(batch.status, 200);
   EXPECT_NE(batch.body.find("\"count\": 2"), std::string::npos) << batch.body;
+  JsonValue parsed;
+  std::string parse_error;
+  EXPECT_TRUE(ParseJsonText(batch.body, &parsed, &parse_error))
+      << parse_error << "\n" << batch.body;
   EXPECT_EQ(service.requests(), service.ok());
 }
 
@@ -440,8 +445,21 @@ TEST_F(ServiceTest, BatchCapsFanOutAndEmbedsPerItemErrors) {
       "\"category\": \"Store\"}, {\"op\": \"check\", \"schema\": "
       "\"nope\", \"category\": \"X\"}]}"));
   EXPECT_EQ(mixed.status, 200);
-  EXPECT_NE(mixed.body.find("\"http_status\": 404"), std::string::npos)
-      << mixed.body;
+  // The whole body is JSON, the failed item included.
+  JsonValue parsed;
+  std::string parse_error;
+  ASSERT_TRUE(ParseJsonText(mixed.body, &parsed, &parse_error))
+      << parse_error << "\n" << mixed.body;
+  auto results = parsed.RequireArray("results");
+  ASSERT_TRUE(results.ok()) << mixed.body;
+  ASSERT_EQ((*results)->array.size(), 2u);
+  const JsonValue& failed = (*results)->array[1];
+  auto http_status = failed.RequireInt("http_status");
+  ASSERT_TRUE(http_status.ok()) << mixed.body;
+  EXPECT_EQ(*http_status, 404);
+  auto error = failed.RequireString("error");
+  ASSERT_TRUE(error.ok()) << mixed.body;
+  EXPECT_EQ(*error, "schema \"nope\" is not registered");
 }
 
 // ---------------------------------------------------------------------------
@@ -646,6 +664,107 @@ TEST_F(ServiceTest, ChaosMidCacheFillNeverCachesFailures) {
   ASSERT_EQ(warm.status, 200);
   EXPECT_NE(warm.body.find("\"cached\": true"), std::string::npos)
       << warm.body;
+}
+
+// Every reply shape of the three verdict endpoints, byte for byte: each
+// one degraded (every memory reservation fails), the degraded check's
+// token resumed, each one as an engine answer, a response-layer hit and
+// a closure-layer hit, the error replies, and a batch whose items are
+// embedded as their endpoints reply, a per-item error included. The
+// rows run in order against one cached service, so each row meets the
+// cache state the rows above it left.
+TEST_F(ServiceTest, EveryReplyShapeIsByteStable) {
+  enum class Setup { kNone, kClearResponses, kFailReservations };
+  struct Row {
+    const char* path;
+    const char* body;
+    Setup setup;
+    int status;
+    const char* reply;
+  };
+  const Row rows[] = {
+      {"/v1/check", R"({"schema": "loc", "category": "Store"})",
+       Setup::kFailReservations, 200,
+       R"({"schema": "loc", "category": "Store", "definitive": false, "status": "Resource exhausted", "checkpoint": "dimsat-checkpoint v1\nroot 2 categories 7 frames 1\nframe 0 0 0\n", "expand_calls": 0})"},
+      {"/v1/check", R"({"schema": "loc", "category": "Store", "threads": 2})",
+       Setup::kFailReservations, 200,
+       R"({"schema": "loc", "category": "Store", "definitive": false, "status": "Resource exhausted", "expand_calls": 0})"},
+      {"/v1/implies", R"({"schema": "loc", "constraint": "Store/City"})",
+       Setup::kFailReservations, 200,
+       R"({"schema": "loc", "constraint": "Store/City", "definitive": false, "status": "Resource exhausted", "expand_calls": 0})"},
+      {"/v1/summarizable",
+       R"({"schema": "loc", "category": "City", "sources": []})",
+       Setup::kFailReservations, 200,
+       R"({"schema": "loc", "category": "City", "definitive": false, "status": "Resource exhausted", "bottoms_checked": 0, "expand_calls": 0})"},
+      {"/v1/check",
+       R"({"schema": "loc", "category": "Store", "resume": "dimsat-checkpoint v1\nroot 2 categories 7 frames 1\nframe 0 0 0\n"})",
+       Setup::kNone, 200,
+       R"({"schema": "loc", "category": "Store", "definitive": true, "satisfiable": true, "expand_calls": 6})"},
+      {"/v1/check", R"({"schema": "loc", "category": "Store"})", Setup::kNone,
+       200,
+       R"({"schema": "loc", "category": "Store", "definitive": true, "satisfiable": true, "expand_calls": 6})"},
+      {"/v1/check", R"({"schema": "loc", "category": "Store"})", Setup::kNone,
+       200,
+       R"({"schema": "loc", "category": "Store", "definitive": true, "satisfiable": true, "expand_calls": 6, "cached": true, "cache_layer": "response"})"},
+      {"/v1/check", R"({"schema": "loc", "category": "Store"})",
+       Setup::kClearResponses, 200,
+       R"({"schema": "loc", "category": "Store", "definitive": true, "satisfiable": true, "expand_calls": 0, "cached": true, "cache_layer": "closure"})"},
+      {"/v1/implies", R"({"schema": "loc", "constraint": "Store/City"})",
+       Setup::kNone, 200,
+       R"({"schema": "loc", "constraint": "Store/City", "definitive": true, "implied": true, "counterexample": false, "expand_calls": 48})"},
+      {"/v1/implies", R"({"schema": "loc", "constraint": "Store/City"})",
+       Setup::kNone, 200,
+       R"({"schema": "loc", "constraint": "Store/City", "definitive": true, "implied": true, "counterexample": false, "expand_calls": 48, "cached": true, "cache_layer": "response"})"},
+      {"/v1/implies", R"({"schema": "loc", "constraint": "Store/City"})",
+       Setup::kClearResponses, 200,
+       R"({"schema": "loc", "constraint": "Store/City", "definitive": true, "implied": true, "expand_calls": 0, "cached": true, "cache_layer": "closure"})"},
+      {"/v1/summarizable",
+       R"({"schema": "loc", "category": "City", "sources": []})",
+       Setup::kNone, 200,
+       R"({"schema": "loc", "category": "City", "definitive": true, "summarizable": false, "bottoms_checked": 1, "expand_calls": 6})"},
+      {"/v1/summarizable",
+       R"({"schema": "loc", "category": "City", "sources": []})",
+       Setup::kNone, 200,
+       R"({"schema": "loc", "category": "City", "definitive": true, "summarizable": false, "bottoms_checked": 1, "expand_calls": 6, "cached": true, "cache_layer": "response"})"},
+      {"/v1/summarizable",
+       R"({"schema": "loc", "category": "City", "sources": []})",
+       Setup::kClearResponses, 200,
+       R"({"schema": "loc", "category": "City", "definitive": true, "summarizable": false, "bottoms_checked": 1, "expand_calls": 0, "cached": true, "cache_layer": "closure"})"},
+      {"/v1/check", R"({"schema": "nope", "category": "X"})", Setup::kNone,
+       404,
+       R"({"error": "schema \"nope\" is not registered", "code": "Not found"})"},
+      {"/v1/check", R"({"schema": "loc", "category": "Nowhere"})",
+       Setup::kNone, 404,
+       R"({"error": "unknown category 'Nowhere'", "code": "Not found"})"},
+      {"/v1/check",
+       R"({"schema": "loc", "category": "Store", "resume": "garbage"})",
+       Setup::kNone, 400,
+       R"({"error": "not a dimsat-checkpoint v1 header", "code": "Parse error"})"},
+      {"/v1/batch",
+       R"({"requests": [{"op": "check", "schema": "loc", "category": "Store"}, {"op": "check", "schema": "nope", "category": "X"}, {"op": "implies", "schema": "loc", "constraint": "Store/City"}]})",
+       Setup::kNone, 200,
+       R"({"results": [{"schema": "loc", "category": "Store", "definitive": true, "satisfiable": true, "expand_calls": 0, "cached": true, "cache_layer": "closure"}, {"http_status": 404, "error": "schema \"nope\" is not registered", "code": "Not found"}, {"schema": "loc", "constraint": "Store/City", "definitive": true, "implied": true, "expand_calls": 0, "cached": true, "cache_layer": "closure"}], "count": 3})"},
+  };
+  ServiceCaches caches;
+  options_.caches = &caches;
+  DimService service(options_);
+  for (const Row& row : rows) {
+    if (row.setup == Setup::kClearResponses) caches.ClearResponses();
+    std::optional<ScopedFaultInjection> faults;
+    if (row.setup == Setup::kFailReservations) {
+      faults.emplace(/*seed=*/1);
+      FaultInjector::Global().SetFault(
+          "mem.reserve", StatusCode::kResourceExhausted, 1.0);
+    }
+    HttpResponse response = service.HandleRequest(Post(row.path, row.body));
+    EXPECT_EQ(response.status, row.status) << row.path << " " << row.body;
+    EXPECT_EQ(response.body, std::string(row.reply) + "\n")
+        << row.path << " " << row.body;
+    JsonValue parsed;
+    std::string parse_error;
+    EXPECT_TRUE(ParseJsonText(response.body, &parsed, &parse_error))
+        << parse_error << "\n" << response.body;
+  }
 }
 
 // ---------------------------------------------------------------------------
