@@ -288,7 +288,7 @@ class ShardedCache {
   const std::string& name() const { return options_.name; }
 
   /// Calls fn(key, value) for every resident entry, shard by shard
-  /// (serialization of the no-good store). Entries inserted or evicted
+  /// (the olapdcd snapshot's writer). Entries inserted or evicted
   /// concurrently may or may not be visited.
   template <typename Fn>
   void ForEach(Fn&& fn) const {

@@ -22,7 +22,7 @@ std::string DimsatCheckpoint::Serialize() const {
 }
 
 Result<DimsatCheckpoint> DimsatCheckpoint::Deserialize(
-    std::string_view text) {
+    std::string_view text, int num_categories) {
   std::istringstream in{std::string(text)};
   std::string magic, version;
   if (!(in >> magic >> version) || magic != "dimsat-checkpoint" ||
@@ -38,6 +38,11 @@ Result<DimsatCheckpoint> DimsatCheckpoint::Deserialize(
       kw_frames != "frames") {
     return Status::ParseError("malformed checkpoint summary line");
   }
+  if (cp.num_categories != num_categories) {
+    return Status::InvalidArgument(
+        "checkpoint has " + std::to_string(cp.num_categories) +
+        " categories, the schema " + std::to_string(num_categories));
+  }
   if (cp.num_categories <= 0 || cp.root < 0 ||
       cp.root >= cp.num_categories) {
     return Status::InvalidArgument("checkpoint root out of range");
@@ -46,7 +51,8 @@ Result<DimsatCheckpoint> DimsatCheckpoint::Deserialize(
     return Status::ParseError("implausible checkpoint frame count " +
                               std::to_string(num_frames));
   }
-  cp.frames.reserve(num_frames);
+  // Nothing is reserved for the frame and edge counts: they are client
+  // text, so the vectors grow only with what the token really holds.
   std::vector<std::pair<CategoryId, CategoryId>> edges;
   for (size_t i = 0; i < num_frames; ++i) {
     std::string kw_frame;
@@ -59,7 +65,6 @@ Result<DimsatCheckpoint> DimsatCheckpoint::Deserialize(
                                 std::to_string(i));
     }
     edges.clear();
-    edges.reserve(num_edges);
     for (size_t e = 0; e < num_edges; ++e) {
       CategoryId u, v;
       if (!(in >> u >> v)) {

@@ -61,13 +61,18 @@ struct DimsatCheckpoint {
   ///   frame <next_mask> <depth> <edges> <u1> <v1> ... <ue> <ve>
   std::string Serialize() const;
 
-  /// Inverse of Serialize(). Rejects malformed input, any version but
-  /// v1, a token without frames (no run writes one: an interrupted
-  /// search leaves at least the node it stopped at), and frames whose
-  /// edges do not form a root-reachable partial subhierarchy
-  /// (kParseError / kInvalidArgument). The text names no schema, so
-  /// whether each edge is a schema edge is ResumeDimsat()'s check.
-  static Result<DimsatCheckpoint> Deserialize(std::string_view text);
+  /// Inverse of Serialize() for a schema of `num_categories`
+  /// categories. Rejects malformed input, any version but v1, a token
+  /// without frames (no run writes one: an interrupted search leaves at
+  /// least the node it stopped at), and frames whose edges do not form
+  /// a root-reachable partial subhierarchy (kParseError /
+  /// kInvalidArgument). A token naming any other category count is
+  /// kInvalidArgument before a frame is built: each frame's
+  /// Subhierarchy takes O(n²) bits for the token's n. The text names
+  /// no schema, so whether each edge is a schema edge is
+  /// ResumeDimsat()'s check.
+  static Result<DimsatCheckpoint> Deserialize(std::string_view text,
+                                              int num_categories);
 };
 
 }  // namespace olapdc

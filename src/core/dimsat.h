@@ -231,8 +231,8 @@ DimsatResult EnumerateFrozenDimensions(const DimensionSchema& ds,
 /// (the interrupted run had already covered the whole tree); a
 /// checkpoint whose root / num_categories disagree with (ds, root), or
 /// with a frame edge that is not an edge of ds's hierarchy (a token is
-/// client text, and DimsatCheckpoint::Deserialize cannot see the
-/// schema), yields kInvalidArgument.
+/// client text, and DimsatCheckpoint::Deserialize sees only the
+/// schema's category count), yields kInvalidArgument.
 DimsatResult ResumeDimsat(const DimensionSchema& ds, CategoryId root,
                           const DimsatOptions& options,
                           DimsatCheckpoint checkpoint);

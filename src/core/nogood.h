@@ -30,9 +30,8 @@
 //     marker is present does it sign and probe its EXPAND nodes;
 //     otherwise no probe could hit. Markers share the byte cap and the
 //     LRU with the entries; evicting one only closes the gate, which
-//     is safe. They serialize as ordinary entries, so a warm restart
-//     keeps probing (files written before markers existed load, but
-//     stay inert until their searches run again).
+//     is safe. To ForEach they are ordinary entries, so a store that
+//     is persisted and reloaded keeps probing.
 //
 // Soundness guards (enforced at the recording sites in dimsat.cc):
 // a node is recorded only when its subtree ran to completion *inline*
@@ -45,20 +44,15 @@
 //
 // The store is a byte-capped ShardedCache of 128-bit signatures —
 // thread-safe, LRU-evicting under pressure (forgetting a lemma is
-// always safe) — and serializes to a `dimsat-nogoods v1` text form in
-// the dimsat-checkpoint v1 spirit, so a drained daemon can persist its
-// learned pruning and a warm restart (same content epoch) reloads it.
+// always safe).
 
 #ifndef OLAPDC_CORE_NOGOOD_H_
 #define OLAPDC_CORE_NOGOOD_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/cache_shard.h"
-#include "common/status.h"
 #include "core/subhierarchy.h"
 
 namespace olapdc {
@@ -129,25 +123,13 @@ class NoGoodStore {
   CacheStatsSnapshot Stats() const { return cache_.Stats(); }
   void Clear() { cache_.Clear(); }
 
-  /// Visits every recorded signature (arbitrary order). The snapshot
-  /// plane uses this to merge a fully-parsed staging store into the
-  /// live one, so a malformed persistence file never half-loads.
+  /// Visits every recorded signature, markers included (arbitrary
+  /// order; concurrent records may or may not be visited). The
+  /// olapdcd snapshot persists a store through it.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     cache_.ForEach([&](const Fingerprint128& sig, const bool&) { fn(sig); });
   }
-
-  /// `dimsat-nogoods v1` text: header, entry count, one signature per
-  /// line. Concurrent inserts during serialization may or may not be
-  /// included (the count line is authoritative for what follows).
-  std::string Serialize() const;
-
-  /// Merges the entries of a serialized store into this one. The
-  /// caller is responsible for epoch discipline: only load a store
-  /// that was recorded against the same schema content epoch.
-  /// `consumed` (optional) receives the number of bytes read, so
-  /// containers can embed multiple stores in one stream.
-  Status Load(std::string_view text, size_t* consumed = nullptr);
 
  private:
   /// list node + map node + key; the signature itself is the value.

@@ -384,9 +384,10 @@ HttpResponse DimService::DoCheck(const JsonValue& body, const Budget& budget) {
       if (dopt.num_threads <= 1) dopt.checkpoint = &captured;
       result = RunDimsat(*q.schema, *root, dopt);
     } else {
-      // ResumeDimsat rejects a token for another root, category count
-      // or schema as kInvalidArgument, a 400 like a malformed one.
-      auto parsed = DimsatCheckpoint::Deserialize(*resume);
+      // A token for another category count, root or schema is
+      // kInvalidArgument, a 400 like a malformed one.
+      auto parsed = DimsatCheckpoint::Deserialize(
+          *resume, q.schema->hierarchy().num_categories());
       if (!parsed.ok()) return EngineAnswer{.status = parsed.status()};
       dopt.checkpoint = &captured;
       dopt.num_threads = 1;  // resume is a property of one DFS

@@ -61,25 +61,6 @@ SchemaRegistry::Snapshot SchemaRegistry::FindEntry(
   return it == schemas_.end() ? Snapshot{} : it->second;
 }
 
-std::vector<std::string> SchemaRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(schemas_.size());
-  for (const auto& [name, snapshot] : schemas_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::pair<std::string, Fingerprint128>> SchemaRegistry::Epochs()
-    const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, Fingerprint128>> epochs;
-  epochs.reserve(schemas_.size());
-  for (const auto& [name, snapshot] : schemas_) {
-    epochs.emplace_back(name, snapshot.epoch);
-  }
-  return epochs;
-}
-
 size_t SchemaRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return schemas_.size();

@@ -28,8 +28,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "common/budget.h"
 #include "common/cache_shard.h"
@@ -70,13 +68,7 @@ class SchemaRegistry {
   /// request path uses, so schema and epoch are one consistent read.
   Snapshot FindEntry(const std::string& name) const;
 
-  std::vector<std::string> Names() const;
   size_t size() const;
-
-  /// All (name, content epoch) pairs, one consistent read — what the
-  /// snapshot plane checkpoints so a restart can tell which persisted
-  /// cache state still matches a live theory.
-  std::vector<std::pair<std::string, Fingerprint128>> Epochs() const;
 
   /// Registrations that *replaced* an entry with different content
   /// (i.e. changed its epoch and thereby invalidated every cached

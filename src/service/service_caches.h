@@ -22,8 +22,7 @@
 // Invalidation is the registry's epoch model: a replaced theory gets a
 // new content fingerprint, every key under the old epoch goes
 // permanently cold, and the LRU reclaims the bytes. Nothing is ever
-// served across epochs, including after a daemon restart (the no-good
-// persistence format carries each store's epoch).
+// served across epochs.
 //
 // All layers share one byte envelope, enforced per-layer by the
 // ShardedCache LRU and *charged* to a track-only MemoryBudget so cache
@@ -39,12 +38,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/cache_shard.h"
 #include "common/memory_budget.h"
-#include "common/status.h"
 #include "core/answer_cache.h"
 #include "core/nogood.h"
 
@@ -106,26 +104,16 @@ class ServiceCaches {
   /// by DimService; cheap (a handful of uncontended shard locks).
   void PublishGauges() const;
 
-  /// Persistence for warm restarts (the `section nogoods` of the
-  /// olapdcd snapshot, service/snapshot.h): `olapdc-nogood-stores v1`
-  /// — each live store serialized with its epoch, so a reload only
-  /// ever re-attaches learned pruning to the byte-identical theory it
-  /// was learned against. LoadNoGoods is all-or-nothing: the text is
-  /// parsed into staging stores first and committed only if every
-  /// store parses, so truncated or corrupted input returns ParseError
-  /// and loads nothing (tests/snapshot_test.cc's adversarial corpus).
-  std::string SerializeNoGoods() const;
-  Status LoadNoGoods(std::string_view text);
+  /// Each live no-good store with its epoch, most recently used first
+  /// (what the olapdcd snapshot persists, service/snapshot.h).
+  std::vector<std::pair<Fingerprint128, std::shared_ptr<NoGoodStore>>>
+  NoGoodStores() const;
 
-  /// Warm-set snapshot of layer a: up to `max_entries` response-cache
-  /// entries as `olapdc-responses v1` text (length-prefixed key/body
-  /// pairs — bodies are opaque bytes). Part of the olapdcd snapshot
-  /// (service/snapshot.h); keys carry their epoch, so re-loading a
-  /// stale snapshot is harmless (stale keys never hit).
-  std::string SerializeResponses(size_t max_entries) const;
-  /// Re-inserts a SerializeResponses snapshot. All-or-nothing like
-  /// LoadNoGoods: malformed input returns ParseError, inserts nothing.
-  Status LoadResponses(std::string_view text);
+  /// Visits every layer-a entry as fn(key, body), shard by shard.
+  template <typename Fn>
+  void ForEachResponse(Fn&& fn) const {
+    responses_.ForEach(fn);
+  }
 
   /// Total entries across the live no-good stores — the crash
   /// harness's monotonicity counter.

@@ -1,80 +1,62 @@
 // Snapshot plane: olapdcd's periodic crash-durability checkpoint
-// (docs/robustness.md "Crash durability & recovery").
+// (docs/robustness.md "Crash durability & recovery"). This module is
+// the only one that knows the persisted layout.
 //
 // A snapshot is a durable file (io/durable_file.h) whose records are
-// the `olapdc-snapshot v1` layout:
+// the `olapdc-snapshot v2` layout, in this order:
 //
-//   record 0 — meta:      "olapdc-snapshot v1\nseq N\nnogood_entries K\n"
-//   record 1 — epochs:    "section epochs\n" + one "<hex32> <name>\n"
-//                         line per registered schema
-//   record 2 — no-goods:  "section nogoods\n" + SerializeNoGoods text
-//   record 3 — responses: "section responses\n" + SerializeResponses
-//                         text (the warm set, capped by the builder)
+//   meta:      "olapdc-snapshot v2\nseq N\n"
+//   no-goods:  "nogoods <epoch-hex> <count>\n" then <count> lines of
+//              one 32-hex-digit signature each, search-key markers
+//              included — one record per live no-good store
+//   response:  "response <key-bytes> <body-bytes>\n" then the raw key
+//              and body — one record per warm response, at most
+//              kMaxSnapshotResponses
 //
-// Because each record is independently CRC-framed, a kill -9 (or a
-// lost tail page) mid-write can only cost whole trailing records: a
-// snapshot torn after the no-good record still restores the no-goods
-// and simply starts the response cache cold. Sections are also loaded
-// all-or-nothing internally (ServiceCaches::Load* are staged), so a
-// bit flip that survives framing still can't half-load a layer.
+// The durable file's CRC frame is the only framing. Each record states
+// the size of what it holds and is parsed whole before anything from
+// it is inserted, so a record that does not match its stated size is
+// skipped whole, and no count read from the file sizes an allocation
+// the record's bytes do not back. A kill -9 mid-write (or a lost tail
+// page) costs only the records from the tear on; the no-good stores
+// come first, so a tear in the response set keeps every one of them.
 //
-// Recovery is the mirror: read with torn-tail truncation, verify the
-// meta record, then apply every intact section. The per-section salvage
-// means recovery never *fails* on a torn snapshot — the invariant the
-// crash harness (chaos_campaign --crash) asserts over hundreds of
-// kill points.
+// Epoch discipline travels inside the records: a no-good store names
+// its content epoch and a response key embeds it, so a snapshot taken
+// before a schema change reloads harmlessly cold.
 
 #ifndef OLAPDC_SERVICE_SNAPSHOT_H_
 #define OLAPDC_SERVICE_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "common/status.h"
-#include "service/schema_registry.h"
 #include "service/service_caches.h"
 
 namespace olapdc::service {
 
-struct SnapshotOptions {
-  /// Warm-set cap: how many response-cache entries to checkpoint.
-  size_t max_response_entries = 4096;
-};
+/// Responses a snapshot keeps: the first this many the response cache
+/// visits.
+inline constexpr size_t kMaxSnapshotResponses = 4096;
 
-/// Builds the `olapdc-snapshot v1` record sequence for
+/// Builds the `olapdc-snapshot v2` record sequence for
 /// WriteDurableFile. `seq` is the monotone snapshot sequence number
-/// (the daemon's, not the file's).
-std::vector<std::string> BuildSnapshotRecords(
-    uint64_t seq, const SchemaRegistry& registry, const ServiceCaches& caches,
-    const SnapshotOptions& options = SnapshotOptions{});
+/// (the daemon's, not the file's). Safe while other threads use
+/// `caches`.
+std::vector<std::string> BuildSnapshotRecords(uint64_t seq,
+                                              const ServiceCaches& caches);
 
-struct SnapshotRestore {
-  /// seq of the snapshot that was loaded.
-  uint64_t seq = 0;
-  /// No-good entry count recorded at snapshot time (meta record) —
-  /// the crash harness's monotonicity witness.
-  uint64_t nogood_entries = 0;
-  /// Sections that were intact and applied.
-  bool loaded_epochs = false;
-  bool loaded_nogoods = false;
-  bool loaded_responses = false;
-  /// (name, epoch) pairs from the epochs section, for logging.
-  std::vector<std::pair<std::string, Fingerprint128>> epochs;
-  /// Salvage accounting copied from the durable read.
-  uint64_t torn_tail_truncations = 0;
-  uint64_t crc_drops = 0;
-  uint64_t bytes = 0;
-};
-
-/// Applies the records of a recovered snapshot file to `caches`.
-/// Trailing records lost to a torn tail lose only their own section;
-/// a malformed *intact* section is skipped (counted in the caches'
-/// ParseError) rather than failing recovery. Fails only if record 0
-/// is missing or is not an `olapdc-snapshot v1` meta record.
-Result<SnapshotRestore> LoadSnapshotRecords(
-    const std::vector<std::string>& records, ServiceCaches* caches);
+/// Applies the records of a recovered snapshot file to `caches` and
+/// returns the snapshot's seq. A record past the meta record that is
+/// malformed, does not match its stated size, or has an unknown kind is
+/// skipped whole; the others still load. Fails with kParseError, and
+/// loads nothing, only when record 0 is missing or is not an
+/// `olapdc-snapshot v2` meta record.
+Result<uint64_t> LoadSnapshotRecords(const std::vector<std::string>& records,
+                                     ServiceCaches* caches);
 
 }  // namespace olapdc::service
 

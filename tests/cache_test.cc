@@ -2,7 +2,7 @@
 // common/cache_shard.h (Fingerprinter + ShardedCache), the shared
 // implication-closure AnswerCache, the SchemaRegistry epoch model that
 // keys every layer, and the ServiceCaches envelope (layer isolation,
-// per-epoch no-good store aging, persistence container).
+// per-epoch no-good store aging).
 
 #include <cctype>
 #include <memory>
@@ -248,25 +248,6 @@ TEST(ServiceCachesTest, NoGoodStoresAreSharedPerEpochAndAgeOut) {
   EXPECT_FALSE(caches.NoGoodsFor(e1)->Probe(sig));
   // The aged-out handle stays safely usable by whoever still holds it.
   EXPECT_TRUE(s1->Probe(sig));
-}
-
-TEST(ServiceCachesTest, NoGoodPersistenceRoundTripsPerEpoch) {
-  service::ServiceCaches caches;
-  const Fingerprint128 e1 = FingerprintBytes("epoch-1");
-  const Fingerprint128 e2 = FingerprintBytes("epoch-2");
-  const Fingerprint128 sig1 = FingerprintBytes("subtree-1");
-  const Fingerprint128 sig2 = FingerprintBytes("subtree-2");
-  caches.NoGoodsFor(e1)->Record(sig1);
-  caches.NoGoodsFor(e2)->Record(sig2);
-
-  const std::string blob = caches.SerializeNoGoods();
-  service::ServiceCaches restored;
-  ASSERT_TRUE(restored.LoadNoGoods(blob).ok());
-  EXPECT_TRUE(restored.NoGoodsFor(e1)->Probe(sig1));
-  EXPECT_FALSE(restored.NoGoodsFor(e1)->Probe(sig2));
-  EXPECT_TRUE(restored.NoGoodsFor(e2)->Probe(sig2));
-
-  EXPECT_FALSE(restored.LoadNoGoods("not a store container").ok());
 }
 
 TEST(ServiceCachesTest, TinyBudgetEvictsButKeepsAdmitting) {

@@ -172,7 +172,8 @@ TEST_P(ResumeEquivalenceTest, SerializedFrontierResumesIdentically) {
   ASSERT_EQ(first.status.code(), StatusCode::kResourceExhausted);
 
   ASSERT_OK_AND_ASSIGN(DimsatCheckpoint restored,
-                       DimsatCheckpoint::Deserialize(cp.Serialize()));
+                       DimsatCheckpoint::Deserialize(
+                           cp.Serialize(), ds.hierarchy().num_categories()));
   EXPECT_EQ(restored.frames.size(), cp.frames.size());
 
   options.max_expand_calls = UINT64_MAX;
@@ -281,7 +282,8 @@ TEST(CheckpointTest, MismatchedCheckpointIsRejected) {
       " frames 1\nframe 0 1 1 " + std::to_string(store) + " " +
       std::to_string(ds.hierarchy().all()) + "\n";
   ASSERT_OK_AND_ASSIGN(DimsatCheckpoint foreign,
-                       DimsatCheckpoint::Deserialize(foreign_edge));
+                       DimsatCheckpoint::Deserialize(
+                           foreign_edge, ds.hierarchy().num_categories()));
   EXPECT_EQ(ResumeDimsat(ds, store, {}, std::move(foreign)).status.code(),
             StatusCode::kInvalidArgument);
 }
@@ -298,11 +300,12 @@ constexpr char kTwoComponentToken[] =
     "model 3 1 4 2 1 4 0 1 4 Bolt%sCo\n";
 
 TEST(CheckpointTest, DeserializeRejectsGarbage) {
-  EXPECT_EQ(DimsatCheckpoint::Deserialize("").status().code(),
+  EXPECT_EQ(DimsatCheckpoint::Deserialize("", 3).status().code(),
             StatusCode::kParseError);
-  EXPECT_EQ(DimsatCheckpoint::Deserialize("not a checkpoint").status().code(),
-            StatusCode::kParseError);
-  EXPECT_EQ(DimsatCheckpoint::Deserialize("dimsat-checkpoint v99\n")
+  EXPECT_EQ(
+      DimsatCheckpoint::Deserialize("not a checkpoint", 3).status().code(),
+      StatusCode::kParseError);
+  EXPECT_EQ(DimsatCheckpoint::Deserialize("dimsat-checkpoint v99\n", 3)
                 .status()
                 .code(),
             StatusCode::kParseError);
@@ -310,17 +313,39 @@ TEST(CheckpointTest, DeserializeRejectsGarbage) {
   EXPECT_EQ(DimsatCheckpoint::Deserialize(
                 "dimsat-checkpoint v1\n"
                 "root 0 categories 3 frames 1\n"
-                "frame 0 0 1 1 2\n")
+                "frame 0 0 1 1 2\n",
+                3)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   // Only v1 is read.
-  EXPECT_EQ(DimsatCheckpoint::Deserialize(kTwoComponentToken).status().code(),
-            StatusCode::kParseError);
+  EXPECT_EQ(
+      DimsatCheckpoint::Deserialize(kTwoComponentToken, 7).status().code(),
+      StatusCode::kParseError);
   // No run writes a token without frames; read as "nothing left to
   // search" it would be a verdict the engine never computed.
   EXPECT_EQ(DimsatCheckpoint::Deserialize(
-                "dimsat-checkpoint v1\nroot 2 categories 7 frames 0\n")
+                "dimsat-checkpoint v1\nroot 2 categories 7 frames 0\n", 7)
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  // A category count other than the schema's is refused before any
+  // frame is built; two billion categories would ask each frame's
+  // Subhierarchy for O(n²) bits.
+  EXPECT_EQ(DimsatCheckpoint::Deserialize(
+                "dimsat-checkpoint v1\n"
+                "root 0 categories 2000000000 frames 1\n"
+                "frame 0 0 0\n",
+                7)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // A frame count is a claim, not an allocation: 2^24 claimed, one held.
+  EXPECT_EQ(DimsatCheckpoint::Deserialize(
+                "dimsat-checkpoint v1\n"
+                "root 0 categories 7 frames 16777216\n"
+                "frame 0 0 0\n",
+                7)
                 .status()
                 .code(),
             StatusCode::kParseError);

@@ -289,7 +289,8 @@ TEST(DecomposeCheckpointTest, InterruptedChainMatchesUninterrupted) {
       const std::string token = checkpoint.Serialize();
       ASSERT_EQ(token.rfind("dimsat-checkpoint v1\n", 0), 0u) << token;
       ASSERT_OK_AND_ASSIGN(DimsatCheckpoint reloaded,
-                           DimsatCheckpoint::Deserialize(token));
+                           DimsatCheckpoint::Deserialize(
+                               token, ds.hierarchy().num_categories()));
       checkpoint = DimsatCheckpoint{};
       result = ResumeDimsat(ds, base, chunk_options, std::move(reloaded));
       for (FrozenDimension& f : result.frozen) listed.push_back(std::move(f));

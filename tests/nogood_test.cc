@@ -2,8 +2,8 @@
 // item 2, layer b). Four layers of assurance:
 //
 //   1. store semantics: record/probe, signature discrimination over
-//      structure / option bits / theory salt, search-key markers,
-//      persistence round-trip;
+//      structure / option bits / theory salt, search-key markers
+//      (persistence is tests/snapshot_test.cc's);
 //   2. engine equivalence: a search with a store attached (cold, warm,
 //      or mid-fill; sequential or on the work-stealing pool; capped to
 //      a few KiB) must return exactly the frozen-dimension set and
@@ -96,26 +96,6 @@ TEST(NoGoodStoreTest, SignatureDiscriminatesRootOptionsAndSalt) {
   EXPECT_NE(base, NoGoodStore::Signature(at_zero, 0, /*theory_salt=*/1));
 }
 
-TEST(NoGoodStoreTest, SerializeLoadRoundTrip) {
-  NoGoodStore store;
-  std::vector<Fingerprint128> sigs;
-  for (int i = 0; i < 5; ++i) {
-    sigs.push_back(FingerprintBytes("subtree-" + std::to_string(i)));
-    store.Record(sigs.back());
-  }
-  const std::string text = store.Serialize();
-
-  NoGoodStore restored;
-  size_t consumed = 0;
-  ASSERT_TRUE(restored.Load(text, &consumed).ok());
-  EXPECT_EQ(consumed, text.size());
-  EXPECT_EQ(restored.size(), store.size());
-  for (const Fingerprint128& sig : sigs) EXPECT_TRUE(restored.Probe(sig));
-
-  EXPECT_FALSE(restored.Load("dimsat-nogoods v2\n").ok());
-  EXPECT_FALSE(restored.Load("garbage").ok());
-}
-
 TEST(NoGoodStoreTest, MarkersAreNoNodeSignaturesAndLearnFlushesOnce) {
   const Fingerprint128 marker = NoGoodStore::Marker(8, /*root=*/0, 7, 3);
   // A search's starting node shares every key word with its marker.
@@ -134,11 +114,6 @@ TEST(NoGoodStoreTest, MarkersAreNoNodeSignaturesAndLearnFlushesOnce) {
   EXPECT_EQ(store.size(), 2u);
   EXPECT_TRUE(store.Probe(marker));
   EXPECT_TRUE(store.Probe(sig));
-
-  // A marker is an ordinary entry of the v1 format.
-  NoGoodStore restored;
-  ASSERT_TRUE(restored.Load(store.Serialize()).ok());
-  EXPECT_TRUE(restored.Probe(marker));
 
   // Capacity counts each entry's bookkeeping, not just its 16 bytes.
   NoGoodStore::Options tiny;

@@ -316,10 +316,12 @@ TEST_F(ServiceTest, TinyDeadlineDegradesWithCheckpointAndResumesToTruth) {
 }
 
 // A resume token is client text. Tokens no run writes are a 400, not a
-// definitive verdict: a v2 token, a v1 token without frames, and one
-// whose frame holds an edge the schema lacks (Store->All; every
-// completion of it fails CHECK, so replaying it would answer
-// "unsatisfiable" for a satisfiable category).
+// definitive verdict: a v2 token, a v1 token without frames, one whose
+// frame holds an edge the schema lacks (Store->All; every completion
+// of it fails CHECK, so replaying it would answer "unsatisfiable" for
+// a satisfiable category), one naming two billion categories (refused
+// before a frame's Subhierarchy asks for O(n²) bits), and one claiming
+// 2^24 frames but holding one (nothing is reserved for the claim).
 TEST_F(ServiceTest, ResumeTokensNoRunWritesAre400) {
   std::shared_ptr<const DimensionSchema> loc = registry_.Find("loc");
   ASSERT_NE(loc, nullptr);
@@ -335,6 +337,9 @@ TEST_F(ServiceTest, ResumeTokensNoRunWritesAre400) {
       header + "0\n",
       header + "1\nframe 0 1 1 " + store + " " + std::to_string(h.all()) +
           "\n",
+      "dimsat-checkpoint v1\nroot 0 categories 2000000000 frames 1\n"
+      "frame 0 0 0\n",
+      header + "16777216\nframe 0 0 0\n",
   };
   DimService service(options_);
   for (const std::string& token : tokens) {

@@ -122,6 +122,7 @@
 #include "obs/metrics.h"
 #include "service/dim_service.h"
 #include "service/schema_registry.h"
+#include "tools/flags.h"
 #include "tools/http_client.h"
 #include "workload/schema_generator.h"
 
@@ -1342,15 +1343,21 @@ int Main(int argc, char** argv) {
   int crash_kills = -1;  // <0: mode default (200 full, 10 quick)
   bool out_path_set = false;
   std::string out_path = "BENCH_robustness.json";
+  int64_t n = 0;  // the numeric flag just parsed
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
     };
+    auto numeric = [&](int64_t min, int64_t max) {
+      return tools::ParseInt64Flag(arg.c_str(), value(), min, max, &n);
+    };
     if (arg == "--runs-per-cell") {
-      runs_per_cell = std::atoi(value());
+      if (!numeric(1, 1 << 20)) return 2;
+      runs_per_cell = static_cast<int>(n);
     } else if (arg == "--seeds") {
-      seeds = std::atoi(value());
+      if (!numeric(1, 1 << 20)) return 2;
+      seeds = static_cast<int>(n);
     } else if (arg == "--out") {
       out_path = value();
       out_path_set = true;
@@ -1359,20 +1366,27 @@ int Main(int argc, char** argv) {
     } else if (arg == "--daemon") {
       daemon = true;
     } else if (arg == "--daemon-duration-ms") {
-      daemon_cfg.duration_ms = std::atoll(value());
+      if (!numeric(1, tools::kMaxMsFlag)) return 2;
+      daemon_cfg.duration_ms = n;
     } else if (arg == "--daemon-min-requests") {
-      daemon_cfg.min_requests = static_cast<uint64_t>(std::atoll(value()));
+      if (!numeric(0, int64_t{1} << 40)) return 2;
+      daemon_cfg.min_requests = static_cast<uint64_t>(n);
     } else if (arg == "--daemon-prob") {
-      daemon_cfg.prob = std::atof(value());
+      if (!tools::ParseDoubleFlag("--daemon-prob", value(), 0.0, 1.0,
+                                  &daemon_cfg.prob)) {
+        return 2;
+      }
     } else if (arg == "--daemon-threads") {
-      daemon_cfg.client_threads = std::atoi(value());
+      if (!numeric(1, tools::kMaxThreadsFlag)) return 2;
+      daemon_cfg.client_threads = static_cast<int>(n);
     } else if (arg == "--crash") {
       crash = true;
     } else if (arg == "--crash-only") {
       crash = true;
       crash_only = true;
     } else if (arg == "--crash-kills") {
-      crash_kills = std::atoi(value());
+      if (!numeric(1, 1 << 20)) return 2;
+      crash_kills = static_cast<int>(n);
     } else if (arg == "--crash-daemon-bin") {
       crash_cfg.daemon_bin = value();
     } else if (arg == "--crash-dir") {
@@ -1420,11 +1434,6 @@ int Main(int argc, char** argv) {
     return grid.violations.empty() ? 0 : 1;
   }
   if (daemon) {
-    if (daemon_cfg.duration_ms < 1 || daemon_cfg.client_threads < 1 ||
-        daemon_cfg.prob < 0 || daemon_cfg.prob > 1) {
-      std::fprintf(stderr, "error: bad --daemon-* flag values\n");
-      return 2;
-    }
     daemon_cfg.seeds = seeds == 6 ? 3 : seeds;
     if (out_path_set) daemon_cfg.out_path = out_path;
     return RunDaemonSoak(daemon_cfg);
@@ -1432,10 +1441,6 @@ int Main(int argc, char** argv) {
   if (quick) {
     runs_per_cell = 4;  // one run of every request shape
     seeds = 2;
-  }
-  if (runs_per_cell < 1 || seeds < 1) {
-    std::fprintf(stderr, "error: --runs-per-cell and --seeds must be >= 1\n");
-    return 2;
   }
 
   obs::MetricsRegistry::Global().Enable();

@@ -45,6 +45,7 @@
 #include "core/location_example.h"
 #include "io/schema_io.h"
 #include "obs/json.h"
+#include "tools/flags.h"
 #include "tools/http_client.h"
 
 namespace olapdc {
@@ -293,45 +294,44 @@ int Run(int argc, char** argv) {
   std::string bench_name = "service";
   std::vector<std::string> daemon_args;
 
+  int64_t n = 0;  // the numeric flag just parsed
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    auto numeric = [&](int64_t min, int64_t max) {
+      const char* v = next();
+      return v != nullptr &&
+             tools::ParseInt64Flag(arg.c_str(), v, min, max, &n);
+    };
     if (arg == "--") {
       for (++i; i < argc; ++i) daemon_args.emplace_back(argv[i]);
       break;
     } else if (arg == "--port") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      port = std::atoi(v);
+      if (!numeric(1, 65535)) return Usage();
+      port = static_cast<int>(n);
     } else if (arg == "--spawn") {
       const char* v = next();
       if (v == nullptr) return Usage();
       spawn_binary = v;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      threads = std::atoi(v);
+      if (!numeric(1, tools::kMaxThreadsFlag)) return Usage();
+      threads = static_cast<int>(n);
     } else if (arg == "--duration-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      duration_ms = std::atoll(v);
+      if (!numeric(1, tools::kMaxMsFlag)) return Usage();
+      duration_ms = n;
     } else if (arg == "--min-requests") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      min_requests = static_cast<uint64_t>(std::atoll(v));
+      if (!numeric(0, int64_t{1} << 40)) return Usage();
+      min_requests = static_cast<uint64_t>(n);
     } else if (arg == "--bench-name") {
       const char* v = next();
       if (v == nullptr) return Usage();
       bench_name = v;
     } else if (arg == "--repeat-fraction") {
       const char* v = next();
-      if (v == nullptr) return Usage();
-      repeat_fraction = std::atof(v);
-      if (repeat_fraction < 0.0 || repeat_fraction > 1.0) {
-        std::fprintf(stderr,
-                     "loadgen: --repeat-fraction must be in [0, 1]\n");
+      if (v == nullptr || !tools::ParseDoubleFlag("--repeat-fraction", v, 0.0,
+                                                  1.0, &repeat_fraction)) {
         return Usage();
       }
     } else {
@@ -340,7 +340,6 @@ int Run(int argc, char** argv) {
     }
   }
   if ((port <= 0) == spawn_binary.empty()) return Usage();
-  if (threads < 1 || duration_ms < 1) return Usage();
 
   std::signal(SIGPIPE, SIG_IGN);
 

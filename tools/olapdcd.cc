@@ -22,11 +22,9 @@
 // chaos soak (tools/loadgen, chaos_campaign --daemon) depends on it.
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -47,6 +45,7 @@
 #include "service/schema_registry.h"
 #include "service/service_caches.h"
 #include "service/snapshot.h"
+#include "tools/flags.h"
 
 namespace olapdc {
 namespace {
@@ -99,40 +98,8 @@ int ExitCodeFor(const Status& status) {
   return status.ok() ? 0 : static_cast<int>(status.code());
 }
 
-/// Validated integer flag parse (the olapdc_cli.cc pattern): rejects
-/// empty/non-numeric text, trailing junk, and out-of-range values
-/// instead of atoll's silent 0 and ERANGE saturation.
-bool ParseInt64Flag(const char* flag, const std::string& text, int64_t min,
-                    int64_t max, int64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long n = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
-      n < min || n > max) {
-    std::fprintf(stderr,
-                 "error: %s needs an integer in [%lld, %lld], got '%s'\n",
-                 flag, static_cast<long long>(min),
-                 static_cast<long long>(max), text.c_str());
-    return false;
-  }
-  *out = n;
-  return true;
-}
-
-bool ParseDoubleFlag(const char* flag, const std::string& text, double min,
-                     double max, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
-      !(v >= min && v <= max)) {
-    std::fprintf(stderr, "error: %s needs a number in [%g, %g], got '%s'\n",
-                 flag, min, max, text.c_str());
-    return false;
-  }
-  *out = v;
-  return true;
-}
+using tools::ParseDoubleFlag;
+using tools::ParseInt64Flag;
 
 StatusCode NaturalFaultCode(const std::string& site) {
   if (site == "schema_io.parse" || site == "instance_io.parse") {
@@ -165,7 +132,7 @@ int Main(int argc, char** argv) {
   int64_t fault_seed = 42;
   int64_t linger_ms = -1;
 
-  constexpr int64_t kMs = 1ll << 40;  // generous ceiling for *-ms flags
+  constexpr int64_t kMs = tools::kMaxMsFlag;  // ceiling for *-ms flags
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     std::string value;
@@ -237,7 +204,8 @@ int Main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg == "--threads") {
-      if (!ParseInt64Flag("--threads", next(), 1, 256, &threads)) {
+      if (!ParseInt64Flag("--threads", next(), 1, tools::kMaxThreadsFlag,
+                          &threads)) {
         return Usage();
       }
     } else if (arg == "--max-batch") {
@@ -346,7 +314,7 @@ int Main(int argc, char** argv) {
   // load the newest valid snapshot, salvaging a torn tail in place. A
   // missing, torn, or even completely corrupt snapshot must never stop
   // the daemon from starting — worst case it starts cold, exactly like
-  // a first boot. Epoch discipline is carried inside the sections
+  // a first boot. Epoch discipline is carried inside the records
   // (no-good stores and response keys name their content epochs), so a
   // snapshot from before a schema change re-loads harmlessly cold.
   uint64_t snapshot_seq = 1;
@@ -355,20 +323,20 @@ int Main(int argc, char** argv) {
     Result<DurableReadResult> read =
         ReadDurableFile(snapshot_file, /*truncate_torn_tail=*/true);
     if (read.ok()) {
-      Result<service::SnapshotRestore> restored =
+      Result<uint64_t> recovered_seq =
           service::LoadSnapshotRecords(read->records, caches.get());
       const int64_t recovery_ms =
           std::chrono::duration_cast<std::chrono::milliseconds>(
               std::chrono::steady_clock::now() - recovery_start)
               .count();
-      if (restored.ok()) {
-        snapshot_seq = restored->seq + 1;
+      if (recovered_seq.ok()) {
+        snapshot_seq = *recovered_seq + 1;
         obs::Gauge("olapdc.durable.recovery_ms", recovery_ms);
         // The crash harness parses this line (before the listening
         // line, which loadgen tolerates); keep it stable.
         std::printf("olapdcd recovered snapshot seq=%llu nogoods=%llu "
                     "torn=%llu crc_drops=%llu\n",
-                    static_cast<unsigned long long>(restored->seq),
+                    static_cast<unsigned long long>(*recovered_seq),
                     static_cast<unsigned long long>(
                         caches->NoGoodEntryCount()),
                     static_cast<unsigned long long>(
@@ -378,7 +346,7 @@ int Main(int argc, char** argv) {
       } else {
         std::fprintf(stderr, "olapdcd: ignoring snapshot %s: %s\n",
                      snapshot_file.c_str(),
-                     restored.status().ToString().c_str());
+                     recovered_seq.status().ToString().c_str());
       }
     } else if (read.status().code() != StatusCode::kNotFound) {
       std::fprintf(stderr, "olapdcd: ignoring snapshot %s: %s\n",
@@ -438,7 +406,7 @@ int Main(int argc, char** argv) {
   // retried next tick.
   auto write_snapshot = [&]() -> Status {
     const std::vector<std::string> records =
-        service::BuildSnapshotRecords(snapshot_seq, registry, *caches);
+        service::BuildSnapshotRecords(snapshot_seq, *caches);
     DurableWriteStats stats;
     OLAPDC_RETURN_NOT_OK(WriteDurableFile(snapshot_file, records, &stats));
     ++snapshot_seq;
