@@ -50,6 +50,15 @@ class DynamicBitset {
 
   int size() const { return size_; }
 
+  /// Bytes one set over a universe of `size` elements occupies: the
+  /// object itself plus its heap words once the universe outgrows the
+  /// inline buffer. The memory governor's unit for category sets
+  /// (common/memory_budget.h).
+  static uint64_t Bytes(int size) {
+    const uint64_t words = (static_cast<uint64_t>(size) + 63) / 64;
+    return sizeof(DynamicBitset) + (words > kInlineWords ? words * 8 : 0);
+  }
+
   bool test(int i) const {
     OLAPDC_DCHECK(0 <= i && i < size_);
     return (data()[i >> 6] >> (i & 63)) & 1;

@@ -41,10 +41,11 @@ enum class StatusCode {
   /// The caller cooperatively cancelled the operation before it
   /// finished.
   kCancelled = 8,
-  /// The service is overloaded and shed the request before doing any
-  /// work (admission control). Unlike the budget errors, no partial
-  /// result exists; the message carries a retry-after-ms hint and the
-  /// request is safe to retry verbatim after backing off.
+  /// olapdcd's request gate (exec::AdmissionGate) shed the request
+  /// before doing any work; the engine itself never sheds. Unlike the
+  /// budget errors, no partial result exists; the message carries a
+  /// retry-after-ms hint and the request is safe to retry verbatim
+  /// after backing off.
   kUnavailable = 9,
 };
 

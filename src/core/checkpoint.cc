@@ -21,8 +21,13 @@ std::string DimsatCheckpoint::Serialize() const {
   return out.str();
 }
 
+uint64_t DimsatCheckpoint::FrameBytes(int num_categories) {
+  return sizeof(DimsatCheckpointFrame) - sizeof(Subhierarchy) +
+         Subhierarchy::Bytes(num_categories);
+}
+
 Result<DimsatCheckpoint> DimsatCheckpoint::Deserialize(
-    std::string_view text, int num_categories) {
+    std::string_view text, int num_categories, MemoryBudget* memory) {
   std::istringstream in{std::string(text)};
   std::string magic, version;
   if (!(in >> magic >> version) || magic != "dimsat-checkpoint" ||
@@ -52,7 +57,12 @@ Result<DimsatCheckpoint> DimsatCheckpoint::Deserialize(
                               std::to_string(num_frames));
   }
   // Nothing is reserved for the frame and edge counts: they are client
-  // text, so the vectors grow only with what the token really holds.
+  // text, so the vectors grow only with what the token really holds,
+  // and each frame is charged as it is read.
+  if (memory != nullptr) {
+    cp.charge = std::make_shared<MemoryReservation>(memory);
+  }
+  const uint64_t frame_bytes = FrameBytes(cp.num_categories);
   std::vector<std::pair<CategoryId, CategoryId>> edges;
   for (size_t i = 0; i < num_frames; ++i) {
     std::string kw_frame;
@@ -72,6 +82,10 @@ Result<DimsatCheckpoint> DimsatCheckpoint::Deserialize(
                                   std::to_string(i));
       }
       edges.emplace_back(u, v);
+    }
+    if (cp.charge != nullptr) {
+      OLAPDC_RETURN_NOT_OK(
+          cp.charge->Reserve(frame_bytes, "checkpoint.frame"));
     }
     std::optional<Subhierarchy> g =
         Subhierarchy::FromPartialEdges(cp.num_categories, cp.root, edges);

@@ -26,10 +26,12 @@
 #define OLAPDC_CORE_CHECKPOINT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/memory_budget.h"
 #include "common/result.h"
 #include "core/subhierarchy.h"
 
@@ -52,6 +54,11 @@ struct DimsatCheckpoint {
   int num_categories = 0;
   /// Deepest-first: index 0 is the innermost interrupted node.
   std::vector<DimsatCheckpointFrame> frames;
+  /// What Deserialize() reserved for the frames against the caller's
+  /// MemoryBudget, released when the last copy of this checkpoint dies;
+  /// null for a checkpoint the engine captured or one read without a
+  /// budget.
+  std::shared_ptr<MemoryReservation> charge;
 
   bool empty() const { return frames.empty(); }
 
@@ -68,11 +75,17 @@ struct DimsatCheckpoint {
   /// a root-reachable partial subhierarchy (kParseError /
   /// kInvalidArgument). A token naming any other category count is
   /// kInvalidArgument before a frame is built: each frame's
-  /// Subhierarchy takes O(n²) bits for the token's n. The text names
-  /// no schema, so whether each edge is a schema edge is
+  /// Subhierarchy takes O(n²) bits for the token's n. With a non-null
+  /// `memory`, each frame is reserved (FrameBytes) before it is built,
+  /// and a token that does not fit is kResourceExhausted. The text
+  /// names no schema, so whether each edge is a schema edge is
   /// ResumeDimsat()'s check.
   static Result<DimsatCheckpoint> Deserialize(std::string_view text,
-                                              int num_categories);
+                                              int num_categories,
+                                              MemoryBudget* memory = nullptr);
+
+  /// Bytes one frame over `num_categories` categories occupies.
+  static uint64_t FrameBytes(int num_categories);
 };
 
 }  // namespace olapdc

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -18,7 +17,6 @@
 #include "core/check_subhierarchy.h"
 #include "core/decompose.h"
 #include "core/nogood.h"
-#include "exec/admission.h"
 #include "exec/work_stealing_pool.h"
 #include "obs/metrics.h"
 #include "obs/search_tree.h"
@@ -96,17 +94,6 @@ Result<std::vector<DimensionConstraint>> PrepareRelevantConstraints(
                                            c->label});
   }
   return prepared;
-}
-
-/// Heap-byte estimate of one Subhierarchy over n categories (three
-/// n-vectors of n-bit sets plus the top-level sets) — the unit of the
-/// memory-budget accounting for search state and parallel task seeds.
-/// A governor estimate, not an rlimit (see common/memory_budget.h).
-/// Collected models are charged their own size (FrozenDimensionBytes).
-uint64_t ApproxSubhierarchyBytes(int num_categories) {
-  const uint64_t n = static_cast<uint64_t>(num_categories);
-  const uint64_t bitset_bytes = 16 + ((n + 63) / 64) * 8;
-  return 3 * n * bitset_bytes + 3 * bitset_bytes + 128;
 }
 
 /// The no-good identity of one search (core/nogood.h): the store, the
@@ -200,12 +187,12 @@ class DimsatSearch {
         options.require_injective_names;
     check_options_.assignment.enumerate_all = options.enumerate_all;
     check_options_.assignment.max_results = options.max_frozen;
-    const uint64_t n = static_cast<uint64_t>(schema_.num_categories());
-    const uint64_t bitset_bytes = 16 + ((n + 63) / 64) * 8;
-    subhierarchy_bytes_ = ApproxSubhierarchyBytes(schema_.num_categories());
-    // One undo frame journals the expanded category's Below snapshots —
-    // a handful of bitsets in the common case.
-    frame_bytes_ = 4 * bitset_bytes + 96;
+    // The working subhierarchy and, per recursion level, one undo
+    // frame journaling the expanded category's Below snapshots — a
+    // handful of sets in the common case. Collected models are charged
+    // their own size (FrozenDimensionBytes).
+    subhierarchy_bytes_ = Subhierarchy::Bytes(schema_.num_categories());
+    frame_bytes_ = 4 * DynamicBitset::Bytes(schema_.num_categories()) + 96;
     // The explain gate is cached once per search (like the metrics
     // enabled bit) so the disabled hot path pays one pointer test.
     if (obs::SearchTreeRecorder::Global().enabled()) {
@@ -1031,7 +1018,7 @@ void RunSubtreeTask(WorkStealingRun* ws, Subhierarchy seed, int depth) {
 
 DimsatResult RunWorkStealing(const RunContext& run) {
   const int n = run.ds.hierarchy().num_categories();
-  WorkStealingRun ws(run, ApproxSubhierarchyBytes(n));
+  WorkStealingRun ws(run, Subhierarchy::Bytes(n));
   ws.probe_nogoods = NoGoodKey(run.options, n, run.root).Seen();
   SpawnSubtree(&ws, Subhierarchy(n, run.root), 0);
   run.spawner.Wait();
@@ -1118,16 +1105,6 @@ DimsatResult SolveDimsat(const DimensionSchema& ds, CategoryId root,
                         options.checkpoint == nullptr &&
                         resume_from == nullptr;
   DimsatResult result;
-
-  // Overload shedding happens before any other work: a shed request
-  // costs microseconds, holds nothing, and is safe to retry verbatim.
-  // Only runs that occupy the pool ask the gate.
-  exec::AdmissionGate::Ticket ticket(parallel ? options.admission : nullptr);
-  if (!ticket.admitted()) {
-    result.status = ticket.status();
-    return result;
-  }
-
   obs::ObsSpan span(resume_from != nullptr ? "dimsat.resume"
                     : parallel             ? "dimsat.parallel_run"
                                            : "dimsat.run");
@@ -1154,23 +1131,11 @@ DimsatResult SolveDimsat(const DimensionSchema& ds, CategoryId root,
   }
   const bool decomposed = split.eligible;
 
-  // An explicit options.pool wins. Otherwise use the shared process
-  // pool — unless it is smaller than the requested num_threads, in
-  // which case a run-local pool honors the caller's explicit request
-  // (e.g. num_threads=8 on a host whose process pool was sized 1)
-  // rather than silently degrading to the smaller pool.
-  std::unique_ptr<exec::WorkStealingPool> local_pool;
+  // A parallel run's tasks go to options.pool or the process pool,
+  // whatever its size: the engine starts no thread of its own.
   exec::WorkStealingPool* pool = nullptr;
   if (parallel) {
-    pool = options.pool;
-    if (pool == nullptr) {
-      pool = &exec::ProcessPool();
-      if (pool->num_threads() < options.num_threads) {
-        local_pool =
-            std::make_unique<exec::WorkStealingPool>(options.num_threads);
-        pool = local_pool.get();
-      }
-    }
+    pool = options.pool != nullptr ? options.pool : &exec::ProcessPool();
   }
   MemoryBudget* const memory =
       options.budget != nullptr ? options.budget->memory() : nullptr;

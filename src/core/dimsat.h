@@ -29,7 +29,6 @@ namespace olapdc {
 class NoGoodStore;
 
 namespace exec {
-class AdmissionGate;
 class WorkStealingPool;
 }  // namespace exec
 
@@ -96,13 +95,15 @@ struct DimsatOptions {
   /// path.
   uint32_t budget_check_stride = 256;
   /// Worker parallelism: <= 1 runs the search on the calling thread,
-  /// > 1 on the work-stealing pool (EXPAND nodes near the root become
-  /// stealable tasks; decomposed runs make each component one task).
+  /// > 1 as tasks of the work-stealing pool (EXPAND nodes near the root
+  /// become stealable tasks; decomposed runs make each component one
+  /// task). The pool's size, not this value, bounds how many workers
+  /// run them: the engine starts no thread of its own.
   int num_threads = 1;
   /// Pool override for parallel runs (benches and tests pin exact
-  /// worker counts); null uses the shared process pool, or a run-local
-  /// pool of num_threads workers when the process pool is smaller — an
-  /// explicit num_threads is honored, never silently degraded.
+  /// worker counts); null uses the shared process pool
+  /// (exec::ProcessPool(), sized once per process by --threads or
+  /// OLAPDC_THREADS), whatever its size.
   exec::WorkStealingPool* pool = nullptr;
   /// Out-parameter for checkpoint/resume: when non-null and the run
   /// stops on a budget error (deadline, cancellation, memory pressure,
@@ -115,12 +116,6 @@ struct DimsatOptions {
   /// combined verdict, frozen set, and statistics equal an
   /// uninterrupted run's.
   DimsatCheckpoint* checkpoint = nullptr;
-  /// Overload shedding for parallel runs: when non-null, a run that
-  /// will use the pool asks the gate *before doing any work* and
-  /// returns kUnavailable (no partial result; retry-after-ms hint in
-  /// the message) when shed. Ignored by sequential runs, which hold no
-  /// pool resources.
-  exec::AdmissionGate* admission = nullptr;
   /// Learned-pruning store (core/nogood.h); not owned, may be shared
   /// across runs and threads. Null (the default) disables the feature
   /// entirely. When set, each search records its maximal barren

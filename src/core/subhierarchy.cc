@@ -19,6 +19,15 @@ Subhierarchy::Subhierarchy(int num_categories, CategoryId root)
   top_.set(root);
 }
 
+uint64_t Subhierarchy::Bytes(int num_categories) {
+  const uint64_t n = static_cast<uint64_t>(num_categories);
+  const uint64_t set = DynamicBitset::Bytes(num_categories);
+  // out_, in_ and below_ hold n sets each; cats_ and top_ sit inside
+  // the object, so only their heap words count on top of sizeof.
+  return sizeof(Subhierarchy) + 3 * n * set +
+         2 * (set - sizeof(DynamicBitset));
+}
+
 int Subhierarchy::num_edges() const {
   int count = 0;
   cats_.ForEach([&](int u) { count += out_[u].count(); });

@@ -98,6 +98,12 @@ class Subhierarchy {
       int num_categories, CategoryId root,
       const std::vector<std::pair<CategoryId, CategoryId>>& edges);
 
+  /// Bytes one subhierarchy over `num_categories` categories occupies:
+  /// the object, its three n-vectors of sets and, past 512 categories,
+  /// every set's heap words. The memory governor's unit for search
+  /// state, parallel task seeds and resume-token frames.
+  static uint64_t Bytes(int num_categories);
+
   int num_categories() const { return n_; }
   CategoryId root() const { return root_; }
 

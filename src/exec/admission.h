@@ -1,6 +1,10 @@
-// AdmissionGate: overload shedding in front of the work-stealing pool.
+// AdmissionGate: overload shedding in front of olapdcd's request plane
+// (service::DimService takes one ticket per request, before it parses
+// the body). It is the only gate: the engine never consults one, so a
+// request's nested work — a summarizability sweep's per-bottom tests,
+// their parallel DIMSAT runs — is never shed against its own ticket.
 //
-// A saturated pool does not fail — it queues, and queued work holds
+// A saturated service does not fail — it queues, and queued work holds
 // memory and pushes every in-flight request past its deadline. The gate
 // bounds concurrent admitted requests at a high-water mark; beyond it,
 // new requests are *shed immediately* with kUnavailable and a
@@ -16,7 +20,7 @@
 // too lazy under light ones). Options::retry_after_ms is the floor and
 // the fallback before any release has been observed. The hint has one
 // source of truth — RetryAfterMsHint() — embedded in the kUnavailable
-// message the CLI prints and parsed back out by the HTTP layer for
+// message of the 503 body and parsed back out by the HTTP layer for
 // the Retry-After header.
 //
 // Drain: BeginDrain() flips the gate into shedding everything (new

@@ -146,22 +146,27 @@ class WorkStealingPool {
 };
 
 /// Lazily constructed process-wide pool shared by every parallel
-/// caller (CLI, service, summarizability). Sized by
-/// SetProcessPoolThreads() if called before first use, else the
-/// OLAPDC_THREADS environment variable, else hardware_concurrency.
+/// caller (CLI, service, summarizability): a parallel DIMSAT run
+/// without an explicit DimsatOptions::pool runs its tasks here, and no
+/// other pool is started for it. Sized by SetProcessPoolThreads() if
+/// called before first use (`olapdc --threads`, `olapdcd --threads`),
+/// else the OLAPDC_THREADS environment variable, else
+/// hardware_concurrency.
 /// Never destroyed (workers park when idle), so exit order is a
 /// non-issue.
 WorkStealingPool& ProcessPool();
 
-/// Overrides the process pool size; must be called before the first
-/// ProcessPool() use (later calls are ignored).
+/// Overrides the process pool size, clamped to [1, kMaxThreads]; must
+/// be called before the first ProcessPool() use (later calls are
+/// ignored).
 void SetProcessPoolThreads(int num_threads);
 
-/// Upper bound accepted for any thread-count input (OLAPDC_THREADS,
-/// CLI --threads, SetProcessPoolThreads): generous for real hardware,
-/// small enough to reject overflowed/garbage parses before they
-/// truncate into a nonsense pool size.
-inline constexpr int kMaxThreads = 4096;
+/// The one ceiling on every thread count the tools accept:
+/// OLAPDC_THREADS, SetProcessPoolThreads, `olapdc --threads`, `olapdcd
+/// --threads` and `--max-connections` (one serving thread each),
+/// `loadgen --threads` and `chaos_campaign --daemon-threads`. A typo
+/// must not ask the host for thousands of threads.
+inline constexpr int kMaxThreads = 256;
 
 /// OLAPDC_THREADS if set to a positive integer (at most kMaxThreads),
 /// else 0.

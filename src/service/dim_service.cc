@@ -385,9 +385,12 @@ HttpResponse DimService::DoCheck(const JsonValue& body, const Budget& budget) {
       result = RunDimsat(*q.schema, *root, dopt);
     } else {
       // A token for another category count, root or schema is
-      // kInvalidArgument, a 400 like a malformed one.
+      // kInvalidArgument, a 400 like a malformed one. Its frames are
+      // charged to the request's memory budget as they are read, so a
+      // token that does not fit is a degraded reply.
       auto parsed = DimsatCheckpoint::Deserialize(
-          *resume, q.schema->hierarchy().num_categories());
+          *resume, q.schema->hierarchy().num_categories(),
+          dopt.budget->memory());
       if (!parsed.ok()) return EngineAnswer{.status = parsed.status()};
       dopt.checkpoint = &captured;
       dopt.num_threads = 1;  // resume is a property of one DFS

@@ -7,8 +7,9 @@
 //   admission  — an AdmissionGate ticket is taken before any work;
 //                overload (or drain) sheds with 503 and a Retry-After
 //                header derived from the gate's adaptive hint (the
-//                same "retry-after-ms=" hint the CLI prints — one
-//                source of truth).
+//                "retry-after-ms=" hint of the 503 body — one source
+//                of truth). This is the process's only gate: the
+//                engine work a request starts is never shed.
 //   budgets    — every request runs under its own Budget: a clamped
 //                deadline, the service-wide drain cancellation token,
 //                and a fresh per-request MemoryBudget, so one greedy
@@ -86,6 +87,8 @@ class DimService {
     /// Per-request memory envelope.
     uint64_t memory_budget_bytes = 64ull << 20;
     /// Ceiling on a request's "threads" field (1 = sequential only).
+    /// A parallel request runs as tasks of the process pool, which
+    /// olapdcd sizes to this same value at startup.
     int max_threads = 1;
     /// Ceiling on /v1/batch fan-out.
     size_t max_batch = 64;

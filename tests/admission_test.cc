@@ -1,8 +1,8 @@
 // AdmissionGate: shed-don't-queue semantics (kUnavailable with a
 // retry-after-ms hint, no partial work), the Ticket RAII, the hint
-// parser, and the end-to-end property — a parallel RunDimsat request
-// arriving beyond the gate's high-water mark is shed before doing any
-// work, and runs normally once the gate drains.
+// parser, the adaptive hint, and drain. The gate sits in front of
+// olapdcd's request plane only; service_test covers the 503s it
+// produces there.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +10,7 @@
 #include <thread>
 
 #include "common/status.h"
-#include "core/dimsat.h"
-#include "core/location_example.h"
 #include "exec/admission.h"
-#include "exec/work_stealing_pool.h"
 #include "tests/test_util.h"
 
 namespace olapdc {
@@ -125,57 +122,6 @@ TEST(AdmissionGateTest, DrainShedsNewAdmitsWhileInFlightKeepSlots) {
   gate.Release();
   EXPECT_TRUE(gate.WaitIdle(/*timeout_ms=*/1000));
   EXPECT_EQ(gate.in_flight(), 0);
-}
-
-TEST(AdmissionGateTest, ParallelDimsatIsShedBeforeDoingAnyWork) {
-  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  CategoryId store = ds.hierarchy().FindCategory("Store");
-
-  exec::WorkStealingPool pool(1);
-  exec::AdmissionGate gate(
-      exec::AdmissionGate::Options{/*high_water=*/1, /*retry_after_ms=*/25});
-  DimsatOptions options;
-  options.enumerate_all = true;
-  options.pool = &pool;
-  options.admission = &gate;
-  options.num_threads = 2;
-
-  // The saturated pool's slot is taken; the next request must be shed
-  // immediately — kUnavailable, retry hint, and zero work performed.
-  ASSERT_OK(gate.TryAdmit());
-  DimsatResult shed = RunDimsat(ds, store, options);
-  EXPECT_EQ(shed.status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(exec::RetryAfterMsFromStatus(shed.status), 25);
-  EXPECT_FALSE(shed.satisfiable);
-  EXPECT_TRUE(shed.frozen.empty());
-  EXPECT_FALSE(shed.stats.Any());
-  EXPECT_EQ(gate.in_flight(), 1);  // only the slot we took by hand
-
-  // Once the gate drains the identical request runs to completion.
-  gate.Release();
-  DimsatResult admitted = RunDimsat(ds, store, options);
-  ASSERT_OK(admitted.status);
-  EXPECT_EQ(admitted.frozen.size(), 4u);
-  EXPECT_EQ(gate.in_flight(), 0);
-  EXPECT_EQ(gate.shed(), 1u);
-}
-
-TEST(AdmissionGateTest, SequentialFallbackIgnoresTheGate) {
-  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  CategoryId store = ds.hierarchy().FindCategory("Store");
-
-  exec::AdmissionGate gate(
-      exec::AdmissionGate::Options{/*high_water=*/0, /*retry_after_ms=*/50});
-  DimsatOptions options;
-  options.enumerate_all = true;
-  options.admission = &gate;
-  options.num_threads = 1;
-  // The sequential engine holds no pool resources, so a full gate must
-  // not block it (it never asks the gate).
-  DimsatResult r = RunDimsat(ds, store, options);
-  ASSERT_OK(r.status);
-  EXPECT_EQ(r.frozen.size(), 4u);
-  EXPECT_EQ(gate.shed(), 0u);
 }
 
 }  // namespace

@@ -351,5 +351,31 @@ TEST(CheckpointTest, DeserializeRejectsGarbage) {
             StatusCode::kParseError);
 }
 
+// Each frame a token holds is charged to the reader's memory budget
+// before it is built, and the charge lives as long as the frames.
+// 75,000 frames of a 7-category schema need about 170 MB: under 1 MiB
+// the read stops early and holds nothing afterwards.
+TEST(CheckpointTest, DeserializeChargesEveryFrame) {
+  std::string token =
+      "dimsat-checkpoint v1\nroot 0 categories 7 frames 75000\n";
+  for (int i = 0; i < 75000; ++i) token += "frame 0 0 0\n";
+  MemoryBudget memory(1 << 20);
+  EXPECT_EQ(DimsatCheckpoint::Deserialize(token, 7, &memory).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_TRUE(memory.exhausted());
+  EXPECT_EQ(memory.reserved(), 0u);
+
+  MemoryBudget roomy(1 << 20);
+  ASSERT_OK_AND_ASSIGN(
+      DimsatCheckpoint two,
+      DimsatCheckpoint::Deserialize("dimsat-checkpoint v1\n"
+                                    "root 0 categories 7 frames 2\n"
+                                    "frame 0 0 0\nframe 0 0 0\n",
+                                    7, &roomy));
+  EXPECT_EQ(roomy.reserved(), 2 * DimsatCheckpoint::FrameBytes(7));
+  two = DimsatCheckpoint{};
+  EXPECT_EQ(roomy.reserved(), 0u);
+}
+
 }  // namespace
 }  // namespace olapdc

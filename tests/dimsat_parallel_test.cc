@@ -67,6 +67,28 @@ TEST(ParallelDimsatTest, ExplicitPoolIsUsed) {
   EXPECT_GT(pool.Stats().tasks_executed, 0u);
 }
 
+// A run that asks for more threads than the process pool has still
+// runs on the process pool: the engine starts no pool of its own, and
+// the pool's size bounds the parallelism.
+TEST(ParallelDimsatTest, OversizedRequestRunsOnTheProcessPool) {
+  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
+  CategoryId store = ds.hierarchy().FindCategory("Store");
+  DimsatOptions options;
+  options.enumerate_all = true;
+  DimsatResult sequential = RunDimsat(ds, store, options);
+
+  exec::WorkStealingPool& pool = exec::ProcessPool();
+  const uint64_t before = pool.Stats().tasks_executed;
+  options.num_threads = pool.num_threads() + 2;
+  DimsatResult parallel = RunDimsat(ds, store, options);
+  ASSERT_OK(parallel.status);
+  EXPECT_EQ(Canonical(parallel.frozen, ds.hierarchy()),
+            Canonical(sequential.frozen, ds.hierarchy()));
+  EXPECT_GT(parallel.stats.parallel_tasks, 0u);
+  EXPECT_EQ(pool.Stats().tasks_executed - before,
+            parallel.stats.parallel_tasks);
+}
+
 TEST(ParallelDimsatTest, DecisionModeFindsAWitness) {
   ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
   CategoryId store = ds.hierarchy().FindCategory("Store");

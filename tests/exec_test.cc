@@ -8,8 +8,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/task_deque.h"
@@ -119,10 +122,25 @@ TEST(WorkStealingPoolTest, ProcessPoolIsSharedAndSized) {
   EXPECT_GE(a.num_threads(), 1);
 }
 
+// OLAPDC_THREADS obeys the one thread ceiling: 256 is a pool size,
+// 257 is ignored like any other invalid value. (gtest runs this
+// binary's tests one at a time, and nothing else reads the variable
+// while this one sets it.)
 TEST(WorkStealingPoolTest, EnvThreadCountParsesPositiveIntegers) {
-  // No env mutation here (other tests may run concurrently); just
-  // check the current value is sane.
-  EXPECT_GE(EnvThreadCount(), 0);
+  const char* saved = std::getenv("OLAPDC_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const std::pair<const char*, int> cases[] = {
+      {"1", 1}, {"256", 256}, {"257", 0}, {"0", 0}, {"4x", 0}, {"", 0}};
+  for (const auto& [text, expected] : cases) {
+    ::setenv("OLAPDC_THREADS", text, /*overwrite=*/1);
+    EXPECT_EQ(EnvThreadCount(), expected) << "'" << text << "'";
+  }
+  if (saved != nullptr) {
+    ::setenv("OLAPDC_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("OLAPDC_THREADS");
+  }
+  EXPECT_EQ(kMaxThreads, 256);
 }
 
 // ---------------------------------------------------------------------------

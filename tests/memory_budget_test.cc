@@ -112,8 +112,9 @@ TEST(MemoryBudgetTest, DimsatEnumerationDegradesUnderByteCap) {
   ASSERT_EQ(uncapped.frozen.size(), 4u);
 
   // Large enough to get past the root's own charge, small enough that
-  // the full enumeration cannot fit.
-  MemoryBudget memory(2048);
+  // the full enumeration cannot fit: the run stops after five EXPANDs,
+  // before its first CHECK.
+  MemoryBudget memory(5120);
   Budget budget;
   budget.SetMemory(&memory);
   options.budget = &budget;

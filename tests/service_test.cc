@@ -358,6 +358,32 @@ TEST_F(ServiceTest, ResumeTokensNoRunWritesAre400) {
       << fresh.body;
 }
 
+// A resume token's frames are charged to the request's memory budget
+// as they are read: 75,000 frames of the 7-category location schema
+// need about 170 MB, past the default 64 MiB, so the read stops early
+// with a degraded reply instead of building every frame uncharged.
+TEST_F(ServiceTest, OversizedResumeTokenIsChargedAndNotDefinitive) {
+  std::string token =
+      "dimsat-checkpoint v1\nroot 0 categories 7 frames 75000\n";
+  for (int i = 0; i < 75000; ++i) token += "frame 0 0 0\n";
+  DimService service(options_);
+  HttpResponse response = service.HandleRequest(
+      Post("/v1/check", "{\"schema\": \"loc\", \"category\": \"Store\", "
+                        "\"resume\": " +
+                            obs::JsonString(token) + "}"));
+  EXPECT_EQ(response.status, 200) << response.body;
+  EXPECT_EQ(response.body.find("\"definitive\": true"), std::string::npos)
+      << response.body;
+  EXPECT_NE(response.body.find("\"definitive\": false"), std::string::npos)
+      << response.body;
+
+  HttpResponse fresh = service.HandleRequest(
+      Post("/v1/check", "{\"schema\": \"loc\", \"category\": \"Store\"}"));
+  EXPECT_EQ(fresh.status, 200) << fresh.body;
+  EXPECT_NE(fresh.body.find("\"satisfiable\": true"), std::string::npos)
+      << fresh.body;
+}
+
 TEST_F(ServiceTest, RegisterEndpointRoundTripsAndHonorsDisable) {
   DimService service(options_);
   HttpResponse registered = service.HandleRequest(Post(

@@ -3,21 +3,22 @@
 // Sweeps every registered fault-injection site × a probability grid ×
 // the budget configurations over generated workloads, driving the
 // request shapes a deployment actually runs (sequential DIMSAT with
-// checkpoint/resume, admission-gated parallel DIMSAT, nested parallel
-// DIMSAT, the parse boundary) and asserting the crash-proof-lifecycle
-// invariants on every run:
+// checkpoint/resume, parallel DIMSAT, nested parallel DIMSAT, the
+// parse boundary) and asserting the crash-proof-lifecycle invariants
+// on every run:
 //
 //   1. no crash / no hang (the harness itself finishing is the check;
 //      ASan/UBSan builds add memory-safety teeth);
 //   2. taxonomy-only failures: a run's status is OK, the injected
-//      code, or a budget/overload code — never an unclassified error;
+//      code, or a budget code — never an unclassified error (nothing
+//      in-process sheds: only olapdcd's request gate does);
 //   3. no wrong witness: a SATISFIABLE verdict always carries a frozen
 //      dimension that passes full C1-C7 + Sigma validation
 //      (FrozenDimension::ToInstance), faults or not;
 //   4. no phantom result: a faulted run that reports SATISFIABLE is
 //      confirmed by the unfaulted baseline;
-//   5. the pool drains: every run returns with no in-flight admission
-//      and the per-request memory accounting back at zero;
+//   5. the run releases what it held: every run returns with the
+//      per-request memory accounting back at zero;
 //   6. metrics stay consistent: at campaign quiescence, reserved ==
 //      released bytes, and armed cells actually injected.
 //
@@ -230,13 +231,11 @@ RunOutcome RunSequentialWithResume(const Workload& w,
   return out;
 }
 
-RunOutcome RunParallelAdmitted(const Workload& w, DimsatOptions options,
-                               exec::WorkStealingPool* pool,
-                               exec::AdmissionGate* gate) {
+RunOutcome RunParallel(const Workload& w, DimsatOptions options,
+                       exec::WorkStealingPool* pool) {
   RunOutcome out;
   options.num_threads = pool->num_threads();
   options.pool = pool;
-  options.admission = gate;
   DimsatResult r = RunDimsat(w.ds, w.root, options);
   out.status = r.status;
   out.reported_satisfiable = r.satisfiable;
@@ -290,6 +289,21 @@ struct Violation {
   std::string what;
 };
 
+/// Writes a report's "violations" array and the comma after it.
+void WriteViolations(std::FILE* f, const std::vector<Violation>& violations) {
+  std::fprintf(f, "  \"violations\": [");
+  for (size_t i = 0; i < violations.size(); ++i) {
+    const Violation& v = violations[i];
+    std::fprintf(f,
+                 "%s\n    {\"site\": %s, \"probability\": %g, "
+                 "\"budget\": %s, \"run\": %d, \"what\": %s}",
+                 i == 0 ? "" : ",", obs::JsonString(v.site).c_str(),
+                 v.probability, obs::JsonString(v.budget).c_str(), v.run,
+                 obs::JsonString(v.what).c_str());
+  }
+  std::fprintf(f, "%s],\n", violations.empty() ? "" : "\n  ");
+}
+
 struct Campaign {
   uint64_t total_runs = 0;
   uint64_t total_cells = 0;
@@ -300,21 +314,6 @@ struct Campaign {
   std::map<std::string, uint64_t> runs_per_site;
   std::map<std::string, uint64_t> failures_per_site;
 };
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 /// `crash_json` (optional): the serialized "crash_grid" object of a
 /// --crash run, embedded next to the sweep's own sections.
@@ -340,7 +339,7 @@ bool WriteReport(const std::string& path, const Campaign& c, bool quick,
   bool first = true;
   for (const auto& [site, runs] : c.runs_per_site) {
     std::fprintf(f, "%s    \"%s\": {\"runs\": %llu, \"injected\": %llu}",
-                 first ? "" : ",\n", JsonEscape(site).c_str(),
+                 first ? "" : ",\n", obs::JsonEscape(site).c_str(),
                  static_cast<unsigned long long>(runs),
                  static_cast<unsigned long long>(
                      c.failures_per_site.count(site)
@@ -352,17 +351,7 @@ bool WriteReport(const std::string& path, const Campaign& c, bool quick,
   if (crash_json != nullptr) {
     std::fprintf(f, "  \"crash_grid\": %s,\n", crash_json->c_str());
   }
-  std::fprintf(f, "  \"violations\": [");
-  for (size_t i = 0; i < c.violations.size(); ++i) {
-    const Violation& v = c.violations[i];
-    std::fprintf(f,
-                 "%s\n    {\"site\": \"%s\", \"probability\": %g, "
-                 "\"budget\": \"%s\", \"run\": %d, \"what\": \"%s\"}",
-                 i == 0 ? "" : ",", JsonEscape(v.site).c_str(), v.probability,
-                 JsonEscape(v.budget).c_str(), v.run,
-                 JsonEscape(v.what).c_str());
-  }
-  std::fprintf(f, "%s],\n", c.violations.empty() ? "" : "\n  ");
+  WriteViolations(f, c.violations);
   std::fprintf(f, "  \"invariants_held\": %s\n}\n",
                c.violations.empty() ? "true" : "false");
   std::fclose(f);
@@ -601,7 +590,7 @@ bool WriteDaemonReport(const std::string& path, const DaemonSoakConfig& cfg,
   first = true;
   for (const std::string& site : RegisteredFaultSites()) {
     std::fprintf(f, "%s    \"%s\": {\"probes\": %llu, \"injected\": %llu}",
-                 first ? "" : ",\n", JsonEscape(site).c_str(),
+                 first ? "" : ",\n", obs::JsonEscape(site).c_str(),
                  static_cast<unsigned long long>(
                      FaultInjector::Global().probes(site)),
                  static_cast<unsigned long long>(
@@ -611,17 +600,7 @@ bool WriteDaemonReport(const std::string& path, const DaemonSoakConfig& cfg,
   std::fprintf(f, "\n  },\n");
   std::fprintf(f, "  \"drain_ms\": %lld,\n  \"drained\": %s,\n",
                static_cast<long long>(drain_ms), drained ? "true" : "false");
-  std::fprintf(f, "  \"violations\": [");
-  for (size_t i = 0; i < violations.size(); ++i) {
-    const Violation& v = violations[i];
-    std::fprintf(f,
-                 "%s\n    {\"site\": \"%s\", \"probability\": %g, "
-                 "\"budget\": \"%s\", \"run\": %d, \"what\": \"%s\"}",
-                 i == 0 ? "" : ",", JsonEscape(v.site).c_str(), v.probability,
-                 JsonEscape(v.budget).c_str(), v.run,
-                 JsonEscape(v.what).c_str());
-  }
-  std::fprintf(f, "%s],\n", violations.empty() ? "" : "\n  ");
+  WriteViolations(f, violations);
   std::fprintf(f, "  \"invariants_held\": %s\n}\n",
                violations.empty() ? "true" : "false");
   std::fclose(f);
@@ -1314,17 +1293,7 @@ bool WriteCrashReport(const std::string& path, const CrashGrid& grid) {
   std::fprintf(f, "{\n  \"benchmark\": \"chaos_campaign\",\n");
   std::fprintf(f, "  \"mode\": \"crash\",\n");
   std::fprintf(f, "  \"crash_grid\": %s,\n", CrashGridJson(grid).c_str());
-  std::fprintf(f, "  \"violations\": [");
-  for (size_t i = 0; i < grid.violations.size(); ++i) {
-    const Violation& v = grid.violations[i];
-    std::fprintf(f,
-                 "%s\n    {\"site\": \"%s\", \"probability\": %g, "
-                 "\"budget\": \"%s\", \"run\": %d, \"what\": \"%s\"}",
-                 i == 0 ? "" : ",", JsonEscape(v.site).c_str(), v.probability,
-                 JsonEscape(v.budget).c_str(), v.run,
-                 JsonEscape(v.what).c_str());
-  }
-  std::fprintf(f, "%s],\n", grid.violations.empty() ? "" : "\n  ");
+  WriteViolations(f, grid.violations);
   std::fprintf(f, "  \"invariants_held\": %s\n}\n",
                grid.violations.empty() ? "true" : "false");
   std::fclose(f);
@@ -1377,7 +1346,7 @@ int Main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--daemon-threads") {
-      if (!numeric(1, tools::kMaxThreadsFlag)) return 2;
+      if (!numeric(1, exec::kMaxThreads)) return 2;
       daemon_cfg.client_threads = static_cast<int>(n);
     } else if (arg == "--crash") {
       crash = true;
@@ -1519,14 +1488,13 @@ int Main(int argc, char** argv) {
             options.max_expand_calls = bc.max_expand_calls;
           }
 
-          exec::AdmissionGate gate;
           RunOutcome outcome;
           switch (run % 4) {
             case 0:
               outcome = RunSequentialWithResume(w, options);
               break;
             case 1:
-              outcome = RunParallelAdmitted(w, options, &pool, &gate);
+              outcome = RunParallel(w, options, &pool);
               break;
             case 2:
               outcome = RunNestedParallel(w, options, &pool);
@@ -1551,8 +1519,7 @@ int Main(int argc, char** argv) {
               code == StatusCode::kOk || code == injected ||
               code == StatusCode::kResourceExhausted ||
               code == StatusCode::kDeadlineExceeded ||
-              code == StatusCode::kCancelled ||
-              code == StatusCode::kUnavailable;
+              code == StatusCode::kCancelled;
           if (!taxonomy_ok) {
             violate("unclassified status: " + outcome.status.ToString());
           }
@@ -1576,9 +1543,6 @@ int Main(int argc, char** argv) {
           }
 
           // Invariant 5: the request released everything it held.
-          if (gate.in_flight() != 0) {
-            violate("admission gate left in-flight work behind");
-          }
           if (mem.has_value() && mem->reserved() != 0) {
             violate("memory accounting leaked " +
                     std::to_string(mem->reserved()) + " bytes");

@@ -1,8 +1,9 @@
-// Validated numeric flag parsing shared by olapdcd, loadgen and
-// chaos_campaign (the olapdc_cli.cc pattern): empty or non-numeric
-// text, trailing junk and out-of-range values are rejected with a
-// message on stderr, instead of atoi/atof's silent 0 and ERANGE
-// saturation. Callers exit 2 (usage) when a parse fails.
+// Validated numeric flag parsing shared by olapdc, olapdcd, loadgen
+// and chaos_campaign: empty or non-numeric text, trailing junk and
+// out-of-range values are rejected with a message on stderr, instead
+// of atoi/atof's silent 0 and ERANGE saturation. Callers exit 2
+// (usage) when a parse fails. Thread-count flags are bounded by
+// exec::kMaxThreads (exec/work_stealing_pool.h).
 
 #ifndef OLAPDC_TOOLS_FLAGS_H_
 #define OLAPDC_TOOLS_FLAGS_H_
@@ -15,9 +16,6 @@
 
 namespace olapdc::tools {
 
-/// Ceiling on every thread-count flag: a typo must not ask the host
-/// for thousands of threads.
-inline constexpr int64_t kMaxThreadsFlag = 256;
 /// Generous ceiling on every millisecond flag.
 inline constexpr int64_t kMaxMsFlag = int64_t{1} << 40;
 

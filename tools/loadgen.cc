@@ -43,6 +43,7 @@
 
 #include "bench/bench_util.h"
 #include "core/location_example.h"
+#include "exec/work_stealing_pool.h"
 #include "io/schema_io.h"
 #include "obs/json.h"
 #include "tools/flags.h"
@@ -316,7 +317,7 @@ int Run(int argc, char** argv) {
       if (v == nullptr) return Usage();
       spawn_binary = v;
     } else if (arg == "--threads") {
-      if (!numeric(1, tools::kMaxThreadsFlag)) return Usage();
+      if (!numeric(1, exec::kMaxThreads)) return Usage();
       threads = static_cast<int>(n);
     } else if (arg == "--duration-ms") {
       if (!numeric(1, tools::kMaxMsFlag)) return Usage();

@@ -34,8 +34,8 @@
 //                       degrades with kResourceExhausted the same way a
 //                       deadline does.
 //   --threads <n>       Worker parallelism for the DIMSAT searches
-//                       (work-stealing pool; src/exec). Defaults to
-//                       OLAPDC_THREADS when set, else 1.
+//                       (work-stealing pool; src/exec), at most 256.
+//                       Defaults to OLAPDC_THREADS when set, else 1.
 //   --metrics-json <path>  Enable the metrics registry and write the
 //                       final snapshot (olapdc.* counters, gauges,
 //                       latency histograms) to <path> as JSON.
@@ -54,23 +54,18 @@
 //   --explain-trace <path>  Also write the decisions as Chrome
 //                       trace_event JSON (open in ui.perfetto.dev).
 //                       Implies --explain.
-//   --admission-high-water <n>  Shed parallel requests beyond <n>
-//                       concurrent admissions (exit 18; /healthz
-//                       degrades while saturated).
-//   Value flags also accept the --flag=value spelling.
+//   Value flags also accept the --flag=value spelling. Any other
+//   argument that starts with "--" is a usage error.
 //
 // Exit codes: 0 = success / affirmative answer; 1 = definitive negative
 // answer (NOT IMPLIED, UNSATISFIABLE, ...); 2 = usage error; otherwise
 // a distinct code per StatusCode (see ExitCodeFor below) so scripts can
 // tell a parse error from a timeout from a missing file.
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,10 +85,10 @@
 #include "core/mining.h"
 #include "core/report.h"
 #include "core/summarizability.h"
-#include "exec/admission.h"
 #include "exec/work_stealing_pool.h"
 #include "io/instance_io.h"
 #include "io/schema_io.h"
+#include "tools/flags.h"
 
 namespace olapdc {
 namespace {
@@ -114,6 +109,7 @@ int ExitCodeFor(StatusCode code) {
     case StatusCode::kInternal: return 15;
     case StatusCode::kDeadlineExceeded: return 16;
     case StatusCode::kCancelled: return 17;
+    // Only olapdcd's request gate sheds; no CLI command returns this.
     case StatusCode::kUnavailable: return 18;
   }
   return 15;
@@ -140,9 +136,9 @@ int Usage() {
       "global flags: --deadline-ms <n>, --memory-budget-mb <n>, "
       "--threads <n>, --metrics-json <path>, --trace <path>,\n"
       "  --serve-port <n>, --serve-linger-ms <n>, --explain, "
-      "--explain-trace <path>, --admission-high-water <n>\n"
-      "exit codes: 0 yes/ok, 1 no, 2 usage, 10-18 one per error class\n"
-      "  (16 = deadline exceeded, 17 = cancelled, 18 = overloaded)\n");
+      "--explain-trace <path>\n"
+      "exit codes: 0 yes/ok, 1 no, 2 usage, 10-17 one per error class\n"
+      "  (16 = deadline exceeded, 17 = cancelled)\n");
   return kExitUsage;
 }
 
@@ -154,9 +150,6 @@ struct CliBudget {
   /// Owns the MemoryBudget the Budget points at (shared so the struct
   /// stays copyable; the CLI never mutates it after flag parsing).
   std::shared_ptr<MemoryBudget> memory;
-  /// --admission-high-water overload gate (shared for copyability; the
-  /// telemetry /healthz probe also reads it).
-  std::shared_ptr<exec::AdmissionGate> admission;
   bool bounded = false;
   int threads = 1;
   const Budget* get() const { return bounded ? &budget : nullptr; }
@@ -164,7 +157,6 @@ struct CliBudget {
   void Apply(DimsatOptions* options) const {
     options->budget = get();
     options->num_threads = threads;
-    options->admission = admission.get();
   }
 };
 
@@ -338,8 +330,8 @@ struct CliFlags {
   std::string metrics_json_path;
   std::string trace_path;
   /// Telemetry server: -1 = off, 0 = ephemeral port, else the port.
-  int serve_port = -1;
-  long serve_linger_ms = 0;
+  int64_t serve_port = -1;
+  int64_t serve_linger_ms = 0;
   bool explain = false;
   std::string explain_trace_path;
   bool usage_error = false;
@@ -387,64 +379,41 @@ CliFlags ParseFlags(int argc, char** argv) {
   if (int env = exec::EnvThreadCount(); env > 0) {
     flags.budget.threads = env;
   }
+  // `--flag value` / `--flag=value` through tools::ParseInt64Flag; a
+  // missing or bad value sets usage_error.
+  auto take_int = [&](const char* flag, const std::string& arg, int* i,
+                      int64_t min, int64_t max, int64_t* out) {
+    std::string value;
+    if (!TakeFlagValue(flag, arg, argc, argv, i, &value, &flags)) {
+      return false;
+    }
+    if (!flags.usage_error &&
+        !tools::ParseInt64Flag(flag, value, min, max, out)) {
+      flags.usage_error = true;
+    }
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     std::string value;
-    if (TakeFlagValue("--deadline-ms", arg, argc, argv, &i, &value, &flags)) {
+    int64_t n = 0;
+    if (take_int("--deadline-ms", arg, &i, 1, tools::kMaxMsFlag, &n)) {
       if (flags.usage_error) return flags;
-      char* end = nullptr;
-      errno = 0;
-      long ms = std::strtol(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || errno == ERANGE || ms <= 0) {
-        std::fprintf(stderr,
-                     "error: --deadline-ms needs a positive integer, got "
-                     "'%s'\n",
-                     value.c_str());
-        flags.usage_error = true;
-        return flags;
-      }
       flags.budget.budget.SetDeadline(Budget::Clock::now() +
-                                      std::chrono::milliseconds(ms));
+                                      std::chrono::milliseconds(n));
       flags.budget.bounded = true;
       continue;
     }
-    if (TakeFlagValue("--memory-budget-mb", arg, argc, argv, &i, &value,
-                      &flags)) {
+    if (take_int("--memory-budget-mb", arg, &i, 1, 1 << 20, &n)) {
       if (flags.usage_error) return flags;
-      char* end = nullptr;
-      errno = 0;
-      long mb = std::strtol(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || errno == ERANGE || mb <= 0 ||
-          mb > (1 << 20)) {
-        std::fprintf(stderr,
-                     "error: --memory-budget-mb needs a positive integer "
-                     "<= %d, got '%s'\n",
-                     1 << 20, value.c_str());
-        flags.usage_error = true;
-        return flags;
-      }
-      flags.budget.memory = std::make_shared<MemoryBudget>(
-          static_cast<uint64_t>(mb) * 1024 * 1024);
+      flags.budget.memory =
+          std::make_shared<MemoryBudget>(static_cast<uint64_t>(n) << 20);
       flags.budget.budget.SetMemory(flags.budget.memory.get());
       flags.budget.bounded = true;
       continue;
     }
-    if (TakeFlagValue("--threads", arg, argc, argv, &i, &value, &flags)) {
+    if (take_int("--threads", arg, &i, 1, exec::kMaxThreads, &n)) {
       if (flags.usage_error) return flags;
-      char* end = nullptr;
-      errno = 0;
-      long n = std::strtol(value.c_str(), &end, 10);
-      // ERANGE/bound check first: an overflowed parse must be a usage
-      // error, not an int truncation into an arbitrary thread count.
-      if (end == nullptr || *end != '\0' || errno == ERANGE || n <= 0 ||
-          n > exec::kMaxThreads) {
-        std::fprintf(stderr,
-                     "error: --threads needs a positive integer <= %d, "
-                     "got '%s'\n",
-                     exec::kMaxThreads, value.c_str());
-        flags.usage_error = true;
-        return flags;
-      }
       flags.budget.threads = static_cast<int>(n);
       continue;
     }
@@ -458,58 +427,10 @@ CliFlags ParseFlags(int argc, char** argv) {
       flags.trace_path = value;
       continue;
     }
-    if (TakeFlagValue("--serve-port", arg, argc, argv, &i, &value, &flags)) {
+    if (take_int("--serve-port", arg, &i, 0, 65535, &flags.serve_port) ||
+        take_int("--serve-linger-ms", arg, &i, 0, tools::kMaxMsFlag,
+                 &flags.serve_linger_ms)) {
       if (flags.usage_error) return flags;
-      char* end = nullptr;
-      errno = 0;
-      long port = std::strtol(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || errno == ERANGE || port < 0 ||
-          port > 65535) {
-        std::fprintf(stderr,
-                     "error: --serve-port needs an integer in [0, 65535], "
-                     "got '%s'\n",
-                     value.c_str());
-        flags.usage_error = true;
-        return flags;
-      }
-      flags.serve_port = static_cast<int>(port);
-      continue;
-    }
-    if (TakeFlagValue("--serve-linger-ms", arg, argc, argv, &i, &value,
-                      &flags)) {
-      if (flags.usage_error) return flags;
-      char* end = nullptr;
-      errno = 0;
-      long ms = std::strtol(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || errno == ERANGE || ms < 0) {
-        std::fprintf(stderr,
-                     "error: --serve-linger-ms needs a non-negative "
-                     "integer, got '%s'\n",
-                     value.c_str());
-        flags.usage_error = true;
-        return flags;
-      }
-      flags.serve_linger_ms = ms;
-      continue;
-    }
-    if (TakeFlagValue("--admission-high-water", arg, argc, argv, &i, &value,
-                      &flags)) {
-      if (flags.usage_error) return flags;
-      char* end = nullptr;
-      errno = 0;
-      long n = std::strtol(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || errno == ERANGE || n <= 0) {
-        std::fprintf(stderr,
-                     "error: --admission-high-water needs a positive "
-                     "integer, got '%s'\n",
-                     value.c_str());
-        flags.usage_error = true;
-        return flags;
-      }
-      exec::AdmissionGate::Options gate_options;
-      gate_options.high_water = n;
-      flags.budget.admission =
-          std::make_shared<exec::AdmissionGate>(gate_options);
       continue;
     }
     if (arg == "--explain") {
@@ -522,6 +443,11 @@ CliFlags ParseFlags(int argc, char** argv) {
       flags.explain = true;
       flags.explain_trace_path = value;
       continue;
+    }
+    if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
+      flags.usage_error = true;
+      return flags;
     }
     flags.args.push_back(std::move(arg));
   }
@@ -625,19 +551,9 @@ int Run(int argc, char** argv) {
     obs::MetricsRegistry::Global().Enable();
     obs::TraceSink::Global().EnableRing(256);
     obs::TelemetryServer::Options server_options;
-    server_options.port = flags.serve_port;
-    server_options.health = [memory = flags.budget.memory,
-                             gate = flags.budget.admission]() {
+    server_options.port = static_cast<int>(flags.serve_port);
+    server_options.health = [memory = flags.budget.memory]() {
       obs::HealthReport report;
-      if (gate != nullptr) {
-        const bool saturated =
-            gate->in_flight() >= gate->options().high_water;
-        if (saturated) report.ok = false;
-        report.detail += "admission: in_flight=" +
-                         std::to_string(gate->in_flight()) + " high_water=" +
-                         std::to_string(gate->options().high_water) +
-                         " shed=" + std::to_string(gate->shed()) + "\n";
-      }
       if (memory != nullptr) {
         if (memory->exhausted()) report.ok = false;
         report.detail += "memory: reserved=" +

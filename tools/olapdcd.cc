@@ -36,6 +36,7 @@
 #include "common/fault_injector.h"
 #include "common/status.h"
 #include "exec/admission.h"
+#include "exec/work_stealing_pool.h"
 #include "io/durable_file.h"
 #include "io/schema_io.h"
 #include "obs/http_server.h"
@@ -63,7 +64,8 @@ int Usage() {
       "  --schema name=path       pre-register a schema file (repeatable)\n"
       "  --drain-timeout-ms N     graceful-drain deadline on SIGTERM "
       "(default 5000)\n"
-      "  --max-connections N      concurrent connections (default 4)\n"
+      "  --max-connections N      concurrent connections, one serving "
+      "thread each (default 4, at most 256)\n"
       "  --max-body-bytes N       request body cap (default 1048576)\n"
       "  --max-header-bytes N     request header cap (default 16384)\n"
       "  --read-timeout-ms N      per-request receive deadline (default "
@@ -75,8 +77,8 @@ int Usage() {
       "  --max-deadline-ms N      ceiling on client deadlines (default "
       "30000)\n"
       "  --memory-budget-mb N     per-request memory envelope (default 64)\n"
-      "  --threads N              ceiling on per-request parallelism "
-      "(default 1)\n"
+      "  --threads N              ceiling on per-request parallelism and "
+      "the shared pool's size (default 1, at most 256)\n"
       "  --max-batch N            ceiling on /v1/batch size (default 64)\n"
       "  --no-register            disable POST /v1/schemas\n"
       "  --cache-budget-mb N      cross-request cache envelope (default "
@@ -164,7 +166,7 @@ int Main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg == "--max-connections") {
-      if (!ParseInt64Flag("--max-connections", next(), 1, 4096,
+      if (!ParseInt64Flag("--max-connections", next(), 1, exec::kMaxThreads,
                           &max_connections)) {
         return Usage();
       }
@@ -204,7 +206,7 @@ int Main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg == "--threads") {
-      if (!ParseInt64Flag("--threads", next(), 1, tools::kMaxThreadsFlag,
+      if (!ParseInt64Flag("--threads", next(), 1, exec::kMaxThreads,
                           &threads)) {
         return Usage();
       }
@@ -284,6 +286,10 @@ int Main(int argc, char** argv) {
                  armed.size(), fault_prob,
                  static_cast<unsigned long long>(fault_seed));
   }
+
+  // One pool for every parallel request, sized before anything uses
+  // it; a request's "threads" is clamped to the same value.
+  exec::SetProcessPoolThreads(static_cast<int>(threads));
 
   exec::AdmissionGate gate(
       exec::AdmissionGate::Options{admission_high_water, 50});

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "io/json_parse.h"
+#include "obs/json.h"
 
 namespace olapdc::tools {
 namespace {
@@ -34,14 +35,7 @@ std::string RenderScalar(const JsonValue& value) {
       std::snprintf(buf, sizeof(buf), "%.17g", value.number_value);
       return buf;
     }
-    case JsonValue::Type::kString: {
-      std::string out = "\"";
-      for (char c : value.string_value) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-      }
-      return out + "\"";
-    }
+    case JsonValue::Type::kString: return obs::JsonString(value.string_value);
     default: return "null";
   }
 }
@@ -104,14 +98,14 @@ int Run(int argc, char** argv) {
       if (value == nullptr) continue;
       if (!first_arg) events << ", ";
       first_arg = false;
-      events << "\"" << key << "\": " << RenderScalar(*value);
+      events << obs::JsonString(key) << ": " << RenderScalar(*value);
     }
     const JsonValue* stats = span.Find("stats");
     if (stats != nullptr && stats->is_object()) {
       for (const auto& [key, value] : stats->object) {
         if (!first_arg) events << ", ";
         first_arg = false;
-        events << "\"" << key << "\": " << RenderScalar(value);
+        events << obs::JsonString(key) << ": " << RenderScalar(value);
       }
     }
     events << "}}";
