@@ -16,10 +16,12 @@
 //                                    saves *on top of* decomposition.
 // Both are deterministic node counts (host-independent), and both
 // aggregate the multi-component rows only: they say nothing about
-// layered schemas, whose rows are reported beside them. The ms
-// columns are single samples; each workload runs once untimed before
-// its configs so that the first config does not also pay the
-// workload's first-run costs.
+// layered schemas, whose rows are reported beside them. Each row's
+// frozen, expand_calls, check_calls and structural_rejections are
+// deterministic too, and CI holds a fresh run to the committed values
+// (tools/bench_gate --exact). The ms columns are single samples; each
+// workload runs once untimed before its configs so that the first
+// config does not also pay the workload's first-run costs.
 
 #include <cstdio>
 #include <algorithm>
@@ -128,8 +130,8 @@ struct RunRecord {
 
 void RunSuite(BenchReporter& reporter) {
   PrintHeader("DIMSAT ablation: decomposition / branching");
-  std::printf("%10s %14s %12s %10s %10s %10s\n", "workload", "config", "ms",
-              "frozen", "expands", "checks");
+  std::printf("%10s %14s %12s %10s %10s %10s %10s\n", "workload", "config",
+              "ms", "frozen", "expands", "checks", "structural");
   PrintRule();
 
   // accumulated[config] over the multi-component workloads only — the
@@ -167,11 +169,13 @@ void RunSuite(BenchReporter& reporter) {
             << ": ablated run changed the model set";
       }
 
-      std::printf("%10s %14s %12.2f %10zu %10llu %10llu\n",
-                  workload.name.c_str(), config.name, ms,
-                  result.frozen.size(),
-                  static_cast<unsigned long long>(result.stats.expand_calls),
-                  static_cast<unsigned long long>(result.stats.check_calls));
+      std::printf(
+          "%10s %14s %12.2f %10zu %10llu %10llu %10llu\n",
+          workload.name.c_str(), config.name, ms, result.frozen.size(),
+          static_cast<unsigned long long>(result.stats.expand_calls),
+          static_cast<unsigned long long>(result.stats.check_calls),
+          static_cast<unsigned long long>(
+              result.stats.structural_rejections));
       reporter.AddRow()
           .Set("workload", workload.name)
           .Set("config", config.name)
@@ -179,6 +183,7 @@ void RunSuite(BenchReporter& reporter) {
           .Set("frozen", static_cast<uint64_t>(result.frozen.size()))
           .Set("expand_calls", result.stats.expand_calls)
           .Set("check_calls", result.stats.check_calls)
+          .Set("structural_rejections", result.stats.structural_rejections)
           .Set("multi_component", workload.multi_component);
       if (workload.multi_component) {
         accumulated[ci].expand_calls += result.stats.expand_calls;

@@ -49,9 +49,8 @@ void Run() {
   PrintHeader("Figure 5: Sigma(locationSch, Store)  |  Sigma ∘ g");
   PrinterOptions paper;
   paper.paper_symbols = true;
-  auto reach = g->ComputeReach();
   for (const DimensionConstraint& c : ds.constraints()) {
-    ExprPtr circled = ApplyCircleToConstraint(c, *g, reach);
+    ExprPtr circled = ApplyCircleToConstraint(c, *g);
     std::printf("  %-4s %-52s | %s\n", c.label.c_str(),
                 ExprToString(schema, c.expr, paper).c_str(),
                 ExprToString(schema, circled, paper).c_str());
@@ -60,7 +59,7 @@ void Run() {
   PrintHeader("Why g induces no frozen dimension");
   std::vector<ExprPtr> remaining;
   for (const DimensionConstraint& c : ds.constraints()) {
-    ExprPtr e = Simplify(ApplyCircleToConstraint(c, *g, reach));
+    ExprPtr e = Simplify(ApplyCircleToConstraint(c, *g));
     if (!IsTrueLiteral(e)) remaining.push_back(e);
   }
   std::printf("surviving (equality-only) constraints:\n");

@@ -1,13 +1,14 @@
 // Google-benchmark microbenchmarks for the hot paths of the library:
 // simple-path enumeration (composed-atom expansion), the circle
-// operator, c-assignment search, full DIMSAT runs, instance ancestor
-// tables, and cube-view computation.
+// operator, one CHECK, c-assignment search, full DIMSAT runs, instance
+// ancestor tables, and cube-view computation.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "constraint/normalize.h"
 #include "core/assignment.h"
+#include "core/check_subhierarchy.h"
 #include "core/circle.h"
 #include "core/dimsat.h"
 #include "core/location_example.h"
@@ -50,7 +51,15 @@ void BM_ExpandComposedAtom(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpandComposedAtom);
 
-void BM_CircleOperator(benchmark::State& state) {
+/// The Canada structure of locationSch (Store -> City -> Province ->
+/// SaleRegion -> Country -> All) and Sigma(locationSch) with its
+/// shorthands expanded, as CHECK receives them.
+struct CheckInput {
+  Subhierarchy g;
+  std::vector<DimensionConstraint> sigma;
+};
+
+CheckInput MakeCanadaCheckInput() {
   const DimensionSchema& ds = Location();
   const HierarchySchema& schema = ds.hierarchy();
   auto g = Subhierarchy::FromEdges(
@@ -60,20 +69,41 @@ void BM_CircleOperator(benchmark::State& state) {
        {schema.FindCategory("Province"), schema.FindCategory("SaleRegion")},
        {schema.FindCategory("SaleRegion"), schema.FindCategory("Country")},
        {schema.FindCategory("Country"), schema.all()}});
-  auto reach = g->ComputeReach();
-  std::vector<DimensionConstraint> expanded;
+  OLAPDC_CHECK(g.has_value());
+  std::vector<DimensionConstraint> sigma;
   for (const DimensionConstraint& c : ds.constraints()) {
-    expanded.push_back(DimensionConstraint{
+    sigma.push_back(DimensionConstraint{
         c.root, Simplify(Unwrap(ExpandShorthands(schema, c.expr))), c.label});
   }
+  return CheckInput{std::move(*g), std::move(sigma)};
+}
+
+const CheckInput& CanadaCheckInput() {
+  static const CheckInput& input = *new CheckInput(MakeCanadaCheckInput());
+  return input;
+}
+
+void BM_CircleOperator(benchmark::State& state) {
+  const CheckInput& input = CanadaCheckInput();
   for (auto _ : state) {
-    for (const DimensionConstraint& c : expanded) {
-      ExprPtr circled = Simplify(ApplyCircleToConstraint(c, *g, reach));
+    for (const DimensionConstraint& c : input.sigma) {
+      ExprPtr circled = Simplify(ApplyCircleToConstraint(c, input.g));
       benchmark::DoNotOptimize(circled);
     }
   }
 }
 BENCHMARK(BM_CircleOperator);
+
+// One whole CHECK on the same g and Sigma: the structural test, the
+// circle operator, the c-assignment search and the model's edge list.
+void BM_CheckSubhierarchy(benchmark::State& state) {
+  const CheckInput& input = CanadaCheckInput();
+  for (auto _ : state) {
+    CheckOutcome outcome = CheckSubhierarchy(input.sigma, input.g);
+    benchmark::DoNotOptimize(outcome);
+  }
+}
+BENCHMARK(BM_CheckSubhierarchy);
 
 void BM_SubhierarchyExpandCopy(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

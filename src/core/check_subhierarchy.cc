@@ -12,12 +12,10 @@ CheckOutcome CheckSubhierarchy(
     const CheckOptions& options) {
   CheckOutcome outcome;
 
-  // One reachability closure serves all three phases of the check:
-  // cycle detection, shortcut detection, and the circle operator.
-  const std::vector<DynamicBitset> reach = g.ComputeReach();
-
-  // Proposition 2, condition (a).
-  if (g.HasCycleIn(reach) || g.HasShortcut(reach)) {
+  // Proposition 2, condition (a). Both tests, like the circle operator
+  // below, read reachability off g's exact In* sets; CHECK builds no
+  // table of its own.
+  if (g.HasCycleIn() || g.HasShortcut()) {
     outcome.structurally_rejected = true;
     return outcome;
   }
@@ -28,7 +26,7 @@ CheckOutcome CheckSubhierarchy(
   std::vector<ExprPtr> circled;
   circled.reserve(relevant.size());
   for (const DimensionConstraint& c : relevant) {
-    ExprPtr e = Simplify(ApplyCircleToConstraint(c, g, reach));
+    ExprPtr e = Simplify(ApplyCircleToConstraint(c, g));
     if (IsTrueLiteral(e)) continue;
     if (IsFalseLiteral(e)) return outcome;  // no frozen dimension
     circled.push_back(std::move(e));

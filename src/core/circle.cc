@@ -4,17 +4,7 @@
 
 namespace olapdc {
 
-namespace {
-
-bool ReachesIn(const std::vector<DynamicBitset>& reach, CategoryId from,
-               CategoryId to) {
-  return reach[from].test(to);
-}
-
-}  // namespace
-
-ExprPtr ApplyCircleToExpr(const ExprPtr& e, const Subhierarchy& g,
-                          const std::vector<DynamicBitset>& reach) {
+ExprPtr ApplyCircleToExpr(const ExprPtr& e, const Subhierarchy& g) {
   OLAPDC_CHECK(e != nullptr);
   switch (e->kind) {
     case ExprKind::kTrue:
@@ -28,9 +18,7 @@ ExprPtr ApplyCircleToExpr(const ExprPtr& e, const Subhierarchy& g,
       // reach the target inside g is false (the frozen dimension has no
       // such ancestor). Otherwise the atom survives, to be decided by
       // the c-assignment.
-      if (!g.Contains(e->root) || !ReachesIn(reach, e->root, e->target)) {
-        return MakeFalse();
-      }
+      if (!g.Reaches(e->root, e->target)) return MakeFalse();
       return e;
     case ExprKind::kComposedAtom:
       // c.ci is a finite disjunction of path atoms; under ∘g it is true
@@ -38,16 +26,15 @@ ExprPtr ApplyCircleToExpr(const ExprPtr& e, const Subhierarchy& g,
       // reachable from c in g (g is checked shortcut/cycle-free before
       // its candidate frozen dimensions are consulted).
       if (e->root == e->target) return MakeTrue();
-      return MakeBool(g.Contains(e->root) &&
-                      ReachesIn(reach, e->root, e->target));
+      return MakeBool(g.Reaches(e->root, e->target));
     case ExprKind::kThroughAtom: {
       const CategoryId c = e->root, ci = e->via, cj = e->target;
       if (c == ci && ci == cj) return MakeTrue();
       if (c == cj && c != ci) return MakeFalse();
       if (!g.Contains(c)) return MakeFalse();
-      if (c == ci) return MakeBool(ReachesIn(reach, c, cj));
-      if (ci == cj) return MakeBool(ReachesIn(reach, c, ci));
-      return MakeBool(ReachesIn(reach, c, ci) && ReachesIn(reach, ci, cj));
+      if (c == ci) return MakeBool(g.Reaches(c, cj));
+      if (ci == cj) return MakeBool(g.Reaches(c, ci));
+      return MakeBool(g.Reaches(c, ci) && g.Reaches(ci, cj));
     }
     default:
       break;
@@ -56,7 +43,7 @@ ExprPtr ApplyCircleToExpr(const ExprPtr& e, const Subhierarchy& g,
   children.reserve(e->children.size());
   bool changed = false;
   for (const ExprPtr& child : e->children) {
-    ExprPtr circled = ApplyCircleToExpr(child, g, reach);
+    ExprPtr circled = ApplyCircleToExpr(child, g);
     changed |= (circled != child);
     children.push_back(std::move(circled));
   }
@@ -67,10 +54,9 @@ ExprPtr ApplyCircleToExpr(const ExprPtr& e, const Subhierarchy& g,
 }
 
 ExprPtr ApplyCircleToConstraint(const DimensionConstraint& c,
-                                const Subhierarchy& g,
-                                const std::vector<DynamicBitset>& reach) {
+                                const Subhierarchy& g) {
   if (!g.Contains(c.root)) return MakeTrue();
-  return ApplyCircleToExpr(c.expr, g, reach);
+  return ApplyCircleToExpr(c.expr, g);
 }
 
 }  // namespace olapdc

@@ -14,26 +14,21 @@
 #ifndef OLAPDC_CORE_CIRCLE_H_
 #define OLAPDC_CORE_CIRCLE_H_
 
-#include <vector>
-
-#include "common/bitset.h"
 #include "constraint/expr.h"
 #include "core/subhierarchy.h"
 
 namespace olapdc {
 
-/// Circles a bare expression. `reach` must come from g.ComputeReach()
-/// (reflexive reachability within g; empty rows for absent categories).
-ExprPtr ApplyCircleToExpr(const ExprPtr& e, const Subhierarchy& g,
-                          const std::vector<DynamicBitset>& reach);
+/// Circles a bare expression. Reachability inside g is read from g's
+/// In* sets (Subhierarchy::Reaches), which the search keeps exact.
+ExprPtr ApplyCircleToExpr(const ExprPtr& e, const Subhierarchy& g);
 
 /// Circles a constraint: True when the root is outside g, otherwise
 /// ApplyCircleToExpr of its expression. The result is NOT simplified,
 /// matching the figure-5 presentation; pass it through Simplify() for
 /// decision procedures.
 ExprPtr ApplyCircleToConstraint(const DimensionConstraint& c,
-                                const Subhierarchy& g,
-                                const std::vector<DynamicBitset>& reach);
+                                const Subhierarchy& g);
 
 }  // namespace olapdc
 

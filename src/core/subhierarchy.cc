@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/algorithms.h"
-
 namespace olapdc {
 
 Subhierarchy::Subhierarchy(int num_categories, CategoryId root)
@@ -165,24 +163,6 @@ bool Subhierarchy::IsPath(const std::vector<CategoryId>& path) const {
   return true;
 }
 
-std::vector<DynamicBitset> Subhierarchy::ComputeReach() const {
-  std::vector<DynamicBitset> reach(n_, DynamicBitset(n_));
-  // Process categories; repeated relaxation handles arbitrary insertion
-  // orders (g may be cyclic when pruning is disabled, so a plain
-  // reverse-topological pass is not guaranteed to exist).
-  bool changed = true;
-  cats_.ForEach([&](int u) { reach[u].set(u); });
-  while (changed) {
-    changed = false;
-    cats_.ForEach([&](int u) {
-      DynamicBitset before = reach[u];
-      out_[u].ForEach([&](int v) { reach[u] |= reach[v]; });
-      if (reach[u] != before) changed = true;
-    });
-  }
-  return reach;
-}
-
 std::vector<std::pair<CategoryId, CategoryId>> Subhierarchy::Edges() const {
   std::vector<std::pair<CategoryId, CategoryId>> edges;
   edges.reserve(num_edges());
@@ -198,39 +178,39 @@ Digraph Subhierarchy::ToDigraph() const {
   return g;
 }
 
-bool Subhierarchy::HasCycleIn() const { return HasCycle(ToDigraph()); }
-
-bool Subhierarchy::HasCycleIn(
-    const std::vector<DynamicBitset>& reach) const {
-  bool found = false;
-  cats_.ForEach([&](int u) {
-    if (found) return;
-    out_[u].ForEach([&](int v) {
-      if (!found && reach[v].test(u)) found = true;
-    });
-  });
-  return found;
+bool Subhierarchy::HasCycleIn() const {
+  for (int c = cats_.First(); c >= 0; c = cats_.Next(c)) {
+    if (below_[c].test(c)) return true;
+  }
+  return false;
 }
 
 bool Subhierarchy::HasShortcut() const {
-  return HasShortcut(ComputeReach());
+  // Edge (u, v) plus a path u -> w -> ... -> v for a successor w of u.
+  for (int u = cats_.First(); u >= 0; u = cats_.Next(u)) {
+    const DynamicBitset& out = out_[u];
+    for (int v = out.First(); v >= 0; v = out.Next(v)) {
+      if (out.Intersects(below_[v])) return true;
+    }
+  }
+  return false;
 }
 
-bool Subhierarchy::HasShortcut(
-    const std::vector<DynamicBitset>& reach) const {
-  bool found = false;
+void Subhierarchy::RebuildBelow() {
+  DynamicBitset to_visit(n_);
+  DynamicBitset visited(n_);
   cats_.ForEach([&](int u) {
-    if (found) return;
-    out_[u].ForEach([&](int v) {
-      if (found) return;
-      // Edge (u, v) plus a path u -> w -> ... -> v for some other
-      // successor w of u.
-      out_[u].ForEach([&](int w) {
-        if (w != v && reach[w].test(v)) found = true;
-      });
-    });
+    // u lies below everything its successors reach, themselves included.
+    to_visit = out_[u];
+    visited.clear();
+    for (int x = to_visit.First(); x >= 0; x = to_visit.First()) {
+      to_visit.reset(x);
+      visited.set(x);
+      below_[x].set(u);
+      to_visit |= out_[x];
+      to_visit -= visited;
+    }
   });
-  return found;
 }
 
 std::optional<Subhierarchy> Subhierarchy::FromPartialEdges(
@@ -276,97 +256,22 @@ std::optional<Subhierarchy> Subhierarchy::FromPartialEdges(
     if (g.out_[u].none()) g.top_.set(u);
   });
 
-  // Rebuild Below by relaxation to a fixpoint (partial graphs may be
-  // cyclic when pruning is disabled; the fixpoint handles both).
-  std::vector<DynamicBitset> reach(num_categories,
-                                   DynamicBitset(num_categories));
-  bool changed = true;
-  g.cats_.ForEach([&](int u) { reach[u].set(u); });
-  while (changed) {
-    changed = false;
-    g.cats_.ForEach([&](int u) {
-      DynamicBitset before = reach[u];
-      g.out_[u].ForEach([&](int v) { reach[u] |= reach[v]; });
-      if (reach[u] != before) changed = true;
-    });
-  }
-  g.cats_.ForEach([&](int v) {
-    g.cats_.ForEach([&](int u) {
-      if (u != v && reach[u].test(v)) g.below_[v].set(u);
-    });
-  });
+  g.RebuildBelow();
   return g;
 }
 
 std::optional<Subhierarchy> Subhierarchy::FromEdges(
     int num_categories, CategoryId root, CategoryId all,
     const std::vector<std::pair<CategoryId, CategoryId>>& edges) {
-  Subhierarchy g(num_categories, root);
-  g.top_.clear();
-  for (const auto& [u, v] : edges) {
-    if (u < 0 || u >= num_categories || v < 0 || v >= num_categories ||
-        u == v) {
-      return std::nullopt;
-    }
-    g.cats_.set(u);
-    g.cats_.set(v);
-    g.out_[u].set(v);
-    g.in_[v].set(u);
-  }
-
-  // Reachability from root must cover every category of g.
-  {
-    DynamicBitset seen(num_categories);
-    std::vector<CategoryId> frontier{root};
-    seen.set(root);
-    while (!frontier.empty()) {
-      CategoryId u = frontier.back();
-      frontier.pop_back();
-      g.out_[u].ForEach([&](int v) {
-        if (!seen.test(v)) {
-          seen.set(v);
-          frontier.push_back(v);
-        }
-      });
-    }
-    if (!g.cats_.IsSubsetOf(seen)) return std::nullopt;
-  }
-
-  // Every category without outgoing edges must be All (otherwise it
-  // cannot reach All); All itself must have none. With acyclicity this
-  // implies c ->* All for all c. (Cyclic edge sets are representable —
-  // the structural CHECK rejects them later.)
-  bool ok = true;
-  g.cats_.ForEach([&](int u) {
-    bool has_out = g.out_[u].any();
-    if (u == all && has_out) ok = false;
-    if (u != all && !has_out) ok = false;
-    if (!has_out) g.top_.set(u);
-  });
-  if (root == all && g.cats_.count() == 1) ok = true;
-  if (!ok) return std::nullopt;
-  if (!g.cats_.test(all) && !(root == all && g.cats_.count() == 1)) {
+  std::optional<Subhierarchy> g =
+      FromPartialEdges(num_categories, root, edges);
+  // Complete means All is the one category without outgoing edges, so
+  // with acyclicity c ->* All for every c. (Cyclic edge sets are
+  // representable — the structural CHECK rejects them later.)
+  if (!g.has_value() || all < 0 || all >= num_categories ||
+      g->top_.count() != 1 || !g->top_.test(all)) {
     return std::nullopt;
   }
-
-  // Rebuild Below exactly.
-  std::vector<DynamicBitset> reach(num_categories,
-                                   DynamicBitset(num_categories));
-  bool changed = true;
-  g.cats_.ForEach([&](int u) { reach[u].set(u); });
-  while (changed) {
-    changed = false;
-    g.cats_.ForEach([&](int u) {
-      DynamicBitset before = reach[u];
-      g.out_[u].ForEach([&](int v) { reach[u] |= reach[v]; });
-      if (reach[u] != before) changed = true;
-    });
-  }
-  g.cats_.ForEach([&](int v) {
-    g.cats_.ForEach([&](int u) {
-      if (u != v && reach[u].test(v)) g.below_[v].set(u);
-    });
-  });
   return g;
 }
 

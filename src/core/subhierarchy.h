@@ -17,6 +17,8 @@
 //   g.In*(c) -> Below(c)       (categories that reach c in g)
 // with In* kept exact under edge insertion by downstream propagation
 // (the paper's line (5) under-maintains it; see DESIGN.md deviation 3).
+// Below is g's only reachability relation: CHECK's cycle and shortcut
+// tests read it directly, the circle operator through Reaches().
 
 #ifndef OLAPDC_CORE_SUBHIERARCHY_H_
 #define OLAPDC_CORE_SUBHIERARCHY_H_
@@ -118,7 +120,14 @@ class Subhierarchy {
   /// Direct predecessors of c in g.
   const DynamicBitset& In(CategoryId c) const { return in_[c]; }
   /// The paper's In*(c): every category with a nonempty path to c in g.
+  /// Contains c itself exactly when c lies on a cycle of g.
   const DynamicBitset& Below(CategoryId c) const { return below_[c]; }
+
+  /// True iff g has a path from u to v, the empty path included: u = v
+  /// for a category of g, otherwise u ∈ Below(v).
+  bool Reaches(CategoryId u, CategoryId v) const {
+    return u == v ? cats_.test(u) : below_[v].test(u);
+  }
 
   bool HasEdge(CategoryId u, CategoryId v) const { return out_[u].test(v); }
 
@@ -144,32 +153,20 @@ class Subhierarchy {
   /// True iff `path` (category sequence) is a path of g.
   bool IsPath(const std::vector<CategoryId>& path) const;
 
-  /// For every category in g, the set of categories reachable from it
-  /// within g, *including itself*; empty sets for absent categories.
-  /// O(N * E) — computed once per CHECK.
-  std::vector<DynamicBitset> ComputeReach() const;
-
   /// The edge list, grouped by source in ascending order.
   std::vector<std::pair<CategoryId, CategoryId>> Edges() const;
 
   /// Materializes g as a Digraph over all n category ids.
   Digraph ToDigraph() const;
 
-  /// True iff g (as currently built) has a directed cycle.
+  /// True iff g (as currently built) has a directed cycle: some c of g
+  /// lies in Below(c).
   bool HasCycleIn() const;
-  /// Same, but reusing a reachability table already computed by
-  /// ComputeReach() on this exact g — the CHECK hot path computes
-  /// reach once and shares it between the cycle test, the shortcut
-  /// test, and the circle operator instead of materializing a Digraph
-  /// per call. A cycle exists iff some edge (u, v) has v reaching back
-  /// to u (self-edges cannot occur).
-  bool HasCycleIn(const std::vector<DynamicBitset>& reach) const;
 
   /// True iff some edge (u, v) of g is paralleled by a longer path —
-  /// condition (a) of Proposition 2. Requires acyclicity for exactness.
+  /// condition (a) of Proposition 2: Out(u) meets Below(v). Exact on
+  /// acyclic g, where v itself is never in Below(v).
   bool HasShortcut() const;
-  /// Same, with a caller-supplied ComputeReach() table (see above).
-  bool HasShortcut(const std::vector<DynamicBitset>& reach) const;
 
  private:
   int n_;
@@ -179,6 +176,10 @@ class Subhierarchy {
   std::vector<DynamicBitset> out_;
   std::vector<DynamicBitset> in_;
   std::vector<DynamicBitset> below_;
+
+  /// Fills the (still empty) Below sets from the edges: the closure
+  /// over nonempty paths, as Expand() and ExpandLogged() maintain it.
+  void RebuildBelow();
 };
 
 }  // namespace olapdc

@@ -49,12 +49,11 @@ class CircleTest : public ::testing::Test {
     return *g;
   }
 
-  std::string Circled(const DimensionConstraint& c, const Subhierarchy& g,
-                      const std::vector<DynamicBitset>& reach) {
+  std::string Circled(const DimensionConstraint& c, const Subhierarchy& g) {
     PrinterOptions paper;
     paper.paper_symbols = true;
     return ExprToString(ds_->hierarchy(),
-                        ApplyCircleToConstraint(c, g, reach), paper);
+                        ApplyCircleToConstraint(c, g), paper);
   }
 
   std::optional<DimensionSchema> ds_;
@@ -65,23 +64,22 @@ TEST_F(CircleTest, Figure5Reproduction) {
   Subhierarchy g = Example12Subhierarchy();
   EXPECT_FALSE(g.HasCycleIn());
   EXPECT_FALSE(g.HasShortcut());
-  auto reach = g.ComputeReach();
 
   const auto& sigma = ds_->constraints();
   ASSERT_EQ(sigma.size(), 7u);
 
   // Figure 5, right column, row by row.
-  EXPECT_EQ(Circled(sigma[0], g, reach), "⊤");  // (a) Store_City
-  EXPECT_EQ(Circled(sigma[1], g, reach), "⊤");  // (b) Store.SaleRegion
-  EXPECT_EQ(Circled(sigma[2], g, reach),
+  EXPECT_EQ(Circled(sigma[0], g), "⊤");  // (a) Store_City
+  EXPECT_EQ(Circled(sigma[1], g), "⊤");  // (b) Store.SaleRegion
+  EXPECT_EQ(Circled(sigma[2], g),
             "City≈Washington ≡ ⊥");  // (c)
-  EXPECT_EQ(Circled(sigma[3], g, reach),
+  EXPECT_EQ(Circled(sigma[3], g),
             "City≈Washington ⊃ City.Country≈USA");  // (d) unchanged
-  EXPECT_EQ(Circled(sigma[4], g, reach),
+  EXPECT_EQ(Circled(sigma[4], g),
             "State.Country≈Mexico ∨ State.Country≈USA");  // (e) unchanged
-  EXPECT_EQ(Circled(sigma[5], g, reach),
+  EXPECT_EQ(Circled(sigma[5], g),
             "State.Country≈Mexico ≡ ⊥");  // (f)
-  EXPECT_EQ(Circled(sigma[6], g, reach),
+  EXPECT_EQ(Circled(sigma[6], g),
             "Province.Country≈Canada");  // (g) unchanged
 }
 
@@ -90,10 +88,9 @@ TEST_F(CircleTest, Example12SubhierarchyInducesNoFrozenDimension) {
   // The mixed subhierarchy therefore fails CHECK — the schema keeps the
   // Canadian and Mexican/US structures apart.
   Subhierarchy g = Example12Subhierarchy();
-  auto reach = g.ComputeReach();
   std::vector<ExprPtr> circled;
   for (const DimensionConstraint& c : ds_->constraints()) {
-    ExprPtr e = Simplify(ApplyCircleToConstraint(c, g, reach));
+    ExprPtr e = Simplify(ApplyCircleToConstraint(c, g));
     if (!IsTrueLiteral(e)) circled.push_back(e);
   }
   AssignmentSearchResult search = FindAssignments(g, circled);
@@ -112,14 +109,13 @@ TEST_F(CircleTest, ConstraintWithRootOutsideGIsVacuous) {
        {sale_region_, country_},
        {country_, all_}});
   ASSERT_TRUE(g.has_value());
-  auto reach = g->ComputeReach();
   const auto& sigma = ds_->constraints();
-  EXPECT_TRUE(IsTrueLiteral(ApplyCircleToConstraint(sigma[4], *g, reach)));
-  EXPECT_TRUE(IsTrueLiteral(ApplyCircleToConstraint(sigma[5], *g, reach)));
+  EXPECT_TRUE(IsTrueLiteral(ApplyCircleToConstraint(sigma[4], *g)));
+  EXPECT_TRUE(IsTrueLiteral(ApplyCircleToConstraint(sigma[5], *g)));
   // And the Canada structure does induce a frozen dimension.
   std::vector<ExprPtr> circled;
   for (const DimensionConstraint& c : sigma) {
-    ExprPtr e = Simplify(ApplyCircleToConstraint(c, *g, reach));
+    ExprPtr e = Simplify(ApplyCircleToConstraint(c, *g));
     ASSERT_FALSE(IsFalseLiteral(e)) << c.label;
     if (!IsTrueLiteral(e)) circled.push_back(e);
   }
@@ -131,33 +127,30 @@ TEST_F(CircleTest, ConstraintWithRootOutsideGIsVacuous) {
 
 TEST_F(CircleTest, PathAtomsReplacedByTruthValues) {
   Subhierarchy g = Example12Subhierarchy();
-  auto reach = g.ComputeReach();
   ExprPtr in_g = MakePathAtom({store_, city_, province_});
   ExprPtr not_in_g = MakePathAtom({store_, sale_region_});
-  EXPECT_TRUE(IsTrueLiteral(ApplyCircleToExpr(in_g, g, reach)));
-  EXPECT_TRUE(IsFalseLiteral(ApplyCircleToExpr(not_in_g, g, reach)));
+  EXPECT_TRUE(IsTrueLiteral(ApplyCircleToExpr(in_g, g)));
+  EXPECT_TRUE(IsFalseLiteral(ApplyCircleToExpr(not_in_g, g)));
 }
 
 TEST_F(CircleTest, ComposedAndThroughAtomsCircledByReachability) {
   Subhierarchy g = Example12Subhierarchy();
-  auto reach = g.ComputeReach();
   EXPECT_TRUE(IsTrueLiteral(
-      ApplyCircleToExpr(MakeComposedAtom(store_, country_), g, reach)));
+      ApplyCircleToExpr(MakeComposedAtom(store_, country_), g)));
   EXPECT_TRUE(IsTrueLiteral(
-      ApplyCircleToExpr(MakeThroughAtom(store_, state_, country_), g, reach)));
+      ApplyCircleToExpr(MakeThroughAtom(store_, state_, country_), g)));
   // No path from Store through SaleRegion to State exists in g:
   EXPECT_TRUE(IsFalseLiteral(ApplyCircleToExpr(
-      MakeThroughAtom(store_, sale_region_, state_), g, reach)));
+      MakeThroughAtom(store_, sale_region_, state_), g)));
   EXPECT_TRUE(IsTrueLiteral(
-      ApplyCircleToExpr(MakeComposedAtom(store_, store_), g, reach)));
+      ApplyCircleToExpr(MakeComposedAtom(store_, store_), g)));
 }
 
 TEST_F(CircleTest, EqualityAtomTargetOutsideReachIsFalse) {
   Subhierarchy g = Example12Subhierarchy();
-  auto reach = g.ComputeReach();
   // Province-rooted atom about State: no path Province -> State.
   ExprPtr atom = MakeEqualityAtom(province_, state_, "x");
-  EXPECT_TRUE(IsFalseLiteral(ApplyCircleToExpr(atom, g, reach)));
+  EXPECT_TRUE(IsFalseLiteral(ApplyCircleToExpr(atom, g)));
 }
 
 }  // namespace

@@ -84,10 +84,9 @@ TEST(SubhierarchyTest, PathAndReach) {
   EXPECT_TRUE(g.IsPath({1, 2}));
   EXPECT_FALSE(g.IsPath({0, 2}));
   EXPECT_FALSE(g.IsPath({}));
-  auto reach = g.ComputeReach();
-  EXPECT_TRUE(reach[0].test(3));
-  EXPECT_TRUE(reach[2].test(2));  // reflexive
-  EXPECT_FALSE(reach[3].test(0));
+  EXPECT_TRUE(g.Reaches(0, 3));
+  EXPECT_TRUE(g.Reaches(2, 2));  // reflexive
+  EXPECT_FALSE(g.Reaches(3, 0));
 }
 
 TEST(SubhierarchyTest, CycleDetection) {

@@ -1,15 +1,18 @@
 // Differential property tests for the substrate against naive
 // reference models: DynamicBitset vs std::set, graph reachability /
 // transitive closure / shortcut detection vs Floyd-Warshall-style
-// references, on randomized inputs with deterministic seeds.
+// references, and Subhierarchy's In* sets vs the graph algorithms, on
+// randomized inputs with deterministic seeds.
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/bitset.h"
+#include "core/subhierarchy.h"
 #include "graph/algorithms.h"
 #include "graph/digraph.h"
 #include "tests/test_util.h"
@@ -169,6 +172,113 @@ TEST_P(GraphDifferentialTest, ShortcutsMatchPathEnumerationOnDags) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphDifferentialTest,
+                         ::testing::Range(0, 10));
+
+/// Checks every reachability reading of g against the graph algorithms
+/// on g.ToDigraph(), and checks that rebuilding g from its edges yields
+/// the same In* sets.
+void ExpectExactReachability(const Subhierarchy& g, CategoryId all,
+                             const std::string& where) {
+  const int n = g.num_categories();
+  const Digraph d = g.ToDigraph();
+  const std::vector<DynamicBitset> closure = TransitiveClosure(d);
+  for (int v = 0; v < n; ++v) {
+    // Below(v) is the closure over nonempty paths: u -> w ->* v.
+    DynamicBitset below(n);
+    for (int u = 0; u < n; ++u) {
+      for (int w : d.OutNeighbors(u)) {
+        if (closure[w].test(v)) below.set(u);
+      }
+      ASSERT_EQ(g.Reaches(u, v), g.Contains(u) && closure[u].test(v))
+          << where << ": Reaches(" << u << ", " << v << ")";
+    }
+    ASSERT_EQ(g.Below(v).ToVector(), below.ToVector())
+        << where << ": Below(" << v << ")";
+  }
+  const bool cyclic = HasCycle(d);
+  ASSERT_EQ(g.HasCycleIn(), cyclic) << where;
+  if (!cyclic) {
+    ASSERT_EQ(g.HasShortcut(), !FindShortcuts(d).empty()) << where;
+  }
+
+  const auto partial = Subhierarchy::FromPartialEdges(n, g.root(), g.Edges());
+  ASSERT_TRUE(partial.has_value()) << where;
+  for (int v = 0; v < n; ++v) {
+    ASSERT_EQ(partial->Below(v).ToVector(), g.Below(v).ToVector())
+        << where << ": FromPartialEdges Below(" << v << ")";
+  }
+  if (g.top().count() == 1 && g.top().test(all)) {
+    const auto complete = Subhierarchy::FromEdges(n, g.root(), all, g.Edges());
+    ASSERT_TRUE(complete.has_value()) << where;
+    for (int v = 0; v < n; ++v) {
+      ASSERT_EQ(complete->Below(v).ToVector(), g.Below(v).ToVector())
+          << where << ": FromEdges Below(" << v << ")";
+    }
+  }
+}
+
+class SubhierarchyReachabilityTest : public ::testing::TestWithParam<int> {};
+
+// Random walks of unpruned EXPAND steps over a random schema whose
+// categories may point at each other in both directions, so the walks
+// build cycles and shortcuts. Each step is an ExpandLogged, a Rollback,
+// or a copy-Expand of a branch the walk then abandons.
+TEST_P(SubhierarchyReachabilityTest, InStarIsExactOnEveryPath) {
+  std::mt19937_64 rng(GetParam() * 71 + 13);
+  std::uniform_real_distribution<double> coin(0, 1);
+  const int n = 7;
+  const CategoryId root = 0;
+  const CategoryId all = n - 1;
+  std::vector<DynamicBitset> schema(n, DynamicBitset(n));
+  for (int u = 0; u < all; ++u) {
+    for (int v = 1; v < n; ++v) {
+      if (u != v && coin(rng) < (v == all ? 0.5 : 0.35)) schema[u].set(v);
+    }
+    if (schema[u].none()) schema[u].set(all);
+  }
+  // A random nonempty R among ctop's schema successors.
+  auto random_r = [&](CategoryId ctop) {
+    DynamicBitset r(n);
+    while (r.none()) {
+      schema[ctop].ForEach([&](int v) {
+        if (coin(rng) < 0.5) r.set(v);
+      });
+    }
+    return r;
+  };
+
+  Subhierarchy g(n, root);
+  SubhierarchyUndoLog log;
+  ASSERT_NO_FATAL_FAILURE(ExpectExactReachability(g, all, "initial"));
+  for (int step = 0; step < 200; ++step) {
+    std::vector<CategoryId> expandable;
+    g.top().ForEach([&](int c) {
+      if (c != all) expandable.push_back(c);
+    });
+    const std::string where = "seed " + std::to_string(GetParam()) +
+                              " step " + std::to_string(step);
+    if (expandable.empty() || (!log.empty() && coin(rng) < 0.3)) {
+      if (log.empty()) break;
+      g.Rollback(&log);
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectExactReachability(g, all, where + " rollback"));
+      continue;
+    }
+    const CategoryId ctop = expandable[rng() % expandable.size()];
+    if (coin(rng) < 0.25) {
+      Subhierarchy copy = g;
+      copy.Expand(ctop, random_r(ctop));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectExactReachability(copy, all, where + " copy-expand"));
+      continue;
+    }
+    g.ExpandLogged(ctop, random_r(ctop), &log);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectExactReachability(g, all, where + " expand"));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SubhierarchyReachabilityTest,
                          ::testing::Range(0, 10));
 
 }  // namespace

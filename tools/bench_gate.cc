@@ -41,6 +41,18 @@
 // appears in no row is a usage error (a misspelled gate must not pass
 // silently).
 //
+// A fourth mode holds deterministic counters (node counts, model
+// counts) to their committed values exactly:
+//
+//   bench_gate --baseline BENCH_dimsat_ablation.json --current fresh.json
+//              --exact expand_calls --exact check_calls
+//
+// Rows are matched by index and must carry the same "workload" and
+// "config" strings. Every baseline row that carries an exact field
+// must carry the same value in the current row; a differing value or a
+// missing row fails, and a field that appears in no baseline row is a
+// usage error. Like --floor, this mode gates no latency field.
+//
 // Exit codes: 0 = within thresholds / invariants held, 1 = regression
 // or violated invariant, 2 = usage or unreadable/ill-formed input.
 
@@ -70,6 +82,8 @@ int Usage() {
       "       bench_gate [--require-crash-grid <min_rounds>] "
       "--invariants <report.json>...\n"
       "       bench_gate --current <BENCH.json> --floor <field>=<min>...\n"
+      "       bench_gate --baseline <BENCH.json> --current <BENCH.json> "
+      "--exact <field>...\n"
       "gates latency-like fields (ms/us/ns_per_task/*_ms/*_us/*_ns) at\n"
       "current <= baseline * (1 + p/100); other numeric fields are\n"
       "reported but not gated. --invariants instead checks chaos\n"
@@ -78,6 +92,8 @@ int Usage() {
       "itself hold; --require-crash-grid makes that section mandatory\n"
       "with at least <min_rounds> rounds. --floor gates higher-is-better\n"
       "fields: every row carrying the field must be >= the floor.\n"
+      "--exact holds a field to its baseline value in every row, rows\n"
+      "matched by index with equal \"workload\" and \"config\".\n"
       "exit codes: 0 within thresholds, 1 regression/violation, 2 "
       "usage/parse\n");
   return kExitUsage;
@@ -290,12 +306,86 @@ int CheckFloors(const std::string& path,
   return failures > 0 ? kExitRegression : kExitOk;
 }
 
+/// The row's `key` string, or "" when it has none.
+std::string StringField(const JsonValue& row, const char* key) {
+  const JsonValue* value = row.Find(key);
+  return value != nullptr && value->is_string() ? value->string_value : "";
+}
+
+/// --exact mode: every baseline row carrying an exact field must carry
+/// the same value in the current row at the same index, and that row
+/// must name the same workload and config.
+int CheckExact(const std::string& baseline_path,
+               const std::string& current_path,
+               const std::vector<std::string>& fields) {
+  JsonValue baseline_doc, current_doc;
+  std::string bench, current_bench;
+  const JsonValue* baseline_rows = nullptr;
+  const JsonValue* current_rows = nullptr;
+  if (!LoadBench(baseline_path, &baseline_doc, &bench, &baseline_rows) ||
+      !LoadBench(current_path, &current_doc, &current_bench,
+                 &current_rows)) {
+    return kExitUsage;
+  }
+  int failures = 0;
+  for (const std::string& field : fields) {
+    int checked = 0;
+    for (size_t i = 0; i < baseline_rows->array.size(); ++i) {
+      const JsonValue& base_row = baseline_rows->array[i];
+      const JsonValue* base_value = base_row.Find(field);
+      if (base_value == nullptr || !base_value->is_number()) continue;
+      ++checked;
+      const std::string label = RowLabel(base_row);
+      if (i >= current_rows->array.size()) {
+        ++failures;
+        std::printf("  FAIL  %s[%zu] %s: row missing from current\n",
+                    bench.c_str(), i, label.c_str());
+        continue;
+      }
+      const JsonValue& curr_row = current_rows->array[i];
+      if (StringField(base_row, "workload") !=
+              StringField(curr_row, "workload") ||
+          StringField(base_row, "config") != StringField(curr_row, "config")) {
+        ++failures;
+        std::printf("  FAIL  %s[%zu] %s: current row is %s\n", bench.c_str(),
+                    i, label.c_str(), RowLabel(curr_row).c_str());
+        continue;
+      }
+      const JsonValue* curr_value = curr_row.Find(field);
+      if (curr_value == nullptr || !curr_value->is_number()) {
+        ++failures;
+        std::printf("  FAIL  %s[%zu] %s: %s %.17g -> missing\n", bench.c_str(),
+                    i, label.c_str(), field.c_str(), base_value->number_value);
+      } else if (curr_value->number_value != base_value->number_value) {
+        ++failures;
+        std::printf("  FAIL  %s[%zu] %s: %s %.17g -> %.17g\n", bench.c_str(), i,
+                    label.c_str(), field.c_str(), base_value->number_value,
+                    curr_value->number_value);
+      } else {
+        std::printf("  ok    %s[%zu] %s: %s %.17g\n", bench.c_str(), i,
+                    label.c_str(), field.c_str(), base_value->number_value);
+      }
+    }
+    if (checked == 0) {
+      std::fprintf(stderr,
+                   "bench_gate: no row in '%s' carries field '%s' — a "
+                   "misspelled exact gate must not pass silently\n",
+                   baseline_path.c_str(), field.c_str());
+      return kExitUsage;
+    }
+  }
+  std::printf("bench_gate: %s: %zu exact field(s), %d mismatch(es)\n",
+              bench.c_str(), fields.size(), failures);
+  return failures > 0 ? kExitRegression : kExitOk;
+}
+
 int Run(int argc, char** argv) {
   std::string baseline_path;
   std::string current_path;
   double default_threshold_pct = 25;
   std::map<std::string, double> per_field_pct;
   std::map<std::string, double> floors;
+  std::vector<std::string> exact;
   bool require_crash_grid = false;
   double min_crash_rounds = 1;
 
@@ -352,9 +442,19 @@ int Run(int argc, char** argv) {
       const double min_value = std::strtod(spec.c_str() + eq + 1, &end);
       if (end == spec.c_str() + eq + 1 || *end != '\0') return Usage();
       floors[spec.substr(0, eq)] = min_value;
+    } else if (arg == "--exact") {
+      const char* v = next();
+      if (v == nullptr || *v == '\0') return Usage();
+      exact.emplace_back(v);
     } else {
       return Usage();
     }
+  }
+  if (!exact.empty()) {
+    if (floors.empty() && !baseline_path.empty() && !current_path.empty()) {
+      return CheckExact(baseline_path, current_path, exact);
+    }
+    return Usage();
   }
   if (!floors.empty()) {
     if (baseline_path.empty() && !current_path.empty()) {
