@@ -3,11 +3,13 @@
 #ifndef OLAPDC_BENCH_BENCH_UTIL_H_
 #define OLAPDC_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -36,6 +38,36 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+/// Median, minimum and maximum of one config's repeated wall times.
+struct Spread {
+  double median_ms = 0;
+  double min_ms = 0;
+  double max_ms = 0;
+};
+
+/// Runs every config 7 times and returns each one's Spread, in config
+/// order. A config is one measured run returning its wall time in
+/// milliseconds. Repetitions alternate the config order (forward, then
+/// reversed), so drift on the host — a warming cache, a neighbour's
+/// load — falls on every config alike.
+inline std::vector<Spread> RepeatAlternating(
+    const std::vector<std::function<double()>>& configs) {
+  constexpr int kRepetitions = 7;  // odd: the median is one sample
+  std::vector<std::vector<double>> samples(configs.size());
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (size_t k = 0; k < configs.size(); ++k) {
+      const size_t i = rep % 2 == 0 ? k : configs.size() - 1 - k;
+      samples[i].push_back(configs[i]());
+    }
+  }
+  std::vector<Spread> out;
+  for (std::vector<double>& ms : samples) {
+    std::sort(ms.begin(), ms.end());
+    out.push_back({ms[ms.size() / 2], ms.front(), ms.back()});
+  }
+  return out;
+}
 
 /// Unwraps a Result in harness code (aborts with the error on failure).
 template <typename T>

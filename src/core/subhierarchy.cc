@@ -33,40 +33,8 @@ int Subhierarchy::num_edges() const {
 }
 
 void Subhierarchy::Expand(CategoryId ctop, const DynamicBitset& r) {
-  OLAPDC_DCHECK(top_.test(ctop)) << "Expand target must be a top category";
-  OLAPDC_DCHECK(r.any());
-  top_.reset(ctop);
-
-  // Everything below ctop — plus ctop itself — now reaches every
-  // category that r's members reach.
-  DynamicBitset delta = below_[ctop];
-  delta.set(ctop);
-
-  std::vector<CategoryId> frontier;
-  r.ForEach([&](int c) {
-    if (!cats_.test(c)) {
-      cats_.set(c);
-      top_.set(c);
-    }
-    out_[ctop].set(c);
-    in_[c].set(ctop);
-    frontier.push_back(c);
-  });
-
-  // Propagate delta to every category reachable from r (inclusive).
-  // Prior Below sets were exact, so the new facts are exactly `delta`
-  // on that reachable region.
-  DynamicBitset visited(n_);
-  while (!frontier.empty()) {
-    CategoryId x = frontier.back();
-    frontier.pop_back();
-    if (visited.test(x)) continue;
-    visited.set(x);
-    below_[x] |= delta;
-    out_[x].ForEach([&](int y) {
-      if (!visited.test(y)) frontier.push_back(y);
-    });
-  }
+  SubhierarchyUndoLog log;
+  ExpandLogged(ctop, r, &log);
 }
 
 void Subhierarchy::ExpandLogged(CategoryId ctop, const DynamicBitset& r,

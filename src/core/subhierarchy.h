@@ -135,7 +135,8 @@ class Subhierarchy {
 
   /// Executes one EXPAND step: gives `ctop` (which must currently be in
   /// top()) the outgoing edges R. New categories enter top(); Below is
-  /// propagated exactly.
+  /// propagated exactly. ExpandLogged() into a throwaway log, so one
+  /// loop keeps In* exact on both paths.
   void Expand(CategoryId ctop, const DynamicBitset& r);
 
   /// Expand() that additionally journals everything it changes into

@@ -1,10 +1,10 @@
 #include "exec/work_stealing_pool.h"
 
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <string>
 
+#include "common/check.h"
 #include "common/fault_injector.h"
 #include "obs/metrics.h"
 
@@ -12,31 +12,20 @@ namespace olapdc::exec {
 
 namespace {
 
-/// Inventory registration so the chaos campaign finds these sites via
-/// RegisteredFaultSites(). Probed on cold paths only (steal sweeps and
-/// fruitless helping rounds), never per task.
-[[maybe_unused]] const bool kStealSite = RegisterFaultSite("exec.steal");
+/// Inventory registration so the chaos campaign finds the site via
+/// RegisteredFaultSites(). Probed once per helping round of a worker's
+/// nested Wait, never on a worker's own loop.
 [[maybe_unused]] const bool kGroupWaitSite =
     RegisterFaultSite("exec.group_wait");
 
 /// Worker identity of the current thread: which pool it belongs to (so
-/// SubmitTask can tell "one of mine" from an external thread) and its
-/// index there.
+/// Spawn and Wait can tell one of its workers from any other thread)
+/// and its index there.
 thread_local WorkStealingPool* tls_pool = nullptr;
 thread_local int tls_worker_id = -1;
-/// Set around each task invocation: did a worker other than the
-/// submitter execute it?
+/// Set around each task invocation: did a thread other than this one
+/// spawn it?
 thread_local bool tls_task_stolen = false;
-
-/// xorshift64* — cheap per-worker victim selection.
-uint64_t NextRandom(uint64_t* state) {
-  uint64_t x = *state;
-  x ^= x >> 12;
-  x ^= x << 25;
-  x ^= x >> 27;
-  *state = x;
-  return x * 0x2545F4914F6CDD1DULL;
-}
 
 }  // namespace
 
@@ -50,61 +39,34 @@ TaskGroup::TaskGroup(WorkStealingPool* pool) : pool_(pool) {
 TaskGroup::~TaskGroup() { Wait(); }
 
 void TaskGroup::Spawn(std::function<void()> fn) {
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  auto* task = new WorkStealingPool::Task{
-      std::move(fn), this,
-      tls_pool == pool_ ? tls_worker_id : -1,
-      obs::CurrentTraceContext()};
-  pool_->SubmitTask(task);
-}
-
-void TaskGroup::OnTaskDone() {
-  // The decrement happens under mu_ so that any waiter that observes
-  // pending_ == 0 can acquire mu_ once and thereby prove this critical
-  // section — the last thing a finisher does that touches the group —
-  // has completed before the group is destroyed.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    cv_.notify_all();
-  }
+  pool_->Submit(new WorkStealingPool::Task{
+      std::move(fn), this, tls_pool == pool_ ? tls_worker_id : -1,
+      obs::CurrentTraceContext()});
 }
 
 void TaskGroup::Wait() {
-  if (tls_pool == pool_ && tls_worker_id >= 0) {
-    // On a pool worker: help instead of blocking, otherwise a task
-    // waiting on a nested group would deadlock the worker it occupies.
-    // After a run of fruitless steal attempts, park briefly on the
-    // group's condvar instead of burning the core while the group's
-    // remaining tasks run elsewhere with nothing stealable.
-    constexpr int kSpinRounds = 64;
-    int idle_rounds = 0;
-    while (pending_.load(std::memory_order_acquire) > 0) {
-      // Chaos site: a failed helping round degrades to the yield/park
-      // path below — the group still drains via the other workers.
-      if (FaultInjector::Global().MaybeFail("exec.group_wait").ok() &&
-          pool_->RunOneTask()) {
-        idle_rounds = 0;
-        continue;
-      }
-      if (++idle_rounds < kSpinRounds) {
-        std::this_thread::yield();
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, std::chrono::milliseconds(1), [&] {
-        return pending_.load(std::memory_order_acquire) == 0;
-      });
-      idle_rounds = 0;
-    }
-    // pending_ hit zero via a bare load: take mu_ once so the last
-    // finisher has provably left OnTaskDone (it decrements under mu_)
-    // before the caller may destroy this group.
-    std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(pool_->mu_);
+  if (tls_pool != pool_) {
+    done_.wait(lock, [&] { return pending_ == 0; });
     return;
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock,
-           [&] { return pending_.load(std::memory_order_acquire) == 0; });
+  // On a worker of this pool: help instead of blocking, otherwise a
+  // task waiting on a nested group would deadlock the worker it
+  // occupies. A helper parks on the pool's condition variable, which a
+  // push and this group's last completion both signal.
+  while (pending_ > 0) {
+    if (pool_->stack_.empty()) {
+      pool_->cv_.wait(lock);
+    } else if (FaultInjector::Global().MaybeFail("exec.group_wait").ok()) {
+      pool_->RunNewest(lock);
+    } else {
+      // Chaos site: a failed helping round yields instead; the group
+      // still drains, through the next round or the other workers.
+      lock.unlock();
+      std::this_thread::yield();
+      lock.lock();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -112,31 +74,31 @@ void TaskGroup::Wait() {
 
 WorkStealingPool::WorkStealingPool(int num_threads) {
   if (num_threads < 1) num_threads = 1;
-  workers_.reserve(num_threads);
-  for (int i = 0; i < num_threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-    workers_.back()->rng_state = 0x9E3779B97F4A7C15ULL * (i + 1) + 1;
-  }
-  // Threads start only after every Worker slot exists: workers index
-  // into workers_ freely.
-  for (int i = 0; i < num_threads; ++i) {
-    workers_[i]->thread = std::thread([this, i] { WorkerLoop(i); });
+  threads_.reserve(num_threads);
+  try {
+    for (int i = 0; i < num_threads; ++i) {
+      threads_.emplace_back([this, i] { WorkerLoop(i); });
+    }
+  } catch (...) {
+    StopAndJoin();
+    throw;
   }
 }
 
 WorkStealingPool::~WorkStealingPool() {
-  {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    stop_.store(true, std::memory_order_seq_cst);
-    idle_cv_.notify_all();
-  }
-  for (auto& w : workers_) w->thread.join();
+  StopAndJoin();
   // Free tasks nobody ran (misuse — groups should have been waited —
   // but do not leak).
-  for (auto& w : workers_) {
-    while (Task* t = w->deque.Pop()) delete t;
+  for (Task* task : stack_) delete task;
+}
+
+void WorkStealingPool::StopAndJoin() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
   }
-  for (Task* t : injector_) delete t;
+  cv_.notify_all();
+  for (std::thread& thread : threads_) thread.join();
 }
 
 int WorkStealingPool::CurrentWorkerId() { return tls_worker_id; }
@@ -145,11 +107,8 @@ bool WorkStealingPool::CurrentTaskStolen() { return tls_task_stolen; }
 
 WorkStealingPool::StatsSnapshot WorkStealingPool::Stats() const {
   StatsSnapshot s;
-  for (const auto& w : workers_) {
-    s.tasks_executed += w->tasks_executed.load(std::memory_order_relaxed);
-    s.steals += w->steals.load(std::memory_order_relaxed);
-    s.steal_failures += w->steal_failures.load(std::memory_order_relaxed);
-  }
+  s.tasks_executed = tasks_executed_.load(std::memory_order_relaxed);
+  s.steals = steals_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -157,129 +116,66 @@ void WorkStealingPool::PublishMetricNames() const {
   if (!obs::MetricsEnabled()) return;
   obs::Count("olapdc.exec.tasks_executed", 0);
   obs::Count("olapdc.exec.steals", 0);
-  obs::Count("olapdc.exec.steal_failures", 0);
   obs::Count("olapdc.exec.ctx_restores", 0);
   obs::Gauge("olapdc.exec.pool_size", num_threads());
 }
 
-void WorkStealingPool::SubmitTask(Task* task) {
-  if (tls_pool == this && tls_worker_id >= 0) {
-    workers_[tls_worker_id]->deque.Push(task);
-  } else {
-    std::lock_guard<std::mutex> lock(inject_mu_);
-    injector_.push_back(task);
+void WorkStealingPool::Submit(Task* task) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++task->group->pending_;
+    stack_.push_back(task);
   }
-  work_hint_.fetch_add(1, std::memory_order_seq_cst);
-  NotifyOne();
+  // A helper whose group drains before it takes this wakeup does not
+  // lose it: that drain's notify_all (RunNewest) woke every parked
+  // worker too.
+  cv_.notify_one();
 }
 
-void WorkStealingPool::NotifyOne() {
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    idle_cv_.notify_one();
-  }
-}
+void WorkStealingPool::RunNewest(std::unique_lock<std::mutex>& lock) {
+  Task* task = stack_.back();
+  stack_.pop_back();
+  lock.unlock();
 
-WorkStealingPool::Task* WorkStealingPool::PopInjector() {
-  std::lock_guard<std::mutex> lock(inject_mu_);
-  if (injector_.empty()) return nullptr;
-  Task* t = injector_.front();
-  injector_.pop_front();
-  return t;
-}
-
-WorkStealingPool::Task* WorkStealingPool::StealFrom(int self) {
-  const int n = num_threads();
-  if (n <= 1) return nullptr;
-  // Chaos site: a failed steal sweep is indistinguishable from an
-  // all-victims-empty round; the task stays queued for someone else.
-  if (!FaultInjector::Global().MaybeFail("exec.steal").ok()) return nullptr;
-  Worker& me = *workers_[self];
-  // Two randomized sweeps over the victims before giving up.
-  uint64_t failures = 0;
-  for (int round = 0; round < 2 * n; ++round) {
-    int victim =
-        static_cast<int>(NextRandom(&me.rng_state) % static_cast<uint64_t>(n));
-    if (victim == self) continue;
-    if (Task* t = workers_[victim]->deque.Steal()) {
-      me.steals.fetch_add(1, std::memory_order_relaxed);
-      obs::Count("olapdc.exec.steals");
-      if (failures) {
-        me.steal_failures.fetch_add(failures, std::memory_order_relaxed);
-        obs::Count("olapdc.exec.steal_failures", failures);
-      }
-      return t;
-    }
-    ++failures;
-  }
-  if (failures) {
-    me.steal_failures.fetch_add(failures, std::memory_order_relaxed);
-    obs::Count("olapdc.exec.steal_failures", failures);
-  }
-  return nullptr;
-}
-
-WorkStealingPool::Task* WorkStealingPool::FindTask(int self) {
-  if (Task* t = workers_[self]->deque.Pop()) return t;
-  if (Task* t = StealFrom(self)) return t;
-  return PopInjector();
-}
-
-bool WorkStealingPool::RunOneTask() {
-  Task* t = nullptr;
-  if (tls_pool == this && tls_worker_id >= 0) {
-    t = FindTask(tls_worker_id);
-  } else {
-    t = PopInjector();
-  }
-  if (t == nullptr) return false;
-  work_hint_.fetch_sub(1, std::memory_order_seq_cst);
-  Execute(t, tls_pool == this ? tls_worker_id : -1);
-  return true;
-}
-
-void WorkStealingPool::Execute(Task* task, int self) {
+  // Tasks run only on workers of this pool: tls_worker_id is ours.
   const bool was_stolen = tls_task_stolen;
-  tls_task_stolen = task->submitter != self;
+  tls_task_stolen = task->submitter != tls_worker_id;
+  if (task->submitter >= 0 && tls_task_stolen) {
+    steals_.fetch_add(1, std::memory_order_relaxed);
+    obs::Count("olapdc.exec.steals");
+  }
   {
     // Reinstall the spawner's trace context so spans opened by the
-    // task parent correctly whether or not the task migrated.
+    // task parent correctly whichever thread runs it.
     obs::ScopedTraceContext context(task->context);
     if (task->context.span_id != 0) obs::Count("olapdc.exec.ctx_restores");
     task->fn();
   }
   tls_task_stolen = was_stolen;
   TaskGroup* group = task->group;
+  // Destroyed before the group can drain, so a waiter returning from
+  // Wait() can safely tear down whatever the task captured.
   delete task;
-  if (self >= 0) {
-    workers_[self]->tasks_executed.fetch_add(1, std::memory_order_relaxed);
-  }
+  tasks_executed_.fetch_add(1, std::memory_order_relaxed);
   obs::Count("olapdc.exec.tasks_executed");
-  // Completion is signalled after the task is destroyed, so a waiter
-  // returning from Wait() can safely tear everything down.
-  group->OnTaskDone();
+
+  lock.lock();
+  if (--group->pending_ == 0) {
+    // Under mu_: the waiter cannot return, and destroy the group,
+    // before this critical section ends.
+    group->done_.notify_all();
+    cv_.notify_all();  // a worker helping in the group's Wait
+  }
 }
 
 void WorkStealingPool::WorkerLoop(int id) {
   tls_pool = this;
   tls_worker_id = id;
-  while (!stop_.load(std::memory_order_seq_cst)) {
-    if (Task* t = FindTask(id)) {
-      work_hint_.fetch_sub(1, std::memory_order_seq_cst);
-      Execute(t, id);
-      continue;
-    }
-    // Park. The sleepers increment happens before the hint re-check;
-    // SubmitTask increments the hint before reading sleepers — under
-    // seq_cst one of the two sides always sees the other, so no wakeup
-    // is lost. The timed wait is belt-and-braces, not load-bearing.
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    if (work_hint_.load(std::memory_order_seq_cst) == 0 &&
-        !stop_.load(std::memory_order_seq_cst)) {
-      idle_cv_.wait_for(lock, std::chrono::milliseconds(50));
-    }
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    cv_.wait(lock, [&] { return stop_ || !stack_.empty(); });
+    if (stop_) break;
+    RunNewest(lock);
   }
   tls_pool = nullptr;
   tls_worker_id = -1;

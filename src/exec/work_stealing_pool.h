@@ -1,10 +1,11 @@
-// Work-stealing thread pool: the execution layer under the parallel
-// DIMSAT driver and the summarizability sweep (DESIGN.md §8). Each
-// worker owns a Chase–Lev deque (task_deque.h); external threads
-// submit through a mutex-protected injector queue.
-// Idle workers scan own-deque -> random victims -> injector, then park
-// on a condition variable; a pending-work hint plus a sleepers counter
-// close the missed-wakeup race.
+// Thread pool: the execution layer under the parallel DIMSAT driver and
+// the summarizability sweep (DESIGN.md §8). Every queued task sits on
+// one mutex-guarded stack; idle workers park on one condition variable
+// and pop the newest task, and so does a worker that helps while it
+// waits on a TaskGroup. Newest-first keeps as few DIMSAT seeds queued
+// as depth-first order does. The engine's tasks run for hundreds of
+// microseconds each, so one lock per push and per pop costs nothing
+// measurable end to end.
 //
 // Pool activity is exported under olapdc.exec.* in the metrics
 // registry (docs/observability.md) and mirrored in cheap per-pool
@@ -16,14 +17,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "exec/task_deque.h"
 #include "obs/span.h"
 
 namespace olapdc::exec {
@@ -33,11 +31,10 @@ class WorkStealingPool;
 /// Groups a batch of tasks so a caller can wait for all of them.
 /// Spawn() may be called from any thread, including from inside a task
 /// of the group (nested spawns extend the group). Wait() called on a
-/// pool worker thread *helps*: it executes queued tasks (its own deque,
-/// stolen work, the injector) until the group drains, so nested
-/// parallelism — a task that itself spawns a group and waits — cannot
-/// deadlock even on a one-worker pool. Non-worker threads block on a
-/// condition variable.
+/// worker of the group's pool *helps*: it runs queued tasks until the
+/// group drains, so nested parallelism — a task that itself spawns a
+/// group and waits — cannot deadlock even on a one-worker pool. Any
+/// other thread blocks.
 class TaskGroup {
  public:
   explicit TaskGroup(WorkStealingPool* pool);
@@ -52,12 +49,12 @@ class TaskGroup {
 
  private:
   friend class WorkStealingPool;
-  void OnTaskDone();
 
   WorkStealingPool* const pool_;
-  std::atomic<int64_t> pending_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
+  /// Spawned tasks not yet finished. Guarded by the pool's mutex.
+  int64_t pending_ = 0;
+  /// Signalled, under the pool's mutex, when pending_ drops to zero.
+  std::condition_variable done_;
 };
 
 class WorkStealingPool {
@@ -70,28 +67,27 @@ class WorkStealingPool {
   /// freed without running (callers must Wait() their groups first).
   ~WorkStealingPool();
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  int num_threads() const { return static_cast<int>(threads_.size()); }
 
   /// The calling thread's worker index in *some* pool, or -1 when the
-  /// caller is not a pool worker. Tasks can use it to detect whether
-  /// they were stolen (compare against the submitter's id).
+  /// caller is not a pool worker.
   static int CurrentWorkerId();
-  /// True while the calling thread is executing a task that a worker
-  /// other than the submitting worker picked up (i.e. the task was
-  /// stolen or drained from the injector by a different thread).
+  /// True while the calling thread is executing a task that a thread
+  /// other than its submitter spawned: every task an external thread
+  /// spawned, and a worker's task that another worker picked up.
   static bool CurrentTaskStolen();
 
-  /// Lifetime totals, mirrored from the olapdc.exec.* metrics.
+  /// Lifetime totals, mirrored from the olapdc.exec.* metrics. `steals`
+  /// counts tasks a worker spawned and another worker ran.
   struct StatsSnapshot {
     uint64_t tasks_executed = 0;
     uint64_t steals = 0;
-    uint64_t steal_failures = 0;
   };
   StatsSnapshot Stats() const;
 
   /// Registers the olapdc.exec.* metric names (zero deltas) and the
   /// pool-size gauge with the global registry, so exported inventories
-  /// are complete even before any steal happens. No-op when metrics are
+  /// are complete even before any task migrates. No-op when metrics are
   /// disabled.
   void PublishMetricNames() const;
 
@@ -105,44 +101,28 @@ class WorkStealingPool {
     /// Span-parentage context captured at Spawn() and reinstalled
     /// around fn() on whichever worker executes it, so trace spans
     /// opened inside the task parent to the spawner's open span even
-    /// after a steal (obs/span.h has the contract).
+    /// after a migration (obs/span.h has the contract).
     obs::TraceContext context;
   };
 
-  struct Worker {
-    TaskDeque<Task> deque;
-    std::atomic<uint64_t> tasks_executed{0};
-    std::atomic<uint64_t> steals{0};
-    std::atomic<uint64_t> steal_failures{0};
-    uint64_t rng_state = 0;
-    std::thread thread;
-  };
-
-  /// Routes a task: a worker of this pool pushes to its own deque, any
-  /// other thread goes through the injector. Wakes a parked worker.
-  void SubmitTask(Task* task);
+  /// Pushes `task` and wakes one parked worker.
+  void Submit(Task* task);
+  /// With mu_ held and the stack non-empty: pops the newest task, runs
+  /// it with mu_ released, and retires it under mu_ again.
+  void RunNewest(std::unique_lock<std::mutex>& lock);
   void WorkerLoop(int id);
-  /// Runs one queued task if any is findable from this thread (worker
-  /// deque/steal, else injector). Returns false when nothing was found.
-  bool RunOneTask();
-  Task* FindTask(int self);
-  Task* StealFrom(int self);
-  Task* PopInjector();
-  void Execute(Task* task, int self);
-  void NotifyOne();
+  void StopAndJoin();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-
-  std::mutex inject_mu_;
-  std::deque<Task*> injector_;
-
-  /// Count of queued-but-unclaimed tasks; a hint that lets producers
-  /// skip the wakeup lock and parking workers re-check for work.
-  std::atomic<int64_t> work_hint_{0};
-  std::atomic<int> sleepers_{0};
-  std::atomic<bool> stop_{false};
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
+  std::mutex mu_;
+  /// Parked workers, and workers helping in TaskGroup::Wait, wait here
+  /// for a push, for a group to drain, or for shutdown.
+  std::condition_variable cv_;
+  std::vector<Task*> stack_;  // guarded by mu_
+  bool stop_ = false;         // guarded by mu_
+  std::atomic<uint64_t> tasks_executed_{0};
+  std::atomic<uint64_t> steals_{0};
+  /// Last: the workers use every member above.
+  std::vector<std::thread> threads_;
 };
 
 /// Lazily constructed process-wide pool shared by every parallel

@@ -86,9 +86,10 @@ class DimService {
     int64_t max_deadline_ms = 30000;
     /// Per-request memory envelope.
     uint64_t memory_budget_bytes = 64ull << 20;
-    /// Ceiling on a request's "threads" field (1 = sequential only).
-    /// A parallel request runs as tasks of the process pool, which
-    /// olapdcd sizes to this same value at startup.
+    /// 1 serves every request sequentially. Above 1, a request whose
+    /// "threads" is above 1 runs as tasks of the whole process pool,
+    /// which olapdcd sizes to this value at startup; the request's
+    /// count selects the parallel search and limits nothing.
     int max_threads = 1;
     /// Ceiling on /v1/batch fan-out.
     size_t max_batch = 64;

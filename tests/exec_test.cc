@@ -1,21 +1,19 @@
-// Tests for the work-stealing execution layer: task-execution
-// guarantees of WorkStealingPool/TaskGroup (every spawned task runs
-// exactly once, nested groups make progress even on a one-worker pool)
-// and the Chase-Lev TaskDeque's owner/thief protocol under concurrency.
+// Tests for the execution layer: task-execution guarantees of
+// WorkStealingPool/TaskGroup (every spawned task runs exactly once,
+// whoever spawns it; nested groups make progress even on a one-worker
+// pool; no wakeup is lost) and trace-context propagation across
+// workers.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "exec/task_deque.h"
 #include "exec/work_stealing_pool.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -92,16 +90,16 @@ TEST(WorkStealingPoolTest, CurrentWorkerIdOnlyInsideTasks) {
   EXPECT_EQ(in_range.load(), 32);
 }
 
-// Slow tasks spawned from inside the pool land in one worker's deque;
-// with more sleepers than producers, the other workers must steal to
-// stay busy.
+// Slow tasks spawned by one worker: with more idle workers than
+// producers, the others pick up the spawner's tasks, and each such
+// task counts as a steal.
 TEST(WorkStealingPoolTest, StealsHappenUnderImbalance) {
   WorkStealingPool pool(4);
   std::atomic<int> done{0};
   {
     TaskGroup group(&pool);
     group.Spawn([&] {
-      // All 128 children go into this worker's own deque.
+      // All 128 children come from this one worker.
       for (int i = 0; i < 128; ++i) {
         group.Spawn([&done] {
           std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -113,6 +111,53 @@ TEST(WorkStealingPoolTest, StealsHappenUnderImbalance) {
   }
   EXPECT_EQ(done.load(), 128);
   EXPECT_GT(pool.Stats().steals, 0u);
+}
+
+// Pool tasks spawn children into one group while two external threads
+// spawn into the same group: every task runs exactly once.
+TEST(WorkStealingPoolTest, RunsEveryTaskExactlyOnceUnderMixedProducers) {
+  WorkStealingPool pool(4);
+  static constexpr int kParents = 1000;  // per external thread
+  static constexpr int kChildren = 4;    // per parent, spawned inside the pool
+  constexpr int kPerThread = kParents * (1 + kChildren);
+  std::vector<std::atomic<int>> runs(2 * kPerThread);
+  TaskGroup group(&pool);
+  auto produce = [&](int thread) {
+    for (int p = 0; p < kParents; ++p) {
+      const int parent = thread * kPerThread + p * (1 + kChildren);
+      group.Spawn([&runs, &group, parent] {
+        runs[parent].fetch_add(1);
+        for (int c = 1; c <= kChildren; ++c) {
+          group.Spawn([&runs, child = parent + c] {
+            runs[child].fetch_add(1);
+          });
+        }
+      });
+    }
+  };
+  std::thread first(produce, 0);
+  std::thread second(produce, 1);
+  first.join();
+  second.join();
+  group.Wait();
+  for (size_t i = 0; i < runs.size(); ++i) {
+    ASSERT_EQ(runs[i].load(), 1) << "task " << i;
+  }
+}
+
+// Every round hands one task to parked workers and waits for it. The
+// pool has no timed wakeup, so one missed notify hangs this test.
+TEST(WorkStealingPoolTest, NoLostWakeup) {
+  WorkStealingPool pool(2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // let both park
+  constexpr int kRounds = 10000;
+  int ran = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    TaskGroup group(&pool);
+    group.Spawn([&ran] { ++ran; });
+    group.Wait();
+  }
+  EXPECT_EQ(ran, kRounds);
 }
 
 TEST(WorkStealingPoolTest, ProcessPoolIsSharedAndSized) {
@@ -144,11 +189,12 @@ TEST(WorkStealingPoolTest, EnvThreadCountParsesPositiveIntegers) {
 }
 
 // ---------------------------------------------------------------------------
-// Steal-safe trace propagation (obs/span.h contract): the TraceContext
-// captured at Spawn() must be reinstalled on whichever thread executes
-// the task, so a span opened inside the task parents to the spawner's
-// open span — identically whether the task ran in place, was helped,
-// drained from the injector, or was stolen.
+// Migration-safe trace propagation (obs/span.h contract): the
+// TraceContext captured at Spawn() must be reinstalled on whichever
+// thread executes the task, so a span opened inside the task parents
+// to the spawner's open span — identically whether the task ran on its
+// spawner, was spawned by an external thread, or was picked up by
+// another worker.
 
 class TracePropagationTest : public ::testing::Test {
  protected:
@@ -156,34 +202,34 @@ class TracePropagationTest : public ::testing::Test {
   void TearDown() override { obs::TraceSink::Global().Close(); }
 };
 
-// External-thread submit goes through the injector; the worker that
-// drains it is by definition not the submitter.
-TEST_F(TracePropagationTest, ParentageSurvivesInjectorMigration) {
+// An external thread's task runs on a worker, which is by definition
+// not the submitter.
+TEST_F(TracePropagationTest, ParentageSurvivesExternalSubmit) {
   WorkStealingPool pool(2);
   uint64_t outer_id = 0;
   uint64_t child_parent = 0;
   bool child_stolen = false;
   {
-    obs::ObsSpan outer("test.injector_outer");
+    obs::ObsSpan outer("test.external_outer");
     outer_id = outer.id();
     ASSERT_NE(outer_id, 0u);
     TaskGroup group(&pool);
     group.Spawn([&] {
       child_stolen = WorkStealingPool::CurrentTaskStolen();
-      obs::ObsSpan child("test.injector_child");
+      obs::ObsSpan child("test.external_child");
       child_parent = child.parent();
     });
     group.Wait();
   }
-  EXPECT_TRUE(child_stolen);  // injector drain counts as a migration
+  EXPECT_TRUE(child_stolen);  // an external spawn counts as a migration
   EXPECT_EQ(child_parent, outer_id);
 }
 
 // Deterministic forced steal: on a two-worker pool the spawning worker
-// pushes the child into its own deque and then spin-waits *without
-// helping*, so the only way the child can run is a steal by the other
-// worker. A naive per-thread nesting stack would give the child no
-// parent here; explicit TraceContext propagation keeps outer -> child.
+// queues the child and then spin-waits *without helping*, so the only
+// way the child can run is on the other worker. A naive per-thread
+// nesting stack would give the child no parent here; explicit
+// TraceContext propagation keeps outer -> child.
 TEST_F(TracePropagationTest, ParentageSurvivesForcedSteal) {
   WorkStealingPool pool(2);
   std::atomic<bool> child_done{false};
@@ -202,7 +248,7 @@ TEST_F(TracePropagationTest, ParentageSurvivesForcedSteal) {
         child_done.store(true);
       });
       // Busy-wait without running queued tasks: forces the other worker
-      // to steal the child. Bounded only by the test timeout.
+      // to take the child. Bounded only by the test timeout.
       while (!child_done.load()) {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
@@ -214,9 +260,9 @@ TEST_F(TracePropagationTest, ParentageSurvivesForcedSteal) {
   EXPECT_EQ(child_parent.load(), outer_id.load());
 }
 
-// The unstolen control for the test above: a one-worker pool cannot
-// steal, so the child runs on the spawning worker via help-while-
-// waiting — and the parentage must come out the same.
+// The unstolen control for the test above: on a one-worker pool the
+// child runs on the spawning worker via help-while-waiting — and the
+// parentage must come out the same.
 TEST_F(TracePropagationTest, ParentageIdenticalWhenNotStolen) {
   WorkStealingPool pool(1);
   std::atomic<uint64_t> outer_id{0};
@@ -281,80 +327,6 @@ TEST_F(TracePropagationTest, ContextRestoresAreCounted) {
   obs::MetricsRegistry::Global().Disable();
   obs::MetricsRegistry::Global().Reset();
   EXPECT_EQ(snapshot.counter("olapdc.exec.ctx_restores"), 4u);
-}
-
-// Deque protocol: one owner pushes/pops while thieves steal; every
-// pushed item must be consumed exactly once, none twice, none lost.
-TEST(TaskDequeTest, ConservationUnderConcurrentSteals) {
-  constexpr int kItems = 20000;
-  constexpr int kThieves = 3;
-  TaskDeque<int> deque;
-  std::vector<std::unique_ptr<int>> items;
-  items.reserve(kItems);
-  for (int i = 0; i < kItems; ++i) items.push_back(std::make_unique<int>(i));
-
-  std::vector<std::atomic<int>> seen(kItems);
-  std::atomic<bool> owner_done{false};
-
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      while (true) {
-        int* item = deque.Steal();
-        if (item != nullptr) {
-          seen[*item].fetch_add(1);
-          continue;
-        }
-        if (owner_done.load()) {
-          // Re-check once after observing the owner finish: anything
-          // still in the deque is now stable.
-          item = deque.Steal();
-          if (item == nullptr) break;
-          seen[*item].fetch_add(1);
-        }
-      }
-    });
-  }
-
-  // Owner: push in batches, pop some back (LIFO), leave the rest to
-  // the thieves.
-  int pushed = 0;
-  while (pushed < kItems) {
-    const int batch = std::min(64, kItems - pushed);
-    for (int i = 0; i < batch; ++i) deque.Push(items[pushed + i].get());
-    pushed += batch;
-    for (int i = 0; i < batch / 2; ++i) {
-      int* item = deque.Pop();
-      if (item == nullptr) break;
-      seen[*item].fetch_add(1);
-    }
-  }
-  while (int* item = deque.Pop()) seen[*item].fetch_add(1);
-  owner_done.store(true);
-  for (std::thread& t : thieves) t.join();
-  while (int* item = deque.Steal()) seen[*item].fetch_add(1);
-
-  for (int i = 0; i < kItems; ++i) {
-    ASSERT_EQ(seen[i].load(), 1) << "item " << i;
-  }
-}
-
-TEST(TaskDequeTest, GrowsPastInitialCapacity) {
-  TaskDeque<int> deque;
-  std::vector<std::unique_ptr<int>> items;
-  constexpr int kItems = 500;  // > initial capacity of 64
-  for (int i = 0; i < kItems; ++i) {
-    items.push_back(std::make_unique<int>(i));
-    deque.Push(items.back().get());
-  }
-  // LIFO for the owner.
-  for (int i = kItems - 1; i >= 0; --i) {
-    int* item = deque.Pop();
-    ASSERT_NE(item, nullptr);
-    EXPECT_EQ(*item, i);
-  }
-  EXPECT_EQ(deque.Pop(), nullptr);
 }
 
 }  // namespace

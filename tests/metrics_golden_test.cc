@@ -123,8 +123,7 @@ TEST_F(MetricsGoldenTest, ParallelDimsatAndExecCountersFlow) {
   // The olapdc.exec.* inventory is stable: all pool counters exist as
   // keys (zero or not) whenever an observed parallel run used the pool.
   for (const char* name :
-       {"olapdc.exec.tasks_executed", "olapdc.exec.steals",
-        "olapdc.exec.steal_failures"}) {
+       {"olapdc.exec.tasks_executed", "olapdc.exec.steals"}) {
     EXPECT_EQ(snapshot.counters.count(name), 1u) << name;
   }
   EXPECT_GT(snapshot.counter("olapdc.exec.tasks_executed"), 0u);

@@ -143,8 +143,8 @@ struct Workload {
 /// Must be called with the injector disarmed.
 Result<Workload> MakeWorkload(int seed) {
   // Large enough that parallel runs actually keep the pool busy (the
-  // exec.steal / exec.group_wait sites only probe when workers contend
-  // for work), small enough that the full grid stays in seconds.
+  // exec.group_wait site only probes while a nested Wait finds queued
+  // work), small enough that the full grid stays in seconds.
   SchemaGenOptions schema_options;
   schema_options.num_levels = 4;
   schema_options.categories_per_level = 3;
@@ -424,7 +424,7 @@ std::vector<SoakShape> BuildSoakShapes(const std::vector<Workload>& workloads,
   for (size_t k = 0; k < workloads.size(); ++k) {
     const std::string name = "w" + std::to_string(k);
     add("/v1/check", check(name));
-    // threads: 2 routes through the work-stealing pool — the exec.*
+    // threads: 2 routes through the process pool — the exec.*
     // fault sites fire inside the serving thread's parallel run.
     add("/v1/check", check(name, ", \"threads\": 2"));
     // A 1ms deadline expires mid-search: 200 with "definitive": false

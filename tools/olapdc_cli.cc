@@ -33,9 +33,10 @@
 //                       docs/robustness.md). On exhaustion the command
 //                       degrades with kResourceExhausted the same way a
 //                       deadline does.
-//   --threads <n>       Worker parallelism for the DIMSAT searches
-//                       (work-stealing pool; src/exec), at most 256.
-//                       Defaults to OLAPDC_THREADS when set, else 1.
+//   --threads <n>       Above 1, sizes the shared process pool
+//                       (src/exec) to n workers and runs the DIMSAT
+//                       searches on it; at most 256. Defaults to
+//                       OLAPDC_THREADS when set, else 1.
 //   --metrics-json <path>  Enable the metrics registry and write the
 //                       final snapshot (olapdc.* counters, gauges,
 //                       latency histograms) to <path> as JSON.

@@ -77,8 +77,9 @@ int Usage() {
       "  --max-deadline-ms N      ceiling on client deadlines (default "
       "30000)\n"
       "  --memory-budget-mb N     per-request memory envelope (default 64)\n"
-      "  --threads N              ceiling on per-request parallelism and "
-      "the shared pool's size (default 1, at most 256)\n"
+      "  --threads N              the shared pool's size; a request whose "
+      "\"threads\" is above 1 runs on the whole pool (default 1, at most "
+      "256)\n"
       "  --max-batch N            ceiling on /v1/batch size (default 64)\n"
       "  --no-register            disable POST /v1/schemas\n"
       "  --cache-budget-mb N      cross-request cache envelope (default "
@@ -288,7 +289,8 @@ int Main(int argc, char** argv) {
   }
 
   // One pool for every parallel request, sized before anything uses
-  // it; a request's "threads" is clamped to the same value.
+  // it. A request's "threads" above 1 selects the parallel search,
+  // which runs on the whole pool whatever the value.
   exec::SetProcessPoolThreads(static_cast<int>(threads));
 
   exec::AdmissionGate gate(
