@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.h"
 
@@ -32,9 +31,6 @@ Status AdmissionGate::Shed(const std::string& why) {
 }
 
 Status AdmissionGate::TryAdmit() {
-  if (draining_.load(std::memory_order_acquire)) {
-    return Shed("admission gate draining");
-  }
   const int64_t now = in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (now >= options_.high_water) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -79,23 +75,6 @@ int64_t AdmissionGate::RetryAfterMsHint() const {
   if (hint_ms < options_.retry_after_ms) hint_ms = options_.retry_after_ms;
   if (hint_ms > kMaxRetryAfterMs) hint_ms = kMaxRetryAfterMs;
   return hint_ms;
-}
-
-void AdmissionGate::BeginDrain() {
-  draining_.store(true, std::memory_order_release);
-  if (obs::MetricsEnabled()) {
-    obs::Gauge("olapdc.exec.draining", 1);
-  }
-}
-
-bool AdmissionGate::WaitIdle(int64_t timeout_ms) const {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (in_flight_.load(std::memory_order_acquire) > 0) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
 }
 
 int64_t RetryAfterMsFromStatus(const Status& status) {

@@ -23,11 +23,10 @@
 // message of the 503 body and parsed back out by the HTTP layer for
 // the Retry-After header.
 //
-// Drain: BeginDrain() flips the gate into shedding everything (new
-// work is refused during shutdown) while in-flight requests keep their
-// slots; WaitIdle() blocks until they Release() or the deadline
-// passes. The gate stays a counter, not a queue: admission control
-// that *waits* is just a second queue with extra steps.
+// The gate stays a counter, not a queue: admission control that
+// *waits* is just a second queue with extra steps. It knows nothing of
+// drain: DimService sheds a draining daemon's requests before it takes
+// a ticket.
 
 #ifndef OLAPDC_EXEC_ADMISSION_H_
 #define OLAPDC_EXEC_ADMISSION_H_
@@ -58,7 +57,6 @@ class AdmissionGate {
 
   /// Admits the request (counting it in-flight until Release()) or
   /// sheds it with kUnavailable. Lock-free; safe from any thread.
-  /// While draining, everything is shed.
   Status TryAdmit();
 
   /// Returns one admitted request's slot. Must pair 1:1 with a
@@ -70,17 +68,6 @@ class AdmissionGate {
   /// Options::retry_after_ms and capped at one minute.
   int64_t RetryAfterMsHint() const;
 
-  /// Stop admitting anything; in-flight requests keep their slots.
-  /// Idempotent, lock-free.
-  void BeginDrain();
-
-  /// Blocks until in_flight() reaches zero or `timeout_ms` elapses.
-  /// Returns true when idle. Polling (1ms) — only used at shutdown.
-  bool WaitIdle(int64_t timeout_ms) const;
-
-  bool draining() const {
-    return draining_.load(std::memory_order_acquire);
-  }
   int64_t in_flight() const {
     return in_flight_.load(std::memory_order_relaxed);
   }
@@ -117,7 +104,6 @@ class AdmissionGate {
   std::atomic<int64_t> in_flight_{0};
   std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> shed_{0};
-  std::atomic<bool> draining_{false};
   /// Monotonic ns of the last Release(); 0 before the first.
   std::atomic<int64_t> last_release_ns_{0};
   /// EWMA of release inter-arrival in us; 0 before two releases.

@@ -1,8 +1,7 @@
-// HttpServer: the shared HTTP/1.1 transport under both planes — the
-// scrape-only TelemetryServer and the request plane (src/service).
-// Still dependency-free (POSIX sockets + poll), still loopback-only,
-// but generalized from "one GET at a time" to what a resident daemon
-// needs:
+// HttpServer: the HTTP/1.1 transport olapdcd serves on — its request
+// plane (src/service) and the telemetry GET routes (TelemetryServer)
+// share one port. Dependency-free (POSIX sockets + poll) and
+// loopback-only, with what a resident daemon needs:
 //
 //   - method routing and POST bodies (Content-Length framed);
 //   - concurrent connections via a fixed worker pool; when every

@@ -52,7 +52,7 @@ bool TraceSink::Open(const std::string& path) {
   }
   file_ = std::fopen(path.c_str(), "w");
   if (file_ == nullptr) {
-    enabled_.store(ring_capacity_ > 0, std::memory_order_relaxed);
+    enabled_.store(false, std::memory_order_relaxed);
     return false;
   }
   if (!have_epoch_) {
@@ -63,23 +63,6 @@ bool TraceSink::Open(const std::string& path) {
   return true;
 }
 
-void TraceSink::EnableRing(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_capacity_ = capacity;
-  while (ring_.size() > ring_capacity_) ring_.pop_front();
-  if (capacity > 0 && !have_epoch_) {
-    epoch_ = std::chrono::steady_clock::now();
-    have_epoch_ = true;
-  }
-  enabled_.store(file_ != nullptr || ring_capacity_ > 0,
-                 std::memory_order_relaxed);
-}
-
-std::vector<std::string> TraceSink::RecentLines() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<std::string>(ring_.begin(), ring_.end());
-}
-
 void TraceSink::Close() {
   enabled_.store(false, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
@@ -87,8 +70,6 @@ void TraceSink::Close() {
     std::fclose(file_);
     file_ = nullptr;
   }
-  ring_capacity_ = 0;
-  ring_.clear();
   have_epoch_ = false;
 }
 
@@ -104,10 +85,6 @@ void TraceSink::EmitLine(const std::string& line) {
   if (file_ != nullptr) {
     std::fputs(line.c_str(), file_);
     std::fputc('\n', file_);
-  }
-  if (ring_capacity_ > 0) {
-    ring_.push_back(line);
-    while (ring_.size() > ring_capacity_) ring_.pop_front();
   }
 }
 

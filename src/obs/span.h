@@ -33,7 +33,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -72,30 +71,20 @@ class ScopedTraceContext {
   TraceContext saved_;
 };
 
-/// The process-wide JSONL span writer. Thread-safe: spans from
-/// concurrent threads interleave at line granularity. Two independent
-/// outputs share one stream: a file opened with Open() (the `--trace`
-/// CLI flag) and a bounded in-memory ring of recent lines
-/// (EnableRing()) that the telemetry server's /tracez endpoint lists.
-/// Spans are recorded whenever either output is active.
+/// The process-wide JSONL span writer: the file opened with Open()
+/// (the `--trace` CLI flag). Thread-safe: spans from concurrent
+/// threads interleave at line granularity. Spans are recorded only
+/// while a file is open.
 class TraceSink {
  public:
   static TraceSink& Global();
 
   /// Starts writing spans to `path` (truncates). Returns false when the
-  /// file cannot be opened. Timestamps are relative to the first
-  /// enabling call (Open or EnableRing).
+  /// file cannot be opened. Timestamps are relative to the first Open
+  /// since the last Close.
   bool Open(const std::string& path);
 
-  /// Keeps the most recent `capacity` span lines in memory for the
-  /// /tracez endpoint. capacity == 0 turns the ring off.
-  void EnableRing(size_t capacity);
-
-  /// The most recent span lines, oldest first.
-  std::vector<std::string> RecentLines() const;
-
-  /// Flushes and stops both outputs; the ring contents are discarded.
-  /// Idempotent.
+  /// Flushes and closes the file. Idempotent.
   void Close();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -110,10 +99,8 @@ class TraceSink {
   TraceSink() = default;
 
   std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::FILE* file_ = nullptr;
-  size_t ring_capacity_ = 0;
-  std::deque<std::string> ring_;
   bool have_epoch_ = false;
   std::chrono::steady_clock::time_point epoch_;
 };

@@ -1,66 +1,10 @@
 #include "obs/telemetry_server.h"
 
-#include <chrono>
-#include <utility>
-
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
-#include "obs/span.h"
 
 namespace olapdc {
 namespace obs {
-
-namespace {
-
-/// Scrape-plane bounds, deliberately tighter than the request plane:
-/// a scrape is one small GET, so anyone sending kilobytes of body or
-/// taking seconds to finish a request line is not a scraper.
-constexpr int kScrapeWorkers = 2;
-constexpr size_t kMaxRequestBytes = 16 * 1024;
-constexpr size_t kMaxBodyBytes = 4 * 1024;
-constexpr int kReadTimeoutMs = 2000;
-constexpr int kWriteTimeoutMs = 5000;
-
-}  // namespace
-
-bool TelemetryServer::Start(const Options& options) {
-  if (server_.running()) {
-    last_error_ = "server already running";
-    return false;
-  }
-  options_ = options;
-  HttpServer::Options server_options;
-  server_options.port = options.port;
-  server_options.max_connections = kScrapeWorkers;
-  server_options.max_header_bytes = kMaxRequestBytes;
-  server_options.max_body_bytes = kMaxBodyBytes;
-  server_options.read_timeout_ms = kReadTimeoutMs;
-  server_options.write_timeout_ms = kWriteTimeoutMs;
-  server_options.handler = [this](const HttpRequest& request) {
-    const auto start = std::chrono::steady_clock::now();
-    HttpResponse out;
-    if (request.method != "GET") {
-      out = HttpResponse{405, "text/plain; charset=utf-8",
-                         "method not allowed\n", {}};
-    } else {
-      Response response = Handle(request.path);
-      out = HttpResponse{response.status, std::move(response.content_type),
-                         std::move(response.body), {}};
-    }
-    LatencyUs("olapdc.http.scrape_latency_us",
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - start)
-                  .count());
-    return out;
-  };
-  if (!server_.Start(server_options)) {
-    last_error_ = server_.last_error();
-    return false;
-  }
-  return true;
-}
-
-void TelemetryServer::Stop() { server_.Stop(); }
 
 TelemetryServer::Response TelemetryServer::Handle(
     const std::string& path) const {
@@ -73,28 +17,9 @@ TelemetryServer::Response TelemetryServer::Handle(
     return Response{200, "application/json",
                     MetricsRegistry::Global().ToJson() + "\n"};
   }
-  if (path == "/healthz") {
-    HealthReport report;
-    if (options_.health) report = options_.health();
-    std::string body = report.ok ? "ok\n" : "degraded\n";
-    if (!report.detail.empty()) body += report.detail;
-    return Response{report.ok ? 200 : 503, "text/plain; charset=utf-8",
-                    std::move(body)};
-  }
-  if (path == "/tracez") {
-    std::string body = "{\"spans\": [";
-    bool first = true;
-    for (const std::string& line : TraceSink::Global().RecentLines()) {
-      if (!first) body += ",\n";
-      first = false;
-      body += line;
-    }
-    body += "]}\n";
-    return Response{200, "application/json", std::move(body)};
-  }
   if (path == "/" || path.empty()) {
     return Response{200, "text/plain; charset=utf-8",
-                    "olapdc telemetry: /metrics /varz /healthz /tracez\n"};
+                    "olapdc telemetry: /metrics /varz\n"};
   }
   return Response{404, "text/plain; charset=utf-8", "not found\n"};
 }

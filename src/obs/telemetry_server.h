@@ -1,60 +1,25 @@
-// TelemetryServer: the live exposition plane — serves the process
-// observability state while a request is running, instead of only at
-// exit:
+// TelemetryServer: the telemetry GET routes that olapdcd serves next
+// to its request plane, on the same port and HttpServer transport:
 //
 //   /metrics  Prometheus text exposition of MetricsRegistry::Snapshot()
 //   /varz     the same snapshot as the --metrics-json JSON schema
-//   /healthz  200 "ok" / 503 "degraded" from the injected health probe
-//   /tracez   recent completed spans (TraceSink ring) as JSON
+//   /         an index of the two
 //
-// Scope: an operator/scrape endpoint, deliberately minimal — GET only,
-// a tiny worker pool (a Prometheus scrape every 15s is the design
-// load), bound to the loopback interface. The transport is the shared
-// HttpServer, so even this scrape-only plane gets the hostile-peer
-// bounds for free: a client that connects and sends nothing (or
-// dribbles a byte at a time) is cut off by the read deadline, oversized
-// or malformed requests are rejected 4xx, and every rejection counts
-// olapdc.http.bad_requests.
-//
-// Layering: `src/obs` sits below `src/common`, so the server reports
-// errors as bool + last_error() rather than Status, and the health
-// state (AdmissionGate shedding, MemoryBudget quiescence — which live
-// above) is injected as a callback built by the CLI/tests.
-//
-// Self-observation: every request counts olapdc.http.requests and
-// scrapes record olapdc.http.scrape_latency_us.
+// It owns no socket: the caller's HttpServer handler passes a GET's
+// path to Handle(). olapdcd answers /healthz itself, because only it
+// sees the admission gate and the drain state.
 
 #ifndef OLAPDC_OBS_TELEMETRY_SERVER_H_
 #define OLAPDC_OBS_TELEMETRY_SERVER_H_
 
-#include <functional>
 #include <string>
-
-#include "obs/http_server.h"
 
 namespace olapdc {
 namespace obs {
 
-/// What /healthz reports. `ok == false` renders as 503 so a load
-/// balancer or orchestrator stops routing to a shedding/exhausted
-/// process; `detail` lines are appended to the body either way.
-struct HealthReport {
-  bool ok = true;
-  std::string detail;
-};
-
 class TelemetryServer {
  public:
-  struct Options {
-    /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port
-    /// (read it back with port() — tests and --serve-port=0 use this).
-    int port = 0;
-    /// Health probe for /healthz; null means unconditionally healthy.
-    std::function<HealthReport()> health;
-  };
-
-  /// One pre-rendered HTTP response (Handle() is the transport-free
-  /// core, exercised directly by unit tests).
+  /// One rendered HTTP response.
   struct Response {
     int status = 200;
     std::string content_type = "text/plain; charset=utf-8";
@@ -62,33 +27,9 @@ class TelemetryServer {
   };
 
   TelemetryServer() = default;
-  ~TelemetryServer() { Stop(); }
-  TelemetryServer(const TelemetryServer&) = delete;
-  TelemetryServer& operator=(const TelemetryServer&) = delete;
 
-  /// Binds, listens, and starts the serving threads. Returns false
-  /// with last_error() set when the socket setup fails (port in use,
-  /// ...).
-  bool Start(const Options& options);
-
-  /// Stops the serving threads and closes the socket. Idempotent.
-  void Stop();
-
-  bool running() const { return server_.running(); }
-
-  /// The bound port (the actual one when Options::port was 0), or 0
-  /// when not running.
-  int port() const { return server_.port(); }
-
-  const std::string& last_error() const { return last_error_; }
-
-  /// Routes one request path to its response (no socket involved).
+  /// Routes one request path to its response; 404 for any other path.
   Response Handle(const std::string& path) const;
-
- private:
-  Options options_;
-  HttpServer server_;
-  std::string last_error_;
 };
 
 }  // namespace obs

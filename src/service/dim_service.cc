@@ -32,6 +32,10 @@ using obs::HttpResponse;
 
 constexpr char kJsonContentType[] = "application/json";
 
+/// The backoff a draining service without an admission gate suggests
+/// (with one, the gate's adaptive hint).
+constexpr int64_t kDrainRetryAfterMs = 50;
+
 int HttpStatusForCode(StatusCode code) {
   switch (code) {
     case StatusCode::kInvalidArgument:
@@ -63,6 +67,17 @@ HttpResponse ErrorResponse(const Status& status) {
                      ", \"code\": " +
                      obs::JsonString(StatusCodeToString(status.code())) + "}";
   return JsonResponse(HttpStatusForCode(status.code()), std::move(body));
+}
+
+/// The 503 for a request shed before any work. HTTP Retry-After is
+/// whole seconds; the JSON error body carries the precise ms hint
+/// inside the kUnavailable message.
+HttpResponse ShedResponse(const Status& status) {
+  const int64_t retry_ms = exec::RetryAfterMsFromStatus(status);
+  HttpResponse response = ErrorResponse(status);
+  const int64_t retry_s = retry_ms <= 0 ? 1 : (retry_ms + 999) / 1000;
+  response.headers.emplace_back("Retry-After", std::to_string(retry_s));
+  return response;
 }
 
 /// Schema names travel back in responses, logs, and metrics, so refuse
@@ -122,7 +137,6 @@ HttpResponse CachedResponse(std::string body, const char* layer) {
 
 void DimService::BeginDrain() {
   draining_.store(true, std::memory_order_release);
-  if (options_.gate != nullptr) options_.gate->BeginDrain();
   if (obs::MetricsEnabled()) obs::Gauge("olapdc.service.draining", 1);
 }
 
@@ -170,17 +184,17 @@ HttpResponse DimService::Route(const HttpRequest& request) {
                                           request.path));
   }
 
-  // Admission before any parsing: a shed request must cost microseconds.
-  exec::AdmissionGate::Ticket ticket(options_.gate);
-  if (!ticket.admitted()) {
-    const int64_t retry_ms = exec::RetryAfterMsFromStatus(ticket.status());
-    HttpResponse response = ErrorResponse(ticket.status());
-    // HTTP Retry-After is whole seconds; the JSON error body carries
-    // the precise ms hint inside the message.
-    const int64_t retry_s = retry_ms <= 0 ? 1 : (retry_ms + 999) / 1000;
-    response.headers.emplace_back("Retry-After", std::to_string(retry_s));
-    return response;
+  // Drain and admission before any parsing: a shed request must cost
+  // microseconds.
+  if (draining_.load(std::memory_order_acquire)) {
+    const int64_t retry_ms = options_.gate != nullptr
+                                 ? options_.gate->RetryAfterMsHint()
+                                 : kDrainRetryAfterMs;
+    return ShedResponse(Status::Unavailable(
+        "service draining; retry-after-ms=" + std::to_string(retry_ms)));
   }
+  exec::AdmissionGate::Ticket ticket(options_.gate);
+  if (!ticket.admitted()) return ShedResponse(ticket.status());
 
   JsonValue body;
   {

@@ -5,11 +5,11 @@
 // engines:
 //
 //   admission  — an AdmissionGate ticket is taken before any work;
-//                overload (or drain) sheds with 503 and a Retry-After
-//                header derived from the gate's adaptive hint (the
+//                overload sheds with 503 and a Retry-After header
+//                derived from the gate's adaptive hint (the
 //                "retry-after-ms=" hint of the 503 body — one source
-//                of truth). This is the process's only gate: the
-//                engine work a request starts is never shed.
+//                of truth). The engine work a request starts is never
+//                shed.
 //   budgets    — every request runs under its own Budget: a clamped
 //                deadline, the service-wide drain cancellation token,
 //                and a fresh per-request MemoryBudget, so one greedy
@@ -18,11 +18,13 @@
 //                bodies are 400 with a line:column diagnostic, and
 //                missing/mistyped fields are 400 naming the field
 //                (never silently defaulted).
-//   drain      — BeginDrain() sheds new work; CancelInFlight() trips
-//                the shared cancellation token so in-flight DIMSAT
-//                runs stop at the next budget probe and return their
-//                serialized DimsatCheckpoint to the client, who can
-//                resubmit it as "resume" (here or on another replica).
+//   drain      — BeginDrain() sheds new work with the same 503, with
+//                or without a gate, before any ticket is taken;
+//                CancelInFlight() trips the shared cancellation token
+//                so in-flight DIMSAT runs stop at the next budget probe
+//                and return their serialized DimsatCheckpoint to the
+//                client, who can resubmit it as "resume" (here or on
+//                another replica).
 //   isolation  — requests reason against shared_ptr<const> schema
 //                snapshots from the SchemaRegistry; a poisoned request
 //                (fault-injected, malformed, out-of-memory) dies with
@@ -78,7 +80,7 @@ class DimService {
   struct Options {
     /// Required; not owned.
     SchemaRegistry* registry = nullptr;
-    /// Optional overload shedding; not owned.
+    /// Optional overload shedding; not owned. Drain sheds without it.
     exec::AdmissionGate* gate = nullptr;
     /// Deadline applied when the request names none, and the clamp
     /// ceiling when it does.
@@ -112,8 +114,9 @@ class DimService {
   /// Serves one request. Thread-safe.
   obs::HttpResponse HandleRequest(const obs::HttpRequest& request);
 
-  /// Drain, phase 1: shed every new request (503) while in-flight ones
-  /// run to completion.
+  /// Drain, phase 1: shed every new request (503 with a Retry-After
+  /// hint, the gate's when there is one) while in-flight ones run to
+  /// completion.
   void BeginDrain();
 
   /// Drain, phase 2: trip the shared cancellation token so in-flight

@@ -1,8 +1,8 @@
 // AdmissionGate: shed-don't-queue semantics (kUnavailable with a
 // retry-after-ms hint, no partial work), the Ticket RAII, the hint
-// parser, the adaptive hint, and drain. The gate sits in front of
-// olapdcd's request plane only; service_test covers the 503s it
-// produces there.
+// parser and the adaptive hint. The gate sits in front of olapdcd's
+// request plane only; service_test covers the 503s it produces there
+// and the drain that sheds before it.
 
 #include <gtest/gtest.h>
 
@@ -101,27 +101,6 @@ TEST(AdmissionGateTest, AdaptiveHintTracksObservedDrainRate) {
   Status shed = full.TryAdmit();
   ASSERT_EQ(shed.code(), StatusCode::kUnavailable);
   EXPECT_EQ(exec::RetryAfterMsFromStatus(shed), full.RetryAfterMsHint());
-}
-
-TEST(AdmissionGateTest, DrainShedsNewAdmitsWhileInFlightKeepSlots) {
-  exec::AdmissionGate gate(
-      exec::AdmissionGate::Options{/*high_water=*/4, /*retry_after_ms=*/5});
-  ASSERT_OK(gate.TryAdmit());
-  gate.BeginDrain();
-  gate.BeginDrain();  // idempotent
-  EXPECT_TRUE(gate.draining());
-
-  // Plenty of headroom, but draining sheds everything new.
-  Status shed = gate.TryAdmit();
-  EXPECT_EQ(shed.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(gate.in_flight(), 1);
-
-  // WaitIdle times out while the in-flight request holds its slot and
-  // succeeds promptly once it releases.
-  EXPECT_FALSE(gate.WaitIdle(/*timeout_ms=*/20));
-  gate.Release();
-  EXPECT_TRUE(gate.WaitIdle(/*timeout_ms=*/1000));
-  EXPECT_EQ(gate.in_flight(), 0);
 }
 
 }  // namespace

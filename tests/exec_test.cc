@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -198,8 +199,17 @@ TEST(WorkStealingPoolTest, EnvThreadCountParsesPositiveIntegers) {
 
 class TracePropagationTest : public ::testing::Test {
  protected:
-  void SetUp() override { obs::TraceSink::Global().EnableRing(64); }
-  void TearDown() override { obs::TraceSink::Global().Close(); }
+  void SetUp() override {
+    ASSERT_TRUE(obs::TraceSink::Global().Open(path_));
+  }
+  void TearDown() override {
+    obs::TraceSink::Global().Close();
+    std::remove(path_.c_str());
+  }
+
+ private:
+  const std::string path_ =
+      ::testing::TempDir() + "/exec_test_trace_propagation.jsonl";
 };
 
 // An external thread's task runs on a worker, which is by definition

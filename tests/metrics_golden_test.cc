@@ -17,10 +17,10 @@
 #include "core/location_example.h"
 #include "exec/admission.h"
 #include "exec/work_stealing_pool.h"
+#include "obs/http_server.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/search_tree.h"
-#include "obs/telemetry_server.h"
 #include "tests/test_util.h"
 
 namespace olapdc {
@@ -218,13 +218,11 @@ TEST_F(MetricsGoldenTest, AdmissionCountersMatchGateState) {
 }
 
 TEST_F(MetricsGoldenTest, TelemetryPlaneInventoryIsStable) {
-  // The PR-5 metric families: the exposition server registers its
+  // The telemetry metric families: the HTTP transport registers its
   // inventory on Start(), the pool registers ctx_restores with its
   // other names, and the explain recorder publishes on Drain().
-  obs::TelemetryServer server;
-  obs::TelemetryServer::Options server_options;
-  server_options.port = 0;
-  ASSERT_TRUE(server.Start(server_options)) << server.last_error();
+  obs::HttpServer server;
+  ASSERT_TRUE(server.Start(obs::HttpServer::Options{})) << server.last_error();
   server.Stop();
 
   exec::WorkStealingPool pool(1);

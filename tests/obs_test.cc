@@ -263,21 +263,6 @@ TEST_F(ObsTest, ScopedTraceContextInstallsAndRestores) {
   std::remove(path.c_str());
 }
 
-TEST_F(ObsTest, RingKeepsMostRecentLines) {
-  TraceSink::Global().EnableRing(3);
-  EXPECT_TRUE(TraceSink::Global().enabled());
-  for (int i = 0; i < 5; ++i) {
-    ObsSpan span("test.ring" + std::to_string(i));
-  }
-  std::vector<std::string> lines = TraceSink::Global().RecentLines();
-  ASSERT_EQ(lines.size(), 3u);  // bounded: oldest two evicted
-  EXPECT_NE(lines[0].find("test.ring2"), std::string::npos);
-  EXPECT_NE(lines[2].find("test.ring4"), std::string::npos);
-  TraceSink::Global().Close();
-  EXPECT_TRUE(TraceSink::Global().RecentLines().empty());
-  EXPECT_FALSE(TraceSink::Global().enabled());
-}
-
 }  // namespace
 }  // namespace obs
 }  // namespace olapdc

@@ -218,16 +218,40 @@ TEST_F(ServiceTest, AdmissionShedIs503WithRetryAfterHeader) {
   EXPECT_EQ(service.requests(), service.ok() + service.shed());
 }
 
+// Draining sheds every new request with the same 503 and Retry-After,
+// with or without an admission gate; a request already holding a gate
+// slot keeps it.
 TEST_F(ServiceTest, DrainShedsNewRequests) {
   exec::AdmissionGate gate;
-  options_.gate = &gate;
-  DimService service(options_);
-  service.BeginDrain();
-  EXPECT_TRUE(service.draining());
-  HttpResponse response = service.HandleRequest(
-      Post("/v1/check", "{\"schema\": \"loc\", \"category\": \"Store\"}"));
-  EXPECT_EQ(response.status, 503);
-  EXPECT_EQ(service.shed(), 1u);
+  for (exec::AdmissionGate* attached :
+       {&gate, static_cast<exec::AdmissionGate*>(nullptr)}) {
+    SCOPED_TRACE(attached != nullptr ? "with a gate" : "without a gate");
+    options_.gate = attached;
+    DimService service(options_);
+    if (attached != nullptr) {
+      ASSERT_TRUE(gate.TryAdmit().ok());  // a request in flight
+    }
+    service.BeginDrain();
+    EXPECT_TRUE(service.draining());
+    HttpResponse response = service.HandleRequest(Post(
+        "/v1/check", "{\"schema\": \"loc\", \"category\": \"Store\"}"));
+    EXPECT_EQ(response.status, 503) << response.body;
+    EXPECT_NE(response.body.find("retry-after-ms="), std::string::npos)
+        << response.body;
+    size_t retry_after_headers = 0;
+    for (const auto& [key, value] : response.headers) {
+      if (key == "Retry-After") {
+        ++retry_after_headers;
+        EXPECT_GE(std::stoll(value), 1);
+      }
+    }
+    EXPECT_EQ(retry_after_headers, 1u);
+    EXPECT_EQ(service.shed(), 1u);
+    if (attached != nullptr) {
+      EXPECT_EQ(gate.in_flight(), 1);
+      gate.Release();
+    }
+  }
 }
 
 // Pulls the value of a JSON string field out of a rendered response

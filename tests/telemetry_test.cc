@@ -1,7 +1,8 @@
-// Tests for the live telemetry plane: Prometheus text exposition
-// (name mapping, value rendering, the cumulative-bucket golden),
-// the TelemetryServer endpoints (routed via Handle() and over a real
-// loopback socket), and the SearchTreeRecorder explain stream —
+// Tests for the telemetry plane: Prometheus text exposition (name
+// mapping, value rendering, the cumulative-bucket golden), the
+// TelemetryServer routes (via Handle() and over a real loopback socket,
+// served as olapdcd serves them), and the SearchTreeRecorder explain
+// stream —
 // including the cross-check that the drained event counts agree
 // exactly with DimsatStats on the paper's location example.
 
@@ -12,19 +13,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/dimsat.h"
 #include "core/location_example.h"
+#include "obs/http_server.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/search_tree.h"
@@ -157,49 +157,25 @@ TEST_F(TelemetryTest, HandleRoutesMetricsVarzAndIndex) {
   EXPECT_EQ(server.Handle("/nope").status, 404);
 }
 
-TEST_F(TelemetryTest, HealthzReflectsInjectedProbe) {
-  TelemetryServer healthy;  // no probe: unconditionally ok
-  EXPECT_EQ(healthy.Handle("/healthz").status, 200);
-  EXPECT_EQ(healthy.Handle("/healthz").body, "ok\n");
-
-  // A degrading probe (what the CLI builds over AdmissionGate /
-  // MemoryBudget) must flip the endpoint to 503 with its detail.
-  std::atomic<bool> shedding{false};
-  TelemetryServer server;
-  TelemetryServer::Options options;
-  options.port = 0;
-  options.health = [&shedding] {
-    HealthReport report;
-    report.ok = !shedding.load();
-    report.detail = "admission: in_flight=9 high_water=8\n";
-    return report;
-  };
-  ASSERT_TRUE(server.Start(options)) << server.last_error();
-  EXPECT_EQ(server.Handle("/healthz").status, 200);
-  shedding.store(true);
-  TelemetryServer::Response degraded = server.Handle("/healthz");
-  EXPECT_EQ(degraded.status, 503);
-  EXPECT_NE(degraded.body.find("degraded"), std::string::npos);
-  EXPECT_NE(degraded.body.find("high_water=8"), std::string::npos);
-  server.Stop();
-}
-
-TEST_F(TelemetryTest, TracezListsRecentSpans) {
-  TraceSink::Global().EnableRing(8);
-  { ObsSpan span("test.tracez_span"); }
-  TelemetryServer server;
-  TelemetryServer::Response tracez = server.Handle("/tracez");
-  EXPECT_EQ(tracez.status, 200);
-  EXPECT_EQ(tracez.content_type, "application/json");
-  EXPECT_NE(tracez.body.find("\"spans\": ["), std::string::npos);
-  EXPECT_NE(tracez.body.find("test.tracez_span"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
-// TelemetryServer over a real loopback socket.
+// The routes over a real loopback socket.
+
+/// Starts `server` on 127.0.0.1:`port` (0 = ephemeral) with olapdcd's
+/// GET routing: the handler hands every path to TelemetryServer.
+bool StartRoutes(HttpServer* server, int port = 0) {
+  HttpServer::Options options;
+  options.port = port;
+  options.handler = [](const HttpRequest& request) {
+    TelemetryServer::Response response =
+        TelemetryServer().Handle(request.path);
+    return HttpResponse{response.status, std::move(response.content_type),
+                        std::move(response.body), {}};
+  };
+  return server->Start(options);
+}
 
 /// Minimal HTTP client: sends `request` to 127.0.0.1:`port` and
-/// returns everything the server wrote back.
+/// returns everything the server wrote back before it closed.
 std::string RawRequest(int port, const std::string& request) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
@@ -230,14 +206,13 @@ std::string RawRequest(int port, const std::string& request) {
 
 TEST_F(TelemetryTest, ScrapeOverLoopbackSocket) {
   Count("olapdc.test.scraped", 7);
-  TelemetryServer server;
-  TelemetryServer::Options options;
-  options.port = 0;  // ephemeral
-  ASSERT_TRUE(server.Start(options)) << server.last_error();
+  HttpServer server;
+  ASSERT_TRUE(StartRoutes(&server)) << server.last_error();
   ASSERT_GT(server.port(), 0);
 
   const std::string response = RawRequest(
-      server.port(), "GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n");
+      server.port(),
+      "GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(response.find("Content-Type: text/plain; version=0.0.4"),
             std::string::npos);
@@ -245,49 +220,39 @@ TEST_F(TelemetryTest, ScrapeOverLoopbackSocket) {
 
   // Query strings are stripped before routing.
   const std::string with_query = RawRequest(
-      server.port(), "GET /healthz?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n");
+      server.port(),
+      "GET /varz?verbose=1 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
   EXPECT_NE(with_query.find("HTTP/1.1 200 OK"), std::string::npos);
-
-  // GET only.
-  const std::string post = RawRequest(
-      server.port(), "POST /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n");
-  EXPECT_NE(post.find("HTTP/1.1 405"), std::string::npos);
+  EXPECT_NE(with_query.find("\"olapdc.test.scraped\""), std::string::npos);
 
   server.Stop();
   server.Stop();  // idempotent
   EXPECT_FALSE(server.running());
 
-  // The server observes itself: the three requests above were counted.
-  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  EXPECT_GE(snapshot.counter("olapdc.http.requests"), 3u);
-  auto it = snapshot.histograms.find("olapdc.http.scrape_latency_us");
-  ASSERT_NE(it, snapshot.histograms.end());
-  EXPECT_GE(it->second.count, 3u);
+  // The transport observes itself: both requests above were counted.
+  EXPECT_GE(MetricsRegistry::Global().Snapshot().counter(
+                "olapdc.http.requests"),
+            2u);
 }
 
 TEST_F(TelemetryTest, StartFailsOnPortInUse) {
-  TelemetryServer first;
-  TelemetryServer::Options options;
-  options.port = 0;
-  ASSERT_TRUE(first.Start(options));
-  TelemetryServer second;
-  TelemetryServer::Options clash;
-  clash.port = first.port();
-  EXPECT_FALSE(second.Start(clash));
+  HttpServer first;
+  ASSERT_TRUE(StartRoutes(&first)) << first.last_error();
+  HttpServer second;
+  EXPECT_FALSE(StartRoutes(&second, first.port()));
   EXPECT_NE(second.last_error().find("bind"), std::string::npos);
   first.Stop();
 }
 
 TEST_F(TelemetryTest, HostilePeersAreBoundedAndCounted) {
-  TelemetryServer server;
-  TelemetryServer::Options options;
-  options.port = 0;
-  ASSERT_TRUE(server.Start(options)) << server.last_error();
+  HttpServer server;
+  ASSERT_TRUE(StartRoutes(&server)) << server.last_error();
 
   MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
 
-  // Oversized headers: the scrape plane caps total request bytes, so a
-  // peer spraying header bytes gets 431, not unbounded buffering.
+  // Oversized headers: the transport caps total request bytes (16 KiB,
+  // olapdcd's default), so a peer spraying header bytes gets 431, not
+  // unbounded buffering.
   const std::string oversized = RawRequest(
       server.port(),
       "GET /metrics HTTP/1.1\r\nX-Pad: " + std::string(32 * 1024, 'h') +
@@ -302,9 +267,10 @@ TEST_F(TelemetryTest, HostilePeersAreBoundedAndCounted) {
   EXPECT_GE(after.counter("olapdc.http.bad_requests"),
             before.counter("olapdc.http.bad_requests") + 2);
 
-  // The server is still healthy for a legitimate scrape afterwards.
+  // The routes still answer a legitimate scrape afterwards.
   const std::string scrape = RawRequest(
-      server.port(), "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+      server.port(),
+      "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
   EXPECT_NE(scrape.find("HTTP/1.1 200 OK"), std::string::npos) << scrape;
   server.Stop();
 }

@@ -11,7 +11,7 @@
 //      ASan/UBSan builds add memory-safety teeth);
 //   2. taxonomy-only failures: a run's status is OK, the injected
 //      code, or a budget code — never an unclassified error (nothing
-//      in-process sheds: only olapdcd's request gate does);
+//      in-process sheds: only olapdcd's request plane does);
 //   3. no wrong witness: a SATISFIABLE verdict always carries a frozen
 //      dimension that passes full C1-C7 + Sigma validation
 //      (FrozenDimension::ToInstance), faults or not;

@@ -3,7 +3,8 @@
 // out-of-range values are rejected with a message on stderr, instead
 // of atoi/atof's silent 0 and ERANGE saturation. Callers exit 2
 // (usage) when a parse fails. Thread-count flags are bounded by
-// exec::kMaxThreads (exec/work_stealing_pool.h).
+// exec::kMaxThreads (exec/work_stealing_pool.h). Also the exit-code
+// table olapdc and olapdcd share for a failed Status.
 
 #ifndef OLAPDC_TOOLS_FLAGS_H_
 #define OLAPDC_TOOLS_FLAGS_H_
@@ -13,6 +14,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+
+#include "common/status.h"
 
 namespace olapdc::tools {
 
@@ -49,6 +52,27 @@ inline bool ParseDoubleFlag(const char* flag, const std::string& text,
   }
   *out = v;
   return true;
+}
+
+/// One distinct process exit code per error class, so shell scripts and
+/// orchestration can branch on the failure mode without parsing stderr.
+/// 0–9 stay free for each tool's own outcomes (2 is usage in both).
+inline int ExitCodeFor(StatusCode code) {
+  switch (code) {
+    case StatusCode::kOk: return 0;
+    case StatusCode::kInvalidArgument: return 10;
+    case StatusCode::kInvalidModel: return 11;
+    case StatusCode::kParseError: return 12;
+    case StatusCode::kResourceExhausted: return 13;
+    case StatusCode::kNotFound: return 14;
+    case StatusCode::kInternal: return 15;
+    case StatusCode::kDeadlineExceeded: return 16;
+    case StatusCode::kCancelled: return 17;
+    // Only olapdcd's request plane sheds, with a 503; no process exits
+    // with this.
+    case StatusCode::kUnavailable: return 18;
+  }
+  return 15;
 }
 
 }  // namespace olapdc::tools

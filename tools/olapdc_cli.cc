@@ -42,13 +42,6 @@
 //                       latency histograms) to <path> as JSON.
 //   --trace <path>      Stream structured trace spans (one JSON object
 //                       per line) to <path> while the command runs.
-//   --serve-port <n>    Start the telemetry server on 127.0.0.1:<n>
-//                       (0 = ephemeral; the bound port is printed).
-//                       Serves /metrics (Prometheus), /varz (JSON),
-//                       /healthz, /tracez. Implies metrics + a span
-//                       ring for /tracez.
-//   --serve-linger-ms <n>  Keep the telemetry server up <n> ms after
-//                       the command finishes (scrape/smoke windows).
 //   --explain           Record every DIMSAT EXPAND decision and print
 //                       the explain report (each prune-rule firing
 //                       with its depth) to stderr when done.
@@ -60,15 +53,15 @@
 //
 // Exit codes: 0 = success / affirmative answer; 1 = definitive negative
 // answer (NOT IMPLIED, UNSATISFIABLE, ...); 2 = usage error; otherwise
-// a distinct code per StatusCode (see ExitCodeFor below) so scripts can
-// tell a parse error from a timeout from a missing file.
+// a distinct code per StatusCode (tools::ExitCodeFor in tools/flags.h,
+// shared with olapdcd) so scripts can tell a parse error from a timeout
+// from a missing file.
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/budget.h"
@@ -76,7 +69,6 @@
 #include "obs/metrics.h"
 #include "obs/search_tree.h"
 #include "obs/span.h"
-#include "obs/telemetry_server.h"
 #include "constraint/evaluator.h"
 #include "constraint/parser.h"
 #include "constraint/printer.h"
@@ -97,28 +89,9 @@ namespace {
 constexpr int kExitAnswerNo = 1;
 constexpr int kExitUsage = 2;
 
-/// One distinct process exit code per error class, so shell scripts and
-/// orchestration can branch on the failure mode without parsing stderr.
-int ExitCodeFor(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk: return 0;
-    case StatusCode::kInvalidArgument: return 10;
-    case StatusCode::kInvalidModel: return 11;
-    case StatusCode::kParseError: return 12;
-    case StatusCode::kResourceExhausted: return 13;
-    case StatusCode::kNotFound: return 14;
-    case StatusCode::kInternal: return 15;
-    case StatusCode::kDeadlineExceeded: return 16;
-    case StatusCode::kCancelled: return 17;
-    // Only olapdcd's request gate sheds; no CLI command returns this.
-    case StatusCode::kUnavailable: return 18;
-  }
-  return 15;
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return ExitCodeFor(status.code());
+  return tools::ExitCodeFor(status.code());
 }
 
 int Usage() {
@@ -136,8 +109,7 @@ int Usage() {
       "  mine <schema> <instance>           learn constraints from data\n"
       "global flags: --deadline-ms <n>, --memory-budget-mb <n>, "
       "--threads <n>, --metrics-json <path>, --trace <path>,\n"
-      "  --serve-port <n>, --serve-linger-ms <n>, --explain, "
-      "--explain-trace <path>\n"
+      "  --explain, --explain-trace <path>\n"
       "exit codes: 0 yes/ok, 1 no, 2 usage, 10-17 one per error class\n"
       "  (16 = deadline exceeded, 17 = cancelled)\n");
   return kExitUsage;
@@ -330,9 +302,6 @@ struct CliFlags {
   CliBudget budget;
   std::string metrics_json_path;
   std::string trace_path;
-  /// Telemetry server: -1 = off, 0 = ephemeral port, else the port.
-  int64_t serve_port = -1;
-  int64_t serve_linger_ms = 0;
   bool explain = false;
   std::string explain_trace_path;
   bool usage_error = false;
@@ -426,12 +395,6 @@ CliFlags ParseFlags(int argc, char** argv) {
     if (TakeFlagValue("--trace", arg, argc, argv, &i, &value, &flags)) {
       if (flags.usage_error) return flags;
       flags.trace_path = value;
-      continue;
-    }
-    if (take_int("--serve-port", arg, &i, 0, 65535, &flags.serve_port) ||
-        take_int("--serve-linger-ms", arg, &i, 0, tools::kMaxMsFlag,
-                 &flags.serve_linger_ms)) {
-      if (flags.usage_error) return flags;
       continue;
     }
     if (arg == "--explain") {
@@ -545,33 +508,6 @@ int Run(int argc, char** argv) {
     obs::SearchTreeRecorder::Global().Enable();
   }
 
-  obs::TelemetryServer server;
-  if (flags.serve_port >= 0) {
-    // A live scrape needs live content: the registry and a span ring
-    // come up with the server even without --metrics-json/--trace.
-    obs::MetricsRegistry::Global().Enable();
-    obs::TraceSink::Global().EnableRing(256);
-    obs::TelemetryServer::Options server_options;
-    server_options.port = static_cast<int>(flags.serve_port);
-    server_options.health = [memory = flags.budget.memory]() {
-      obs::HealthReport report;
-      if (memory != nullptr) {
-        if (memory->exhausted()) report.ok = false;
-        report.detail += "memory: reserved=" +
-                         std::to_string(memory->reserved()) + " limit=" +
-                         std::to_string(memory->limit()) +
-                         (memory->exhausted() ? " exhausted" : "") + "\n";
-      }
-      return report;
-    };
-    if (!server.Start(server_options)) {
-      return Fail(Status::Internal("telemetry server: " +
-                                   server.last_error()));
-    }
-    std::fprintf(stderr, "telemetry: serving on 127.0.0.1:%d\n",
-                 server.port());
-  }
-
   const int code = RunCommand(flags.args, flags.budget);
 
   if (flags.explain) {
@@ -602,12 +538,6 @@ int Run(int argc, char** argv) {
     }
     obs::SearchTreeRecorder::Global().Disable();
   }
-
-  if (server.running() && flags.serve_linger_ms > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(flags.serve_linger_ms));
-  }
-  server.Stop();
 
   if (!flags.metrics_json_path.empty()) {
     // Final gauge refresh so the export carries the quiescent memory

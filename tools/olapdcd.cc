@@ -2,8 +2,8 @@
 // (ROADMAP item 1; docs/robustness.md "Daemon lifecycle").
 //
 // Serves the DimService request plane (POST /v1/check, /v1/implies,
-// /v1/summarizable, /v1/batch, /v1/schemas) and the telemetry GET
-// routes (/metrics, /varz, /healthz, /tracez) on one loopback port,
+// /v1/summarizable, /v1/batch, /v1/schemas), the telemetry GET routes
+// (/metrics, /varz) and its own /healthz on one loopback port,
 // over the hardened HttpServer transport: concurrent connections,
 // per-request read/write deadlines, header/body caps, overload
 // shedding with adaptive Retry-After.
@@ -14,8 +14,10 @@
 // then cancelled through the shared drain token, which makes
 // sequential DIMSAT runs checkpoint and return their frontier to the
 // client. Exit 0 = drained within the deadline, 1 = drain deadline
-// exceeded, 2 = usage, else the olapdc CLI exit-code taxonomy for
-// startup failures (e.g. 14 = schema file not found).
+// exceeded, 2 = usage, else the olapdc CLI's exit code for the failed
+// Status (tools::ExitCodeFor): a --schema file that is missing (14),
+// malformed (12) or not a hierarchy schema (11); 15 when the server
+// cannot start or the final snapshot cannot be written.
 //
 // Fault injection (--fault-site/--fault-prob/--fault-seed) arms the
 // process-wide injector *inside the serving threads* — the live-daemon
@@ -95,10 +97,6 @@ int Usage() {
       "  --linger-ms N            exit (with a clean drain) after N ms — "
       "smoke tests\n");
   return 2;
-}
-
-int ExitCodeFor(const Status& status) {
-  return status.ok() ? 0 : static_cast<int>(status.code());
 }
 
 using tools::ParseDoubleFlag;
@@ -268,7 +266,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot load schema '%s' from %s: %s\n",
                    name.c_str(), path.c_str(),
                    loaded.status().ToString().c_str());
-      return ExitCodeFor(loaded.status());
+      return tools::ExitCodeFor(loaded.status().code());
     }
     registry.RegisterParsed(name, std::move(*loaded));
   }
@@ -399,7 +397,7 @@ int Main(int argc, char** argv) {
   if (!server.Start(server_options)) {
     std::fprintf(stderr, "error: cannot start server: %s\n",
                  server.last_error().c_str());
-    return static_cast<int>(StatusCode::kInternal);
+    return tools::ExitCodeFor(StatusCode::kInternal);
   }
 
   std::signal(SIGTERM, OnSignal);
@@ -523,7 +521,7 @@ int Main(int argc, char** argv) {
                static_cast<unsigned long long>(dim_service.errors()),
                static_cast<unsigned long long>(dim_service.shed()),
                static_cast<unsigned long long>(dim_service.checkpointed()));
-  if (persist_failed) return static_cast<int>(StatusCode::kInternal);
+  if (persist_failed) return tools::ExitCodeFor(StatusCode::kInternal);
   return drained ? 0 : 1;
 }
 
