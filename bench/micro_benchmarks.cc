@@ -52,8 +52,9 @@ void BM_ExpandComposedAtom(benchmark::State& state) {
 BENCHMARK(BM_ExpandComposedAtom);
 
 /// The Canada structure of locationSch (Store -> City -> Province ->
-/// SaleRegion -> Country -> All) and Sigma(locationSch) with its
-/// shorthands expanded, as CHECK receives them.
+/// SaleRegion -> Country -> All) and Sigma(locationSch) as DIMSAT's
+/// CHECK receives it: g-independent shorthand atoms folded, the rest
+/// kept for the circle operator.
 struct CheckInput {
   Subhierarchy g;
   std::vector<DimensionConstraint> sigma;
@@ -73,7 +74,7 @@ CheckInput MakeCanadaCheckInput() {
   std::vector<DimensionConstraint> sigma;
   for (const DimensionConstraint& c : ds.constraints()) {
     sigma.push_back(DimensionConstraint{
-        c.root, Simplify(Unwrap(ExpandShorthands(schema, c.expr))), c.label});
+        c.root, Simplify(FoldShorthands(schema, c.expr)), c.label});
   }
   return CheckInput{std::move(*g), std::move(sigma)};
 }

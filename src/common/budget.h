@@ -5,11 +5,11 @@
 // the two externally imposed limits — a wall-clock deadline and a
 // cooperative cancellation token — behind one Check() call that the hot
 // loops (DIMSAT's EXPAND, NaiveSat's subset enumeration) probe
-// periodically. The per-run counters (max_expand_calls, path_limit,
-// max_frozen) stay in the procedure options; a Budget is about limits
-// shared across an entire request, possibly spanning many DIMSAT runs
-// (e.g. one summarizability query = one implication test per bottom
-// category under a single deadline).
+// periodically. The per-run counters (max_expand_calls, max_frozen,
+// NaiveSat's path_limit) stay in the procedure options; a Budget is
+// about limits shared across an entire request, possibly spanning many
+// DIMSAT runs (e.g. one summarizability query = one implication test
+// per bottom category under a single deadline).
 //
 // A Budget is passed by const pointer and is safe to share across
 // threads: Check() only reads the deadline and the cancellation flag.

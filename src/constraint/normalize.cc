@@ -11,13 +11,16 @@ namespace {
 
 /// OR of path atoms for every simple path from `from` to `to`;
 /// optionally only paths containing `via`. False when no path matches.
+/// Every path enumerated is charged to `*remaining`.
 Result<ExprPtr> PathDisjunction(const HierarchySchema& schema,
                                 CategoryId from, CategoryId to,
-                                CategoryId via, size_t path_limit) {
+                                CategoryId via, size_t* remaining) {
   std::vector<ExprPtr> disjuncts;
+  size_t enumerated = 0;
   Status st = ForEachSimplePath(
-      schema.graph(), from, to, path_limit,
+      schema.graph(), from, to, *remaining,
       [&](const std::vector<int>& path) {
+        ++enumerated;
         if (path.size() < 2) return;  // trivial path (from == to)
         if (via != kNoCategory) {
           bool contains = false;
@@ -27,56 +30,78 @@ Result<ExprPtr> PathDisjunction(const HierarchySchema& schema,
         disjuncts.push_back(MakePathAtom(path));
       });
   OLAPDC_RETURN_NOT_OK(st);
+  *remaining -= enumerated;
   if (disjuncts.empty()) return MakeFalse();
   if (disjuncts.size() == 1) return disjuncts[0];
   return MakeOr(std::move(disjuncts));
 }
 
-Result<ExprPtr> ExpandComposed(const HierarchySchema& schema, const Expr& e,
-                               size_t path_limit) {
-  // c.ci: True when c == ci, else all simple paths c .. ci.
-  if (e.root == e.target) return MakeTrue();
-  return PathDisjunction(schema, e.root, e.target, kNoCategory, path_limit);
-}
-
-Result<ExprPtr> ExpandThrough(const HierarchySchema& schema, const Expr& e,
-                              size_t path_limit) {
-  const CategoryId c = e.root, ci = e.via, cj = e.target;
-  // The five cases of Section 3.3.
-  if (c == ci && ci == cj) return MakeTrue();
-  if (c == cj && c != ci) return MakeFalse();
-  if (c == ci && c != cj) {
-    return ExpandShorthands(schema, MakeComposedAtom(c, cj), path_limit);
-  }
-  if (ci == cj && c != ci) {
-    return ExpandShorthands(schema, MakeComposedAtom(c, ci), path_limit);
-  }
-  // All three distinct: paths from c to cj containing ci.
-  return PathDisjunction(schema, c, cj, ci, path_limit);
-}
-
-}  // namespace
-
-Result<ExprPtr> ExpandShorthands(const HierarchySchema& schema,
-                                 const ExprPtr& e, size_t path_limit) {
+Result<ExprPtr> Expand(const HierarchySchema& schema, const ExprPtr& e,
+                       size_t* remaining) {
   OLAPDC_CHECK(e != nullptr);
-  switch (e->kind) {
-    case ExprKind::kComposedAtom:
-      return ExpandComposed(schema, *e, path_limit);
-    case ExprKind::kThroughAtom:
-      return ExpandThrough(schema, *e, path_limit);
-    default:
-      break;
+  if (e->kind == ExprKind::kComposedAtom) {
+    // c.ci: True when c == ci, else all simple paths c .. ci.
+    if (e->root == e->target) return MakeTrue();
+    return PathDisjunction(schema, e->root, e->target, kNoCategory,
+                           remaining);
+  }
+  if (e->kind == ExprKind::kThroughAtom) {
+    const CategoryId c = e->root, ci = e->via, cj = e->target;
+    // The five cases of Section 3.3.
+    if (c == ci && ci == cj) return MakeTrue();
+    if (c == cj && c != ci) return MakeFalse();
+    if (c == ci && c != cj) {
+      return PathDisjunction(schema, c, cj, kNoCategory, remaining);
+    }
+    if (ci == cj && c != ci) {
+      return PathDisjunction(schema, c, ci, kNoCategory, remaining);
+    }
+    // All three distinct: paths from c to cj containing ci.
+    return PathDisjunction(schema, c, cj, ci, remaining);
   }
   if (e->children.empty()) return e;
   std::vector<ExprPtr> children;
   children.reserve(e->children.size());
   bool changed = false;
   for (const ExprPtr& child : e->children) {
-    OLAPDC_ASSIGN_OR_RETURN(ExprPtr expanded,
-                            ExpandShorthands(schema, child, path_limit));
+    OLAPDC_ASSIGN_OR_RETURN(ExprPtr expanded, Expand(schema, child, remaining));
     changed |= (expanded != child);
     children.push_back(std::move(expanded));
+  }
+  if (!changed) return e;
+  auto copy = std::make_shared<Expr>(*e);
+  copy->children = std::move(children);
+  return ExprPtr(std::move(copy));
+}
+
+}  // namespace
+
+Result<ExprPtr> ExpandShorthands(const HierarchySchema& schema,
+                                 const ExprPtr& e, size_t path_limit) {
+  return Expand(schema, e, &path_limit);
+}
+
+ExprPtr FoldShorthands(const HierarchySchema& schema, const ExprPtr& e) {
+  OLAPDC_CHECK(e != nullptr);
+  if (e->kind == ExprKind::kComposedAtom ||
+      e->kind == ExprKind::kThroughAtom) {
+    // The schema's reachability bounds every subhierarchy's, so an atom
+    // false under it is false in all of them; c.c, c.c.c and c.ci.c
+    // do not read it.
+    const bool holds = ShorthandHolds(*e, [&](CategoryId u, CategoryId v) {
+      return schema.Reaches(u, v);
+    });
+    if (!holds || e->root == e->target) return MakeBool(holds);
+    return e;
+  }
+  if (e->children.empty()) return e;
+  std::vector<ExprPtr> children;
+  children.reserve(e->children.size());
+  bool changed = false;
+  for (const ExprPtr& child : e->children) {
+    ExprPtr folded = FoldShorthands(schema, child);
+    changed |= (folded != child);
+    children.push_back(std::move(folded));
   }
   if (!changed) return e;
   auto copy = std::make_shared<Expr>(*e);

@@ -38,9 +38,11 @@ struct CheckOutcome {
   uint64_t assignments_tried = 0;
 };
 
-/// Runs CHECK(g). `relevant` must be Sigma(ds, root) with
-/// composed/through shorthands already expanded (see dimsat.cc's
-/// PrepareRelevantConstraints); `g` must contain the root.
+/// Runs CHECK(g). `relevant` is Sigma(ds, root), with its composed and
+/// through atoms either kept (DIMSAT folds only the g-independent ones,
+/// see dimsat.cc's PrepareRelevantConstraints) or expanded into path
+/// atoms (NaiveSat); the circle operator gives both forms one value on
+/// the acyclic g this admits. `g` must contain the root.
 CheckOutcome CheckSubhierarchy(const std::vector<DimensionConstraint>& relevant,
                                const Subhierarchy& g,
                                const CheckOptions& options = {});

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "constraint/normalize.h"
+
 namespace olapdc {
 
 ExprPtr ApplyCircleToExpr(const ExprPtr& e, const Subhierarchy& g) {
@@ -21,21 +23,11 @@ ExprPtr ApplyCircleToExpr(const ExprPtr& e, const Subhierarchy& g) {
       if (!g.Reaches(e->root, e->target)) return MakeFalse();
       return e;
     case ExprKind::kComposedAtom:
-      // c.ci is a finite disjunction of path atoms; under ∘g it is true
-      // iff some simple path c -> ci lies inside g, i.e. iff ci is
-      // reachable from c in g (g is checked shortcut/cycle-free before
-      // its candidate frozen dimensions are consulted).
-      if (e->root == e->target) return MakeTrue();
-      return MakeBool(g.Reaches(e->root, e->target));
-    case ExprKind::kThroughAtom: {
-      const CategoryId c = e->root, ci = e->via, cj = e->target;
-      if (c == ci && ci == cj) return MakeTrue();
-      if (c == cj && c != ci) return MakeFalse();
-      if (!g.Contains(c)) return MakeFalse();
-      if (c == ci) return MakeBool(g.Reaches(c, cj));
-      if (ci == cj) return MakeBool(g.Reaches(c, ci));
-      return MakeBool(g.Reaches(c, ci) && g.Reaches(ci, cj));
-    }
+    case ExprKind::kThroughAtom:
+      // On the acyclic g that CHECK admits, reachability in g gives each
+      // shorthand the value of the simple-path disjunction it abbreviates.
+      return MakeBool(ShorthandHolds(
+          *e, [&g](CategoryId u, CategoryId v) { return g.Reaches(u, v); }));
     default:
       break;
   }

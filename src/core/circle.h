@@ -2,9 +2,11 @@
 // evaluates a dimension constraint against a fixed subhierarchy g,
 // replacing
 //   - every path atom by its truth value in g,
-//   - every composed/through shorthand by its truth value in g (it is a
-//     finite disjunction of path atoms, so its circled value is decided
-//     by g alone),
+//   - every composed atom c.ci and through atom c.ci.cj by its truth
+//     value in g: each abbreviates a disjunction of simple paths, and on
+//     the acyclic g that CHECK admits that value is reachability in g
+//     (c reaches ci, and ci reaches cj). It is DIMSAT's only evaluation
+//     of the shorthands; nothing expands them into path lists first,
 //   - every equality atom c_i.c_j ~ k whose source has no path to c_j
 //     in g by False,
 // leaving only equality atoms over categories of g. A constraint whose

@@ -8,9 +8,10 @@ namespace {
 
 /// Evaluates a constraint expression under the all-atoms-false
 /// valuation — the truth value the constraint takes on any model in
-/// which its component is entirely absent (every path, equality, and
-/// order atom then fails, because each mentions at least one absent
-/// intermediate category; see the gates in decompose.h).
+/// which its component is entirely absent (every atom then fails,
+/// because each needs at least one absent intermediate category; the
+/// one shorthand that does not, root.All, trips a gate in
+/// decompose.h).
 bool EvalAllFalse(const Expr& e) {
   switch (e.kind) {
     case ExprKind::kTrue:
@@ -53,7 +54,10 @@ bool EvalAllFalse(const Expr& e) {
   return false;
 }
 
-/// Every category an expression's atoms reference, as a bitset.
+/// Every category an expression's atoms reference, as a bitset. A
+/// composed or through atom names only its endpoints and via: the
+/// schema paths it abbreviates run through intermediate categories
+/// that the hierarchy-edge union already joins to them.
 void CollectMentioned(const Expr& e, DynamicBitset* out) {
   if (e.IsAtom()) {
     for (CategoryId c : e.path) out->set(c);
@@ -65,14 +69,12 @@ void CollectMentioned(const Expr& e, DynamicBitset* out) {
   for (const ExprPtr& c : e.children) CollectMentioned(*c, out);
 }
 
-/// True iff some equality or order atom targets `a` or `b` (the G4
-/// gate: assignment branching on a shared category).
-bool TargetsSharedCategory(const Expr& e, CategoryId a, CategoryId b) {
-  if (e.kind == ExprKind::kEqualityAtom || e.kind == ExprKind::kOrderAtom) {
-    return e.target == a || e.target == b;
-  }
+/// True iff some atom of `e` satisfies `pred`.
+template <typename Pred>
+bool AnyAtom(const Expr& e, const Pred& pred) {
+  if (e.IsAtom()) return pred(e);
   for (const ExprPtr& c : e.children) {
-    if (TargetsSharedCategory(*c, a, b)) return true;
+    if (AnyAtom(*c, pred)) return true;
   }
   return false;
 }
@@ -149,9 +151,24 @@ ComponentSplit ComputeComponentSplit(
       split.ineligible_reason = "relevant constraint is literally False";
       return split;
     }
-    if (TargetsSharedCategory(e, root, all)) {
+    if (AnyAtom(e, [&](const Expr& a) {
+          return (a.kind == ExprKind::kEqualityAtom ||
+                  a.kind == ExprKind::kOrderAtom) &&
+                 (a.target == root || a.target == all);
+        })) {
       split.ineligible_reason =
           "equality/order atom targets the query root or All";
+      return split;
+    }
+    // root.All, root.root.All and root.All.All abbreviate the paths
+    // through every component, and hold on every model.
+    if (AnyAtom(e, [&](const Expr& a) {
+          return a.root == root && a.target == all &&
+                 (a.kind == ExprKind::kComposedAtom ||
+                  (a.kind == ExprKind::kThroughAtom &&
+                   (a.via == root || a.via == all)));
+        })) {
+      split.ineligible_reason = "shorthand atom from the query root to All";
       return split;
     }
     mentioned.clear();

@@ -28,14 +28,22 @@
 //   - an equality or order atom targeting root or All: the assignment
 //     search would branch on a category every component shares, so the
 //     composed assignments would no longer be disjoint.
+//   - a composed or through atom that reduces to root.All: the paths
+//     it abbreviates run through every component, and it holds on every
+//     model, whichever components are present.
 //   - root == All, or fewer than two components: nothing to decompose.
 //
-// Under these gates, cycles and shortcuts are per-component, the
-// circle operator of a component's constraints evaluates identically
-// on the component's sub-model and on any composed union, and the
-// assignment search branches only on component-local categories — so
-// the composed frozen-dimension set equals the monolithic one
-// (dimsat_ablation_test.cc pins this across the seeded corpus).
+// Every other composed or through atom lies inside one component once
+// the preparation has folded the ones no subhierarchy can change
+// (FoldShorthands): a schema path from the root or from an
+// intermediate category runs through intermediate categories that
+// hierarchy edges join. Under these gates, cycles and shortcuts are
+// per-component, the circle operator of a component's constraints
+// evaluates identically on the component's sub-model and on any
+// composed union, and the assignment search branches only on
+// component-local categories — so the composed frozen-dimension set
+// equals the monolithic one (dimsat_ablation_test.cc pins this across
+// the seeded corpus).
 
 #ifndef OLAPDC_CORE_DECOMPOSE_H_
 #define OLAPDC_CORE_DECOMPOSE_H_
@@ -83,7 +91,8 @@ struct ComponentSplit {
 };
 
 /// Computes the component split for (ds, root) given the prepared
-/// (shorthand-expanded) relevant constraints and the no-good salt the
+/// relevant constraints (shorthand atoms folded by FoldShorthands and
+/// simplified, as DIMSAT prepares them) and the no-good salt the
 /// run would use monolithically. Categories are grouped by union-find
 /// over (a) hierarchy edges between intermediate categories and
 /// (b) per-constraint coupling: every intermediate category one

@@ -80,18 +80,17 @@ void FlushDimsatMetrics(const DimsatStats& stats, const Status& status,
 
 namespace {
 
-/// Sigma(ds, root) with composed/through shorthands expanded into plain
-/// path atoms, so the circle operator and the into-detection see the
-/// Definition 3 core language.
-Result<std::vector<DimensionConstraint>> PrepareRelevantConstraints(
-    const DimensionSchema& ds, CategoryId root, size_t path_limit) {
+/// Sigma(ds, root) as written, simplified after folding the shorthand
+/// atoms whose value no subhierarchy can change (FoldShorthands). The
+/// circle operator reads every other composed and through atom off g's
+/// reachability, and the component split sees the folded constants.
+std::vector<DimensionConstraint> PrepareRelevantConstraints(
+    const DimensionSchema& ds, CategoryId root) {
   std::vector<DimensionConstraint> prepared;
   for (const DimensionConstraint* c : ds.RelevantConstraints(root)) {
-    OLAPDC_ASSIGN_OR_RETURN(
-        ExprPtr expanded,
-        ExpandShorthands(ds.hierarchy(), c->expr, path_limit));
-    prepared.push_back(DimensionConstraint{c->root, Simplify(expanded),
-                                           c->label});
+    prepared.push_back(DimensionConstraint{
+        c->root, Simplify(FoldShorthands(ds.hierarchy(), c->expr)),
+        c->label});
   }
   return prepared;
 }
@@ -1109,14 +1108,8 @@ DimsatResult SolveDimsat(const DimensionSchema& ds, CategoryId root,
                     : parallel             ? "dimsat.parallel_run"
                                            : "dimsat.run");
   ObservedRun observed;
-  Result<std::vector<DimensionConstraint>> prepared =
-      PrepareRelevantConstraints(ds, root, options.path_limit);
-  if (!prepared.ok()) {
-    result.status = prepared.status();
-    return result;
-  }
   const std::vector<DimensionConstraint> relevant =
-      std::move(prepared).ValueOrDie();
+      PrepareRelevantConstraints(ds, root);
   if (options.checkpoint != nullptr) *options.checkpoint = DimsatCheckpoint{};
   std::vector<int> rank;
   if (options.branch_heuristic) rank = ComputeBranchRank(ds);

@@ -6,6 +6,11 @@
 // frozen dimension (Proposition 2). By Theorem 3, the category is
 // satisfiable iff some explored subhierarchy does.
 //
+// CHECK reads Sigma(ds, root) as written. The circle operator evaluates
+// composed and through atoms as reachability in g (core/circle.h);
+// preparing Sigma only folds the shorthand atoms whose value no
+// subhierarchy can change and simplifies, so it cannot fail.
+//
 // Options expose each pruning rule independently (for the ablation
 // benchmarks) and an enumerate-all mode that collects every frozen
 // dimension instead of stopping at the first — the Figure 4 harness and
@@ -83,8 +88,6 @@ struct DimsatOptions {
   /// decomposed; exceeding it aborts with ResourceExhausted in
   /// DimsatResult::status, and stats.expand_calls never exceeds it.
   uint64_t max_expand_calls = UINT64_MAX;
-  /// Bound on simple paths enumerated when expanding composed atoms.
-  size_t path_limit = 1 << 20;
   /// Wall-clock / cancellation budget; not owned, may be null
   /// (unbounded). Shared read-only across parallel workers. On
   /// expiration the search stops with kDeadlineExceeded / kCancelled in

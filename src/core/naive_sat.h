@@ -24,6 +24,7 @@ struct NaiveSatOptions {
   /// Refuses instances whose relevant edge count exceeds this (the
   /// enumeration is 2^edges).
   int max_edges = 26;
+  /// Simple paths ExpandShorthands may list for one constraint.
   size_t path_limit = 1 << 20;
   /// Wall-clock / cancellation budget; not owned, may be null. On
   /// expiration the enumeration stops with the budget status and

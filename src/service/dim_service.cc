@@ -435,10 +435,12 @@ HttpResponse DimService::DoImplies(const JsonValue& body,
   // Implies() searches Σ ∪ {¬α}, a different theory than /v1/check's
   // plain Σ: the salt keeps their no-good signatures apart while
   // letting repeats of the *same* constraint share learned pruning.
-  // An expansion failure (path_limit) runs this request uncached and
+  // An α whose shorthand atoms abbreviate more than
+  // kCanonicalKeyPathLimit paths runs this request uncached and
   // storeless.
   if (options_.caches != nullptr) {
-    auto expanded = ExpandShorthands(q.schema->hierarchy(), alpha->expr);
+    auto expanded = ExpandShorthands(q.schema->hierarchy(), alpha->expr,
+                                     kCanonicalKeyPathLimit);
     if (expanded.ok()) {
       const std::string scope = EpochScope(q.epoch);
       const std::string canonical =

@@ -59,6 +59,7 @@
 #define OLAPDC_SERVICE_DIM_SERVICE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -106,6 +107,12 @@ class DimService {
     /// bypass the read path entirely but still warm the no-good layer.
     ServiceCaches* caches = nullptr;
   };
+
+  /// Simple paths /v1/implies lists, over all of α's composed and
+  /// through atoms together, when it spells α's canonical cache key.
+  /// The listing is charged to no request budget, so an α over this cap
+  /// runs uncached and storeless instead of listing more.
+  static constexpr size_t kCanonicalKeyPathLimit = 4096;
 
   explicit DimService(const Options& options) : options_(options) {}
   DimService(const DimService&) = delete;

@@ -1,8 +1,11 @@
 // Tests for the circle operator Sigma ∘ g (Definition 8), including a
-// verbatim reproduction of Figure 5 on the Example 12 subhierarchy.
+// verbatim reproduction of Figure 5 on the Example 12 subhierarchy, and
+// a property test holding its reachability reading of composed and
+// through atoms to their simple-path expansions.
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,8 @@
 #include "core/location_example.h"
 #include "core/schema.h"
 #include "tests/test_util.h"
+#include "workload/realistic.h"
+#include "workload/schema_generator.h"
 
 namespace olapdc {
 namespace {
@@ -152,6 +157,103 @@ TEST_F(CircleTest, EqualityAtomTargetOutsideReachIsFalse) {
   ExprPtr atom = MakeEqualityAtom(province_, state_, "x");
   EXPECT_TRUE(IsFalseLiteral(ApplyCircleToExpr(atom, g)));
 }
+
+/// Params 0-3: the built-in schemas (locationSch and the healthcare,
+/// product and time schemas); the rest: small generated layered ones.
+HierarchySchemaPtr ShorthandSchema(int param) {
+  if (param < 4) {
+    Result<DimensionSchema> ds = param == 0   ? LocationSchema()
+                                 : param == 1 ? HealthcareSchema()
+                                 : param == 2 ? ProductSchema()
+                                              : TimeSchema();
+    OLAPDC_CHECK(ds.ok()) << ds.status().ToString();
+    return ds->hierarchy_ptr();
+  }
+  SchemaGenOptions options;
+  options.num_levels = 3;
+  options.categories_per_level = 2;
+  options.extra_edge_prob = 0.4;
+  options.seed = static_cast<uint64_t>(param) * 389 + 5;
+  auto hierarchy = GenerateLayeredHierarchy(options);
+  OLAPDC_CHECK(hierarchy.ok()) << hierarchy.status().ToString();
+  return *hierarchy;
+}
+
+class ShorthandReachabilityTest : public ::testing::TestWithParam<int> {};
+
+// Random walks of EXPAND steps from every root. On each acyclic,
+// shortcut-free g a walk reaches, every composed and through atom over
+// the schema's categories circles to the value of its simple-path
+// expansion, and FoldShorthands folds an atom only to that value.
+TEST_P(ShorthandReachabilityTest, CircledAtomEqualsCircledExpansion) {
+  const HierarchySchemaPtr schema = ShorthandSchema(GetParam());
+  const int n = schema->num_categories();
+  struct Atom {
+    ExprPtr atom;
+    ExprPtr expanded;
+    ExprPtr folded;
+  };
+  std::vector<Atom> atoms;
+  auto add = [&](ExprPtr atom) {
+    ASSERT_OK_AND_ASSIGN(ExprPtr expanded, ExpandShorthands(*schema, atom));
+    ExprPtr folded = FoldShorthands(*schema, atom);
+    atoms.push_back(Atom{std::move(atom), std::move(expanded),
+                         std::move(folded)});
+  };
+  for (CategoryId c = 0; c < n; ++c) {
+    for (CategoryId cj = 0; cj < n; ++cj) {
+      ASSERT_NO_FATAL_FAILURE(add(MakeComposedAtom(c, cj)));
+      for (CategoryId ci = 0; ci < n; ++ci) {
+        ASSERT_NO_FATAL_FAILURE(add(MakeThroughAtom(c, ci, cj)));
+      }
+    }
+  }
+
+  std::mt19937_64 rng(GetParam() * 131 + 7);
+  uint64_t checked = 0;
+  for (CategoryId root = 0; root < n; ++root) {
+    if (root == schema->all()) continue;
+    for (int walk = 0; walk < 4; ++walk) {
+      Subhierarchy g(n, root);
+      SubhierarchyUndoLog log;
+      for (;;) {
+        if (!g.HasCycleIn() && !g.HasShortcut()) {
+          ++checked;
+          for (const Atom& a : atoms) {
+            const ExprPtr direct = Simplify(ApplyCircleToExpr(a.atom, g));
+            ASSERT_TRUE(ExprEquals(
+                direct, Simplify(ApplyCircleToExpr(a.expanded, g))))
+                << ExprToString(*schema, a.atom) << " on "
+                << g.num_edges() << "-edge g from "
+                << schema->CategoryName(root);
+            if (a.folded->IsLiteralTruth()) {
+              ASSERT_TRUE(ExprEquals(a.folded, direct))
+                  << ExprToString(*schema, a.atom);
+            }
+          }
+        }
+        std::vector<CategoryId> expandable;
+        g.top().ForEach([&](int c) {
+          if (c != schema->all()) expandable.push_back(c);
+        });
+        if (expandable.empty()) break;
+        const CategoryId ctop = expandable[rng() % expandable.size()];
+        const std::vector<int>& parents = schema->graph().OutNeighbors(ctop);
+        DynamicBitset r(n);
+        while (r.none()) {
+          for (int p : parents) {
+            if (rng() % 2 == 0) r.set(p);
+          }
+        }
+        g.ExpandLogged(ctop, r, &log);
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemas, ShorthandReachabilityTest,
+                         ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace olapdc

@@ -214,6 +214,77 @@ TEST(DecomposeSplitTest, LocationSchemaFallsBackToMonolithic) {
             Canonical(baseline.frozen, ds.hierarchy()));
 }
 
+// Shorthand atoms reach the component split unexpanded: the
+// preparation folds the ones no subhierarchy can change, an atom from
+// the root to All trips the split, and every other one lies inside one
+// component. Each theory must list the monolithic model set, with the
+// EXPAND count of the split that reads every shorthand atom as its
+// simple-path expansion.
+TEST(DecomposeSplitTest, ShorthandAtomsSplitAsTheirExpansionsDid) {
+  // Three components under Base; A2 -> All and B1 -> All are schema
+  // shortcuts, and no path leaves a component.
+  const std::vector<std::pair<std::string, std::string>> hand_edges = {
+      {"Base", "AHub"}, {"AHub", "A1"}, {"AHub", "A2"}, {"A1", "A3"},
+      {"A2", "A3"},     {"A2", "All"},  {"A3", "All"},  {"Base", "BHub"},
+      {"BHub", "B1"},   {"BHub", "B2"}, {"B1", "B3"},   {"B2", "B3"},
+      {"B1", "All"},    {"B3", "All"},  {"Base", "CHub"}, {"CHub", "C1"},
+      {"CHub", "C2"},   {"C1", "All"},  {"C2", "All"}};
+  const DimensionSchema generated = MultiComponentSchema(3, 3);
+  struct Theory {
+    const char* name;
+    bool hand;  // hand_edges, else `generated`
+    std::vector<std::string> constraints;
+    bool splits;
+    uint64_t decomposed_expands;
+  };
+  const Theory theories[] = {
+      {"composed", true, {"Base.A3"}, true, 45},
+      {"through or composed", true, {"Base.A1.A3 | Base.B3"}, true, 145},
+      {"root to All", true, {"Base.All -> Base/AHub"}, false, 524},
+      {"intermediate-rooted", true, {"AHub.A3", "B1.B3", "BHub.B2.All"},
+       true, 45},
+      {"g-independent",
+       true,
+       {"Base.Base & !Base.AHub.Base", "Base.Base.Base -> Base.C1",
+        "Base.A1.Base | Base.B1", "A1.A1"},
+       true,
+       45},
+      {"no path", true, {"!A1.B3", "Base.C1 | Base.B3.A3", "AHub.C1 | AHub.A2"},
+       true, 45},
+      {"generated",
+       false,
+       {"Base.P0L2C0", "Base.P1Hub.P1L2C1 | Base.P2L1C0", "P0Hub.P0L2C1",
+        "!P0L1C0.P1L2C0", "Base.P2Hub.Base | Base.P2L2C2"},
+       true,
+       1906},
+  };
+  for (const Theory& t : theories) {
+    SCOPED_TRACE(t.name);
+    DimensionSchema ds =
+        t.hand ? testing_util::MakeSchema(hand_edges, {}) : generated;
+    for (const std::string& text : t.constraints) {
+      ds = ds.WithExtraConstraint(testing_util::ParseC(ds.hierarchy(), text));
+    }
+    const CategoryId base = ds.hierarchy().FindCategory("Base");
+    DimsatOptions options;
+    options.enumerate_all = true;
+    const DimsatResult monolithic = RunDimsat(ds, base, options);
+    ASSERT_OK(monolithic.status);
+    options.decompose = true;
+    const DimsatResult decomposed = RunDimsat(ds, base, options);
+    ASSERT_OK(decomposed.status);
+    EXPECT_FALSE(monolithic.frozen.empty());
+    EXPECT_EQ(Canonical(decomposed.frozen, ds.hierarchy()),
+              Canonical(monolithic.frozen, ds.hierarchy()));
+    EXPECT_EQ(decomposed.stats.expand_calls, t.decomposed_expands);
+    if (t.splits) {
+      EXPECT_LT(decomposed.stats.expand_calls, monolithic.stats.expand_calls);
+    } else {
+      EXPECT_EQ(decomposed.stats.expand_calls, monolithic.stats.expand_calls);
+    }
+  }
+}
+
 TEST(DecomposeSpeedTest, DecompositionReducesExpandCalls) {
   const DimensionSchema ds = MultiComponentSchema(5, 3);
   const CategoryId base = ds.hierarchy().FindCategory("Base");

@@ -1,5 +1,5 @@
-// Tests for shorthand expansion (Sections 3.1 and 3.3) and truth-
-// constant simplification.
+// Tests for shorthand expansion (Sections 3.1 and 3.3), the folding of
+// g-independent shorthand atoms, and truth-constant simplification.
 
 #include <gtest/gtest.h>
 
@@ -137,6 +137,37 @@ TEST_F(NormalizeTest, PathLimitEnforced) {
                 .status()
                 .code(),
             StatusCode::kResourceExhausted);
+  // The limit bounds the whole expression: Store.Country abbreviates 5
+  // simple paths, so two of them need 10.
+  const ExprPtr twice = MakeOr({MakeComposedAtom(store_, country_),
+                                MakeComposedAtom(store_, country_)});
+  EXPECT_EQ(ExpandShorthands(*schema_, twice, /*path_limit=*/9)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_TRUE(ExpandShorthands(*schema_, twice, /*path_limit=*/10).ok());
+}
+
+TEST_F(NormalizeTest, FoldShorthandsKeepsOnlyAtomsSomeGCanDecide) {
+  auto folded = [&](const ExprPtr& e) {
+    return ExprToString(*schema_, FoldShorthands(*schema_, e));
+  };
+  EXPECT_EQ(folded(MakeComposedAtom(store_, store_)), "true");
+  EXPECT_EQ(folded(MakeThroughAtom(store_, store_, store_)), "true");
+  EXPECT_EQ(folded(MakeThroughAtom(store_, city_, store_)), "false");
+  // No schema path Country -> Store, nor SaleRegion -> City.
+  EXPECT_EQ(folded(MakeComposedAtom(country_, store_)), "false");
+  EXPECT_EQ(folded(MakeThroughAtom(store_, sale_region_, city_)), "false");
+  // Atoms some subhierarchy makes true and another false stay, as the
+  // same nodes, so an unchanged constraint is not copied.
+  const ExprPtr kept =
+      MakeAnd({MakeComposedAtom(store_, country_),
+               MakeThroughAtom(store_, city_, sale_region_),
+               MakeThroughAtom(store_, store_, province_)});
+  EXPECT_EQ(FoldShorthands(*schema_, kept), kept);
+  ASSERT_OK_AND_ASSIGN(ExprPtr parsed,
+                       ParseExpr(*schema_, "Store.Store -> Country.Store"));
+  EXPECT_EQ(folded(parsed), "true -> false");
 }
 
 // --- Simplify ---------------------------------------------------------

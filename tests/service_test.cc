@@ -27,6 +27,7 @@
 #include "service/dim_service.h"
 #include "service/schema_registry.h"
 #include "service/service_caches.h"
+#include "tests/test_util.h"
 #include "workload/schema_generator.h"
 
 namespace olapdc::service {
@@ -575,6 +576,43 @@ TEST_F(ServiceTest, CacheHitAfterMissServesMarkedResponse) {
       service.HandleRequest(Post("/v1/summarizable", summarizable));
   EXPECT_NE(sum_warm.body.find("\"cached\": true"), std::string::npos)
       << sum_warm.body;
+}
+
+// An α whose atoms abbreviate more simple paths than the canonical key
+// may list runs uncached: the listing would sit outside every request
+// budget and the key would be the whole path disjunction. On the
+// ladder, Base.L<k>a abbreviates 2^(k-1) paths: one atom past the cap,
+// and two atoms that each fit but not together.
+TEST_F(ServiceTest, ImpliesPastTheKeyPathLimitStoresNoClosureEntry) {
+  int levels = 1;
+  while ((size_t{1} << (levels - 1)) <= DimService::kCanonicalKeyPathLimit) {
+    ++levels;
+  }
+  std::string ladder;
+  for (const auto& [from, to] : testing_util::LadderEdges(levels)) {
+    ladder += "edge " + from + " " + to + "\n";
+  }
+  ASSERT_TRUE(registry_.Register("ladder", ladder).ok());
+  ServiceCaches caches;
+  options_.caches = &caches;
+  DimService service(options_);
+  const std::string top = "Base.L" + std::to_string(levels) + "a";
+  const std::string below = "Base.L" + std::to_string(levels - 1) + "a";
+  for (const std::string& alpha : {top, below + " | " + below}) {
+    const std::string body =
+        "{\"schema\": \"ladder\", \"constraint\": \"" + alpha + "\"}";
+    for (int ask = 0; ask < 2; ++ask) {
+      HttpResponse reply = service.HandleRequest(Post("/v1/implies", body));
+      ASSERT_EQ(reply.status, 200) << reply.body;
+      EXPECT_NE(
+          reply.body.find("\"definitive\": true, \"implied\": false"),
+          std::string::npos)
+          << reply.body;
+      EXPECT_EQ(reply.body.find("\"cached\""), std::string::npos)
+          << reply.body;
+    }
+  }
+  EXPECT_EQ(caches.closure().size(), 0u);
 }
 
 TEST_F(ServiceTest, EpochBumpInvalidatesEveryCacheLayer) {

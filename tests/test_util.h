@@ -69,6 +69,26 @@ inline DimensionSchema MakeSchema(
   return DimensionSchema(std::move(hierarchy), std::move(constraints));
 }
 
+/// The edges of the `levels`-level ladder: Base -> L1a, L1b; every
+/// category of level k -> both of level k+1; L<levels>a, b -> All. An
+/// atom Base.L<k>a abbreviates 2^(k-1) simple paths.
+inline std::vector<std::pair<std::string, std::string>> LadderEdges(
+    int levels) {
+  std::vector<std::pair<std::string, std::string>> edges;
+  auto level = [](int k) {
+    return std::vector<std::string>{"L" + std::to_string(k) + "a",
+                                    "L" + std::to_string(k) + "b"};
+  };
+  for (const std::string& c : level(1)) edges.emplace_back("Base", c);
+  for (int k = 1; k < levels; ++k) {
+    for (const std::string& from : level(k)) {
+      for (const std::string& to : level(k + 1)) edges.emplace_back(from, to);
+    }
+  }
+  for (const std::string& c : level(levels)) edges.emplace_back(c, "All");
+  return edges;
+}
+
 }  // namespace testing_util
 }  // namespace olapdc
 

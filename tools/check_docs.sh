@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Documentation lint, run by the CI `docs` job and locally via
 #   tools/check_docs.sh
-# from the repository root. Five checks:
+# from the repository root. Six checks:
 #   1. Every relative markdown link in README.md, DESIGN.md,
 #      EXPERIMENTS.md and docs/*.md resolves to a file in the repo.
 #   2. Every src/<subsystem>/ directory is mentioned in DESIGN.md's
@@ -16,6 +16,10 @@
 #      are exactly the sites in the Site column of docs/robustness.md's
 #      fault-site table, so no site ships undocumented and no row
 #      outlives its site.
+#   6. The committed chaos report (BENCH_robustness.json) sweeps exactly
+#      the registered fault sites, durable.* aside (the crash grid arms
+#      those), so the report cannot outlive a deleted site or miss a
+#      new one.
 set -u
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -101,6 +105,28 @@ while IFS= read -r site; do
   echo "STALE FAULT SITE: $site is in docs/robustness.md but no code under src/ registers it"
   fail=1
 done < <(comm -13 <(echo "$registered_sites") <(echo "$documented_sites"))
+
+# --- 6. The committed chaos report sweeps every fault site ---------------
+# The report's "sites" object holds one "<site>": {...} line per site.
+report_sites="$(awk '/"sites": \{/ { t = 1; next }
+                     t && /^ *\}/ { exit }
+                     t { print }' BENCH_robustness.json |
+  grep -oE '^ *"[^"]+"' | tr -d ' "' | sort -u)"
+swept_sites="$(echo "$registered_sites" | grep -v '^durable\.')"
+if [ -z "$report_sites" ]; then
+  echo "MISSING CHAOS SITES: no \"sites\" object in BENCH_robustness.json"
+  fail=1
+fi
+while IFS= read -r site; do
+  [ -n "$site" ] || continue
+  echo "UNSWEPT FAULT SITE: $site is registered under src/ but missing from BENCH_robustness.json"
+  fail=1
+done < <(comm -23 <(echo "$swept_sites") <(echo "$report_sites"))
+while IFS= read -r site; do
+  [ -n "$site" ] || continue
+  echo "STALE CHAOS SITE: $site is in BENCH_robustness.json but no code under src/ registers it"
+  fail=1
+done < <(comm -13 <(echo "$swept_sites") <(echo "$report_sites"))
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"
